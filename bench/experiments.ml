@@ -1258,17 +1258,25 @@ let mwu_kernel m =
    -- they are documented as byte-reproducible across machines. *)
 let nproc () = Domain.recommended_domain_count ()
 
-(* Best-of-[reps] wall clock (first result kept): the minimum over a
-   few repetitions is the standard way to strip scheduler/GC noise from
-   a deterministic workload's timing. *)
-let timed_best reps f =
-  let r0, t0 = Util.time f in
-  let best = ref t0 in
-  for _ = 2 to reps do
-    let _, t = Util.time f in
-    if t < !best then best := t
+(* Fastest wall time of each thunk over [reps] rounds, the rounds
+   interleaved across the thunks (a b a b ...). A slow phase of the
+   host can last seconds (perfbench/README.md, "Noise"); timing each
+   side's best-of-[reps] in a block of its own lets such a phase land on
+   one side of a comparison only, and a not-slower gate then fails on
+   unchanged code. *)
+let interleaved_best reps thunks =
+  let thunks = Array.of_list thunks in
+  let best = Array.make (Array.length thunks) infinity in
+  for _ = 1 to reps do
+    Array.iteri
+      (fun i f ->
+        let (), t = Util.time f in
+        if t < best.(i) then best.(i) <- t)
+      thunks
   done;
-  (r0, !best)
+  best
+
+let timed_best reps f = (interleaved_best reps [ f ]).(0)
 
 let read_whole_file path =
   let ic = open_in path in
@@ -1336,25 +1344,33 @@ let parallel_kernels ~label ~n_gonzalez ~m_mwu ~n_matrix ~domain_counts
   let rows = ref [] and json_rows = ref [] and measured = ref [] in
   List.iter
     (fun (kernel, size, f) ->
-      let baseline_fp = ref "" and baseline_t = ref 0.0 in
-      List.iter
-        (fun nd ->
-          let fp, t = with_domains nd (fun () -> timed_best time_reps f) in
-          let identical =
-            if nd = List.hd domain_counts then begin
-              baseline_fp := fp;
-              baseline_t := t;
-              true
-            end
-            else fp = !baseline_fp
-          in
+      (* The repetitions alternate between the domain counts, as in
+         [interleaved_best], with only the timed count's pool alive: its
+         worker domains alone join every stop-the-world pause. Each
+         count keeps its first run's fingerprint and its fastest time;
+         pool start and shutdown stay outside the timed region. *)
+      let fps = Array.make (List.length domain_counts) ""
+      and times = Array.make (List.length domain_counts) infinity in
+      for rep = 1 to time_reps do
+        List.iteri
+          (fun s nd ->
+            let fp, t = with_domains nd (fun () -> Util.time f) in
+            if rep = 1 then fps.(s) <- fp;
+            if t < times.(s) then times.(s) <- t)
+          domain_counts
+      done;
+      let baseline_fp = fps.(0) and baseline_t = times.(0) in
+      List.iteri
+        (fun s nd ->
+          let fp = fps.(s) and t = times.(s) in
+          let identical = s = 0 || fp = baseline_fp in
           if not identical then
             failwith
               (Printf.sprintf
                  "parallel kernel %s diverged at %d domains (results are \
                   not bit-identical to the sequential path)"
                  kernel nd);
-          let speedup = if t > 0.0 then !baseline_t /. t else 1.0 in
+          let speedup = if t > 0.0 then baseline_t /. t else 1.0 in
           measured := (kernel, nd, t, speedup) :: !measured;
           rows :=
             [
@@ -2155,14 +2171,15 @@ let run_kernel_checks ~label ~sizes ~balls_n ~reps ~json_path () =
              (passes * n) n d evals);
       counts := (Printf.sprintf "kernels.dist_evals.n%d_d%d" n d, evals)
                 :: !counts;
-      let _, tb =
+      let t =
         with_obs_disabled (fun () ->
-            timed_best reps (fun () -> boxed_sweep pts passes))
+            interleaved_best reps
+              [
+                (fun () -> ignore (boxed_sweep pts passes));
+                (fun () -> ignore (packed_sweep c passes));
+              ])
       in
-      let _, tp =
-        with_obs_disabled (fun () ->
-            timed_best reps (fun () -> packed_sweep c passes))
-      in
+      let tb = t.(0) and tp = t.(1) in
       if n >= 4096 && tp > tb then
         failwith
           (Printf.sprintf
@@ -2208,14 +2225,15 @@ let run_kernel_checks ~label ~sizes ~balls_n ~reps ~json_path () =
              (passes * n) n d row_evals);
       counts := (Printf.sprintf "kernels.row_evals.n%d_d%d" n d, row_evals)
                 :: !counts;
-      let _, trb =
+      let t =
         with_obs_disabled (fun () ->
-            timed_best reps (fun () -> boxed_row_sweep pts db_dst passes))
+            interleaved_best reps
+              [
+                (fun () -> ignore (boxed_row_sweep pts db_dst passes));
+                (fun () -> ignore (packed_row_sweep c dp_dst passes));
+              ])
       in
-      let _, trp =
-        with_obs_disabled (fun () ->
-            timed_best reps (fun () -> packed_row_sweep c dp_dst passes))
-      in
+      let trb = t.(0) and trp = t.(1) in
       if n >= 4096 && trp > trb then
         failwith
           (Printf.sprintf
@@ -2279,19 +2297,16 @@ let run_kernel_checks ~label ~sizes ~balls_n ~reps ~json_path () =
       counts :=
         (Printf.sprintf "kernels.block_evals.n%d_d%d" n d, block_evals)
         :: !counts;
-      let _, tbb =
+      let t =
         with_obs_disabled (fun () ->
-            timed_best reps (fun () -> boxed_block_sweep pts block_boxed passes_b))
+            interleaved_best reps
+              [
+                (fun () -> ignore (boxed_block_sweep pts block_boxed passes_b));
+                (fun () -> ignore (rowloop_block_sweep c block_rowbuf passes_b));
+                (fun () -> ignore (tiled_block_sweep c block_tiled passes_b));
+              ])
       in
-      let _, tbr =
-        with_obs_disabled (fun () ->
-            timed_best reps (fun () ->
-                rowloop_block_sweep c block_rowbuf passes_b))
-      in
-      let _, tbt =
-        with_obs_disabled (fun () ->
-            timed_best reps (fun () -> tiled_block_sweep c block_tiled passes_b))
-      in
+      let tbb = t.(0) and tbr = t.(1) and tbt = t.(2) in
       if n >= 4096 && tbt > tbb then
         failwith
           (Printf.sprintf
@@ -2353,9 +2368,10 @@ let run_kernel_checks ~label ~sizes ~balls_n ~reps ~json_path () =
       counts :=
         (Printf.sprintf "kernels.f32_block_evals.n%d_d%d" n d, f32_evals)
         :: !counts;
-      let _, t32 =
+      let t32 =
         with_obs_disabled (fun () ->
-            timed_best reps (fun () -> f32_tiled_block_sweep s32 f32_tiled passes_b))
+            timed_best reps (fun () ->
+                ignore (f32_tiled_block_sweep s32 f32_tiled passes_b)))
       in
       record "l2_sq_block_f32" size "f64_tiled" tbt 1.0;
       record "l2_sq_block_f32" size "f32_tiled" t32
@@ -2386,7 +2402,7 @@ let run_kernel_checks ~label ~sizes ~balls_n ~reps ~json_path () =
   let ball_t1 = ref 0.0 in
   List.iter
     (fun nd ->
-      let _, t =
+      let t =
         with_domains nd (fun () ->
             with_obs_disabled (fun () ->
                 timed_best reps (fun () ->
@@ -2419,16 +2435,16 @@ let run_kernel_checks ~label ~sizes ~balls_n ~reps ~json_path () =
     ("kernels.simplex.pivots", pick cd_f "lp.simplex.pivots")
     :: ("kernels.simplex.solves", pick cd_f "lp.simplex.solves")
     :: !counts;
-  let _, tr =
+  let t =
     with_obs_disabled (fun () ->
-        timed_best reps (fun () ->
-            List.iter (fun lp -> ignore (Simplex.solve_reference lp)) lps))
+        interleaved_best reps
+          [
+            (fun () ->
+              List.iter (fun lp -> ignore (Simplex.solve_reference lp)) lps);
+            (fun () -> List.iter (fun lp -> ignore (Simplex.solve lp)) lps);
+          ])
   in
-  let _, tf =
-    with_obs_disabled (fun () ->
-        timed_best reps (fun () ->
-            List.iter (fun lp -> ignore (Simplex.solve lp)) lps))
-  in
+  let tr = t.(0) and tf = t.(1) in
   let lp_size = Printf.sprintf "%d coverage LPs" (List.length lps) in
   record "simplex" lp_size "reference" tr 1.0;
   record "simplex" lp_size "flat" tf (if tf > 0.0 then tr /. tf else 1.0);
@@ -2617,12 +2633,12 @@ let run_dynamic_checks ~label ~sizes ~reps ~json_path () =
             (Dyn.Range.stats range).Dyn.points_rebuilt)
         :: !counts;
       (* --- amortized update cost of the full insert/delete replay --- *)
-      let _, tb =
+      let tb =
         with_obs_disabled (fun () ->
             timed_best reps (fun () -> ignore (replay_ball w)))
       in
       record "ball" n "dynamic replay" tb (tb /. float_of_int n);
-      let _, tr =
+      let tr =
         with_obs_disabled (fun () ->
             timed_best reps (fun () -> ignore (replay_range w)))
       in
@@ -2639,20 +2655,21 @@ let run_dynamic_checks ~label ~sizes ~reps ~json_path () =
              (Array.to_seq w.Drift.ops))
       in
       let n_ins = Array.length ins in
-      let _, t_dyn =
-        with_obs_disabled (fun () ->
-            timed_best reps (fun () ->
-                let t = Dyn.Ball.create ~dim:w.Drift.dim () in
-                Array.iter (fun p -> ignore (Dyn.Ball.insert t p)) ins))
-      in
       let stride = 64 in
-      let _, t_sampled =
+      let t =
         with_obs_disabled (fun () ->
-            timed_best reps (fun () ->
-                for i = 1 to n_ins / stride do
-                  ignore (Bbd.build (Array.sub ins 0 (i * stride)))
-                done))
+            interleaved_best reps
+              [
+                (fun () ->
+                  let t = Dyn.Ball.create ~dim:w.Drift.dim () in
+                  Array.iter (fun p -> ignore (Dyn.Ball.insert t p)) ins);
+                (fun () ->
+                  for i = 1 to n_ins / stride do
+                    ignore (Bbd.build (Array.sub ins 0 (i * stride)))
+                  done);
+              ])
       in
+      let t_dyn = t.(0) and t_sampled = t.(1) in
       let t_rebuild = t_sampled *. float_of_int stride in
       record "ball" n "insert-only dynamic" t_dyn
         (t_dyn /. float_of_int (max 1 n_ins));
@@ -2718,7 +2735,7 @@ let run_dynamic_checks ~label ~sizes ~reps ~json_path () =
         :: (Printf.sprintf "dynamic.churn.live.n%d" n,
             Dyn.Ball.live_count cball)
         :: !counts;
-      let _, tc =
+      let tc =
         with_obs_disabled (fun () ->
             timed_best reps (fun () -> ignore (replay_ball cw)))
       in

@@ -26,13 +26,15 @@ type prepared = {
   rect_nodes : int list array; (* canonical range-tree nodes per rectangle *)
   (* CSR flattenings driving the batched oracle: fixed for the life of
      the instance, so every MWU round sweeps contiguous int arrays
-     instead of chasing per-constraint lists. Row/element order matches
-     the corresponding list/fold order exactly — the float accumulation
-     order, and hence bit-identity with the per-constraint reference,
-     depends on it. *)
+     instead of chasing per-constraint lists. [rect_csr] keeps the
+     list order exactly — the float accumulation order of tau, and
+     hence bit-identity with the per-constraint reference, depends on
+     it. [rect_pts] only feeds integer hit counts. *)
   rect_csr : Csr.t; (* [rect_nodes], flattened *)
-  bbd_paths : Csr.t; (* leaf-to-root BBD node path per point *)
-  rt_paths : Csr.t; (* range-tree U_i node set per point *)
+  rect_pts : Csr.t; (* points inside each rectangle, ascending *)
+  tau_by_subtree : bool;
+      (* weigh rectangles over their canonical subtrees, not the whole
+         range tree (see [prepare]) *)
 }
 
 let prepare (g : Geo_instance.t) =
@@ -43,31 +45,86 @@ let prepare (g : Geo_instance.t) =
   let rect_nodes =
     Array.map (fun rect -> Range_tree.query_nodes rtree rect) g.Geo_instance.rects
   in
-  let n = Cso_metric.Points.length coords in
-  let bbd_paths =
-    Csr.of_lists
-      (Array.init n (fun l ->
-           List.rev
-             (Bbd.fold_path_to_root bbd (Bbd.leaf_of_point bbd l) ~init:[]
-                ~f:(fun acc u -> u :: acc))))
+  (* A rectangle's canonical nodes partition exactly the points
+     [membership] puts in it (no rect bound is nan), so its member list
+     is the set of points one chosen rectangle covers in Update. *)
+  let rect_pts =
+    Csr.transpose
+      (Csr.of_lists g.Geo_instance.membership)
+      ~cols:(Array.length g.Geo_instance.rects)
   in
-  let rt_paths =
-    Csr.of_lists
-      (Array.init n (fun i ->
-           List.rev
-             (Range_tree.fold_point_paths rtree i ~init:[] ~f:(fun acc u ->
-                  u :: acc))))
+  let rect_csr = Csr.of_lists rect_nodes in
+  (* Recomputing the subtree of each rectangle's canonical nodes costs
+     2 * (points under the node) - 1 node updates per round, about f * n
+     in all for frequency f; recomputing every node costs the tree's
+     size, about 2n (log2 n + 1) in two dimensions. Nested or heavily
+     overlapping rectangles take the whole-tree pass. Both leave the
+     canonical nodes' weights bit-identical. *)
+  let subtree_nodes =
+    Array.fold_left
+      (fun acc u -> acc + (2 * Range_tree.node_count rtree u) - 1)
+      0 rect_csr.Csr.ids
   in
-  { g; bbd; rtree; rect_nodes; rect_csr = Csr.of_lists rect_nodes;
-    bbd_paths; rt_paths }
+  { g; bbd; rtree; rect_nodes; rect_csr; rect_pts;
+    tau_by_subtree = subtree_nodes <= Range_tree.n_nodes rtree }
 
-(* Indices of the [k] largest weights. *)
-let top_k weights k =
+(* Indices of the [k] largest weights, largest first: the first
+   [min k n] ids after a descending [Array.sort]. The per-constraint
+   reference keeps this sort; [top_k] must return the same list. *)
+let top_k_reference weights k =
   let idx = Array.init (Array.length weights) Fun.id in
   (* Monomorphic float sort; same descending order as the polymorphic
      comparator (ties keep falling through to the sort's own order). *)
   Array.sort (fun a b -> Float.compare weights.(b) weights.(a)) idx;
   Array.to_list (Array.sub idx 0 (min k (Array.length idx)))
+
+(* Selection scratch, allocated once per guess and reused by every
+   round: the [k + 1] largest keys seen so far (descending) and their
+   ids. *)
+type topk = { best_ids : int array; best_ks : float array }
+
+let topk_scratch ~k =
+  { best_ids = Array.make (k + 1) 0; best_ks = Array.make (k + 1) 0.0 }
+
+(* [top_k_reference weights k] without sorting all of [weights]. One pass
+   keeps the [k + 1] largest keys by [Float.compare]. When those are
+   pairwise distinct, every correct descending sort starts with the
+   same [k] ids, so the kept prefix is the answer. A tie there (sibling
+   points no canonical ball separates get bit-equal weights) leaves the
+   order among equal keys to [Array.sort], so it runs the reference. *)
+let top_k_into s weights k =
+  let n = Array.length weights in
+  let take = min k n in
+  if take <= 0 then []
+  else begin
+    let cap = min (k + 1) n in
+    let bi = s.best_ids and bk = s.best_ks in
+    let len = ref 0 in
+    for l = 0 to n - 1 do
+      let x = Array.unsafe_get weights l in
+      if !len < cap || Float.compare x bk.(cap - 1) > 0 then begin
+        let j = ref (if !len < cap then !len else cap - 1) in
+        if !len < cap then incr len;
+        while !j > 0 && Float.compare x bk.(!j - 1) > 0 do
+          bk.(!j) <- bk.(!j - 1);
+          bi.(!j) <- bi.(!j - 1);
+          decr j
+        done;
+        bk.(!j) <- x;
+        bi.(!j) <- l
+      end
+    done;
+    let distinct = ref true in
+    for j = 1 to cap - 1 do
+      if Float.compare bk.(j - 1) bk.(j) = 0 then distinct := false
+    done;
+    if not !distinct then top_k_reference weights k
+    else
+      let rec mk j acc = if j < 0 then acc else mk (j - 1) (bi.(j) :: acc) in
+      mk (take - 1) []
+  end
+
+let top_k weights k = top_k_into (topk_scratch ~k:(max 0 k)) weights k
 
 type oracle_sol = {
   chosen_pts : int list;
@@ -76,7 +133,7 @@ type oracle_sol = {
 }
 
 (* Rounding (Appendix C), shared by the batched production path and the
-   per-constraint reference: average the per-round oracle solutions,
+   per-constraint reference: average the per-round rectangle choices,
    keep rectangles with mass >= 1/(2f), greedily cover the surviving
    points with balls of radius [removal_mult * r]. The greedy centers
    are instance point indices, so the ball queries go through the
@@ -86,13 +143,11 @@ let round_solution p ~eps ~r ~removal_mult sols =
   let n = Array.length g.Geo_instance.points in
   let m = Array.length g.Geo_instance.rects in
   let t = float_of_int (List.length sols) in
-  let x_hat = Array.make n 0.0 and y_hat = Array.make m 0.0 in
+  let y_hat = Array.make m 0.0 in
   List.iter
     (fun sol ->
-      List.iter (fun l -> x_hat.(l) <- x_hat.(l) +. 1.0) sol.chosen_pts;
       List.iter (fun j -> y_hat.(j) <- y_hat.(j) +. 1.0) sol.chosen_rects)
     sols;
-  Array.iteri (fun i v -> x_hat.(i) <- v /. t) x_hat;
   Array.iteri (fun j v -> y_hat.(j) <- v /. t) y_hat;
   let f = float_of_int (max 1 (Geo_instance.frequency g)) in
   let threshold = (1.0 /. (2.0 *. f)) -. 1e-9 in
@@ -130,13 +185,25 @@ let round_solution p ~eps ~r ~removal_mult sols =
   greedy ();
   Some { Instance.centers = List.rev !centers; outliers = !outliers }
 
-(* Batched oracle: each MWU round is one sequential CSR scatter (the
-   float accumulation whose order is the bit-identity contract) plus
-   one pooled gather pass per side, sweeping flat int arrays into
-   buffers reused across every round of the guess. Values, counters
-   and histogram events are bit-identical to [solve_at_reference]'s
-   per-constraint closures — pinned by the differential tests in
-   [test/suite_gcso.ml] and the [gcso.batched_oracle] fuzz check. *)
+(* Batched oracle. Per guess, the canonical ball nodes are flattened to
+   CSR and transposed to node -> constraints. Per round:
+
+   - Oracle: one sequential scatter of sigma into the flat BBD node
+     weights (the float accumulation whose order is the bit-identity
+     contract), one pooled gather of each point's root-path sum, and
+     tau_j summed over rectangle j's canonical nodes, each node's
+     subtree recomputed exactly as the whole-tree aggregation would
+     (one whole-tree pass instead when those subtrees outweigh it).
+   - Update: R1_i and R2_i are sums of 1.0, hence exact small integers,
+     so they are counted from the chosen side: each chosen point's root
+     path bumps the constraints whose canonical set holds a path node,
+     each chosen rectangle bumps its member points. A round touches
+     O(what the chosen solution covers), not every constraint's lists.
+
+   Values, counters and histogram events are bit-identical to
+   [solve_at_reference]'s per-constraint closures — pinned by the
+   differential tests in [test/suite_gcso.ml] and the
+   [gcso.batched_oracle] fuzz check. *)
 let solve_at ?(eps = 0.3) ?rounds ?(cover_mult = 1.0) ?(removal_mult = 2.0)
     ?warm_weights ?on_round ?on_weights p ~r =
   let g = p.g in
@@ -155,49 +222,42 @@ let solve_at ?(eps = 0.3) ?rounds ?(cover_mult = 1.0) ?(removal_mult = 2.0)
       (fun nodes -> Obs.Hist.observe h_ball_nodes (List.length nodes))
       canon;
     let canon_csr = Csr.of_lists canon in
-    let co = canon_csr.Csr.offsets and ci = canon_csr.Csr.ids in
-    let po = p.bbd_paths.Csr.offsets and pi = p.bbd_paths.Csr.ids in
-    let uo = p.rt_paths.Csr.offsets and ui = p.rt_paths.Csr.ids in
+    let holders = Csr.transpose canon_csr ~cols:(Bbd.n_nodes p.bbd) in
+    let ho = holders.Csr.offsets and hi = holders.Csr.ids in
     let ro = p.rect_csr.Csr.offsets and ri = p.rect_csr.Csr.ids in
+    let mo = p.rect_pts.Csr.offsets and mi = p.rect_pts.Csr.ids in
     let width = float_of_int (k + z) in
     (* Per-guess buffers, overwritten in full every round. [viol] is
        returned to [Mwu.run], which only reads it within the round. *)
     let w = Array.make n 0.0 in
     let tau = Array.make m 0.0 in
+    let hits = Array.make n 0 in
     let viol = Array.make n 0.0 in
-    let pool = Pool.get_default () in
+    let sel_pts = topk_scratch ~k and sel_rects = topk_scratch ~k:z in
     let oracle sigma =
       Obs.incr c_oracle;
       (* w_l = sum of sigma over the points whose ball query captured l.
          Sequential scatter in constraint order: the same float
-         accumulation order as the per-constraint list walk. *)
+         accumulation order as the per-constraint list walk. The tree
+         weights are fixed once it finishes, so the per-point root-path
+         sums are one pooled read-only pass. *)
       Bbd.reset_weights p.bbd;
-      for i = 0 to n - 1 do
-        let s = sigma.(i) in
-        for e = co.(i) to co.(i + 1) - 1 do
-          Bbd.add_weight p.bbd (Array.unsafe_get ci e) s
-        done
-      done;
-      (* The tree weights are fixed once the writes above finish, so the
-         per-point root-path gathers are independent read-only work:
-         one pooled flat pass. *)
-      Pool.parallel_for pool ~chunk:64 ~start:0 ~finish:(n - 1) (fun l ->
-          let acc = ref 0.0 in
-          for e = po.(l) to po.(l + 1) - 1 do
-            acc := !acc +. Bbd.get_weight p.bbd (Array.unsafe_get pi e)
-          done;
-          w.(l) <- !acc);
+      Bbd.scatter_weights p.bbd canon_csr sigma;
+      Bbd.path_weights p.bbd w;
       (* tau_j = sigma-weight of the points inside rectangle j. *)
-      Range_tree.set_point_weights p.rtree sigma;
+      if not p.tau_by_subtree then Range_tree.set_point_weights p.rtree sigma;
       for j = 0 to m - 1 do
         let acc = ref 0.0 in
         for e = ro.(j) to ro.(j + 1) - 1 do
-          acc := !acc +. Range_tree.node_weight p.rtree (Array.unsafe_get ri e)
+          let u = Array.unsafe_get ri e in
+          if p.tau_by_subtree then
+            Range_tree.set_subtree_weights p.rtree sigma u;
+          acc := !acc +. Range_tree.node_weight p.rtree u
         done;
         tau.(j) <- !acc
       done;
-      let chosen_pts = top_k w k in
-      let chosen_rects = top_k tau z in
+      let chosen_pts = top_k_into sel_pts w k in
+      let chosen_rects = top_k_into sel_rects tau z in
       let value =
         List.fold_left (fun acc l -> acc +. w.(l)) 0.0 chosen_pts
         +. List.fold_left (fun acc j -> acc +. tau.(j)) 0.0 chosen_rects
@@ -207,36 +267,30 @@ let solve_at ?(eps = 0.3) ?rounds ?(cover_mult = 1.0) ?(removal_mult = 2.0)
     in
     let violation sol =
       Obs.incr c_violation;
+      Array.fill hits 0 n 0;
       (* R1_i: chosen points captured by point i's ball query. *)
-      Bbd.reset_weights p.bbd;
       List.iter
         (fun l ->
-          for e = po.(l) to po.(l + 1) - 1 do
-            Bbd.add_weight2 p.bbd (Array.unsafe_get pi e) 1.0
+          let u = ref (Bbd.leaf_of_point p.bbd l) in
+          while !u >= 0 do
+            for h = ho.(!u) to ho.(!u + 1) - 1 do
+              let i = Array.unsafe_get hi h in
+              hits.(i) <- hits.(i) + 1
+            done;
+            u := Bbd.parent p.bbd !u
           done)
         sol.chosen_pts;
       (* R2_i: chosen rectangles containing point i. *)
-      Range_tree.reset_weight2 p.rtree;
       List.iter
         (fun j ->
-          for e = ro.(j) to ro.(j + 1) - 1 do
-            Range_tree.add_weight2 p.rtree (Array.unsafe_get ri e) 1.0
+          for e = mo.(j) to mo.(j + 1) - 1 do
+            let i = Array.unsafe_get mi e in
+            hits.(i) <- hits.(i) + 1
           done)
         sol.chosen_rects;
-      (* One pooled pass over the constraint set: per-constraint slots,
-         read-only over the freshly written tree weights — the MWU hot
-         loop. *)
-      Pool.parallel_for pool ~chunk:64 ~start:0 ~finish:(n - 1) (fun i ->
-          let r1 = ref 0.0 in
-          for e = co.(i) to co.(i + 1) - 1 do
-            r1 := !r1 +. Bbd.get_weight2 p.bbd (Array.unsafe_get ci e)
-          done;
-          let r2 = ref 0.0 in
-          for e = uo.(i) to uo.(i + 1) - 1 do
-            r2 :=
-              !r2 +. Range_tree.node_weight2 p.rtree (Array.unsafe_get ui e)
-          done;
-          viol.(i) <- !r1 +. !r2 -. 1.0);
+      for i = 0 to n - 1 do
+        viol.(i) <- float_of_int hits.(i) -. 1.0
+      done;
       viol
     in
     match
@@ -244,7 +298,9 @@ let solve_at ?(eps = 0.3) ?rounds ?(cover_mult = 1.0) ?(removal_mult = 2.0)
         ~oracle ~violation ()
     with
     | Mwu.Infeasible -> None
-    | Mwu.Feasible sols -> round_solution p ~eps ~r ~removal_mult sols
+    | Mwu.Feasible sols ->
+        Obs.with_span "gcso.round" (fun () ->
+            round_solution p ~eps ~r ~removal_mult sols)
   end
 
 (* Per-constraint reference path: the pre-batching oracle, kept verbatim
@@ -286,8 +342,8 @@ let solve_at_reference ?(eps = 0.3) ?rounds ?(cover_mult = 1.0)
               0.0 nodes)
           p.rect_nodes
       in
-      let chosen_pts = top_k w k in
-      let chosen_rects = top_k tau z in
+      let chosen_pts = top_k_reference w k in
+      let chosen_rects = top_k_reference tau z in
       let value =
         List.fold_left (fun acc l -> acc +. w.(l)) 0.0 chosen_pts
         +. List.fold_left (fun acc j -> acc +. tau.(j)) 0.0 chosen_rects
@@ -360,12 +416,13 @@ let solve ?(eps = 0.3) ?rounds ?candidates ?warm_weights ?on_weights g =
   if not (eps > 0.0 && eps <= 2.5) then
     invalid_arg "Gcso_general.solve: eps must be in (0, 2.5]";
   let eps_c = split_eps eps in
-  let p = prepare g in
+  let p = Obs.with_span "gcso.prepare" (fun () -> prepare g) in
   let n = Array.length g.Geo_instance.points in
   let gamma =
     match candidates with
     | Some c -> c
     | None ->
+        Obs.with_span "gcso.lattice" @@ fun () ->
         (* The WSPD places a candidate only within
            [(1-e) delta, (1+e) delta] of each pairwise distance delta
            (wspd.mli), so the candidate tracking the discrete optimum
@@ -417,8 +474,9 @@ let solve ?(eps = 0.3) ?rounds ?candidates ?warm_weights ?on_weights g =
     Obs.incr c_guesses;
     latest_weights := None;
     match
-      solve_at ~eps:eps_c ~rounds:rounds_per_guess ?warm_weights
-        ?on_weights:inner_on_weights p ~r:gamma.(mid)
+      Obs.with_span "gcso.guess" (fun () ->
+          solve_at ~eps:eps_c ~rounds:rounds_per_guess ?warm_weights
+            ?on_weights:inner_on_weights p ~r:gamma.(mid))
     with
     | Some sol ->
         Log.debug (fun m ->

@@ -50,10 +50,15 @@ val solve_at : ?eps:float -> ?rounds:int -> ?cover_mult:float ->
     observe them per round.
 
     The MWU oracle is {e batched}: the canonical-node sets are flattened
-    to CSR once per guess and every round runs one sequential scatter
-    plus one pooled flat gather pass per side, into buffers reused
-    across rounds. Bit-identical — weights, round counts, solutions,
-    and every counter total — to {!solve_at_reference}. *)
+    to CSR once per guess, and a round allocates nothing per node. The
+    Oracle runs one sequential scatter and one pooled gather over the
+    BBD tree, weighs each rectangle over the subtrees of its own
+    canonical nodes (or, when those subtrees hold more nodes than the
+    whole range tree, as under nested rectangles, over one whole-tree
+    pass) and selects with {!top_k}; the Update counts each
+    constraint's hits from the chosen points and rectangles only.
+    Bit-identical — weights, round counts, solutions, and every counter
+    and histogram event — to {!solve_at_reference}. *)
 
 val solve_at_reference : ?eps:float -> ?rounds:int -> ?cover_mult:float ->
   ?removal_mult:float -> ?warm_weights:float array ->
@@ -65,6 +70,18 @@ val solve_at_reference : ?eps:float -> ?rounds:int -> ?cover_mult:float ->
     pinned against — same arguments, bit-identical results and
     observability events. Test/reference only: slower, and nothing in
     the production call graph uses it. *)
+
+val top_k : float array -> int -> int list
+(** [top_k w k] is the indices of the [k] largest weights, largest
+    first: exactly {!top_k_reference}[ w k], ties, [-0.]/[0.], nan and
+    infinities included, without sorting [w] unless the [k + 1] largest
+    keys hold a tie (then it is {!top_k_reference}). The Oracle's
+    selection. *)
+
+val top_k_reference : float array -> int -> int list
+(** The first [min k n] indices of [Array.sort] under
+    [fun a b -> Float.compare w.(b) w.(a)] — the reference oracle's
+    selection. *)
 
 type report = {
   solution : Instance.solution;
@@ -94,7 +111,12 @@ val solve : ?eps:float -> ?rounds:int -> ?candidates:float array ->
     [on_weights], unlike the per-round callback of {!Cso_lp.Mwu.run},
     fires at most once per [solve]: with the final weight vector of the
     accepted (smallest feasible) guess — the snapshot worth feeding back
-    as [warm_weights] of a perturbed re-solve. *)
+    as [warm_weights] of a perturbed re-solve.
+
+    Under [gcso.solve], a solve records the {!Cso_obs.Obs} spans
+    [gcso.prepare], [gcso.lattice] (unless [candidates] is given), one
+    [gcso.guess] per binary-search guess (holding its [mwu.run]) and a
+    [gcso.round] inside each guess that rounds a feasible LP. *)
 
 (** Keep a GCSO instance queryable under point inserts/deletes and
     rectangle (outlier-set) inserts/deletes without re-solving per

@@ -41,19 +41,22 @@ type node = {
   right : int;
   point : int; (* point index for leaves, -1 otherwise *)
   count : int;
-  mutable weight : float;
-  mutable weight2 : float;
   mutable active : bool;
   mutable active_count : int;
   mutable repr : int; (* an active point in the subtree, -1 if none *)
 }
 
+(* The two weight accumulators live in flat float arrays indexed by
+   node id, not in the node records: a mutable float field of a mixed
+   record is boxed, so every [add_weight] would allocate. *)
 type t = {
   coords : Points.t;
   mutable nodes : node array;
   mutable n_nodes : int;
   root : int;
   leaf_of : int array;
+  weight : float array;
+  weight2 : float array;
 }
 
 let dummy_node =
@@ -64,8 +67,6 @@ let dummy_node =
     right = -1;
     point = -1;
     count = 0;
-    weight = 0.0;
-    weight2 = 0.0;
     active = true;
     active_count = 0;
     repr = -1;
@@ -105,7 +106,7 @@ let build_with coords =
   let n = Points.length coords in
   let t =
     { coords; nodes = Array.make (max 1 (2 * n)) dummy_node; n_nodes = 0;
-      root = 0; leaf_of = Array.make n (-1) }
+      root = 0; leaf_of = Array.make n (-1); weight = [||]; weight2 = [||] }
   in
   if n = 0 then t
   else begin
@@ -119,8 +120,7 @@ let build_with coords =
         let id =
           push t
             { box; parent; left = -1; right = -1; point = p; count = 1;
-              weight = 0.0; weight2 = 0.0; active = true; active_count = 1;
-              repr = p }
+              active = true; active_count = 1; repr = p }
         in
         t.leaf_of.(p) <- id;
         id
@@ -137,8 +137,7 @@ let build_with coords =
         let id =
           push t
             { box; parent; left = -1; right = -1; point = -1; count;
-              weight = 0.0; weight2 = 0.0; active = true;
-              active_count = count; repr = idx.(lo) }
+              active = true; active_count = count; repr = idx.(lo) }
         in
         let l = go id lo mid in
         let r = go id mid hi in
@@ -147,7 +146,8 @@ let build_with coords =
       end
     in
     ignore (go (-1) 0 n);
-    t
+    { t with weight = Array.make t.n_nodes 0.0;
+             weight2 = Array.make t.n_nodes 0.0 }
   end
 
 let build pts = build_with (Points.of_array pts)
@@ -195,10 +195,13 @@ let scratch_for t =
    final list is built back-to-front, matching the [id :: !out]
    accumulation of the recursive original element for element (GCSO
    folds over these lists in float order, so the order is part of the
-   bit-identity contract). *)
+   bit-identity contract). The visit, canonical and expansion counts
+   are tallied locally and published with one [Obs.add] each per query:
+   the same totals as an atomic increment per event, at a fraction of
+   the cost. *)
 let query_into ~respect_active t ~center ~radius ~eps s =
   Obs.incr c_queries;
-  let visited = ref 0 in
+  let visited = ref 0 and expanded = ref 0 in
   let r_out = (1.0 +. eps) *. radius in
   let stk = s.stk and cbuf = s.cbuf in
   let sp = ref 1 and cnt = ref 0 in
@@ -206,7 +209,6 @@ let query_into ~respect_active t ~center ~radius ~eps s =
   while !sp > 0 do
     decr sp;
     let id = Array.unsafe_get stk !sp in
-    Obs.incr c_visits;
     incr visited;
     let nd = Array.unsafe_get t.nodes id in
     if respect_active && not nd.active then ()
@@ -216,12 +218,11 @@ let query_into ~respect_active t ~center ~radius ~eps s =
       else
         let dmax = Rect.max_dist_to_point nd.box center in
         if dmax <= r_out then begin
-          Obs.incr c_canonical;
           Array.unsafe_set cbuf !cnt id;
           incr cnt
         end
         else if nd.left >= 0 then begin
-          Obs.incr c_expansions;
+          incr expanded;
           (* Two pushes per expansion, one pop per visit: the stack top
              never exceeds one slot per tree level plus one, well inside
              the [n_nodes + 1] capacity of the scratch. *)
@@ -234,6 +235,9 @@ let query_into ~respect_active t ~center ~radius ~eps s =
              so this branch is unreachable for leaves. *)
     end
   done;
+  Obs.add c_visits !visited;
+  Obs.add c_canonical !cnt;
+  Obs.add c_expansions !expanded;
   Obs.Hist.observe h_nodes !visited;
   let rec mk acc k = if k >= !cnt then acc else mk (cbuf.(k) :: acc) (k + 1) in
   mk [] 0
@@ -318,15 +322,37 @@ let fold_path_to_root t id ~init ~f =
   go init id
 
 let reset_weights t =
-  for i = 0 to t.n_nodes - 1 do
-    t.nodes.(i).weight <- 0.0;
-    t.nodes.(i).weight2 <- 0.0
+  Array.fill t.weight 0 t.n_nodes 0.0;
+  Array.fill t.weight2 0 t.n_nodes 0.0
+
+let add_weight t id w = t.weight.(id) <- t.weight.(id) +. w
+let get_weight t id = t.weight.(id)
+let add_weight2 t id w = t.weight2.(id) <- t.weight2.(id) +. w
+let get_weight2 t id = t.weight2.(id)
+
+(* The batched forms run inside this module, where the accumulator is a
+   local float array: an inlined [add_weight] from another module still
+   boxes its float argument on every call. *)
+let scatter_weights t (rows : Csr.t) w =
+  let o = rows.Csr.offsets and ids = rows.Csr.ids and acc = t.weight in
+  for i = 0 to Csr.rows rows - 1 do
+    let x = w.(i) in
+    for e = o.(i) to o.(i + 1) - 1 do
+      let u = Array.unsafe_get ids e in
+      acc.(u) <- acc.(u) +. x
+    done
   done
 
-let add_weight t id w = t.nodes.(id).weight <- t.nodes.(id).weight +. w
-let get_weight t id = t.nodes.(id).weight
-let add_weight2 t id w = t.nodes.(id).weight2 <- t.nodes.(id).weight2 +. w
-let get_weight2 t id = t.nodes.(id).weight2
+let path_weights t out =
+  let n = t.coords.Points.n in
+  let pool = Pool.get_default () in
+  Pool.parallel_for pool ~chunk:64 ~start:0 ~finish:(n - 1) (fun l ->
+      let acc = ref 0.0 and u = ref t.leaf_of.(l) in
+      while !u >= 0 do
+        acc := !acc +. t.weight.(!u);
+        u := t.nodes.(!u).parent
+      done;
+      out.(l) <- !acc)
 
 let reset_active t =
   for i = 0 to t.n_nodes - 1 do

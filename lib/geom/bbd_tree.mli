@@ -9,10 +9,14 @@
     nodes are pairwise disjoint and their point sets [U] satisfy
     [B(c,r) cap P subseteq U subseteq B(c,(1+eps)r) cap P].
 
-    Nodes carry two mutable weight accumulators ([weight] used by the MWU
-    Oracle, [weight2] by Update) and an activity flag with active-point
-    counts and representatives (used by the rounding procedure of
-    Appendix C and the RCRO algorithm of Appendix E). *)
+    Each node has two float weight accumulators, held in flat arrays
+    indexed by node id: the first carries the MWU Oracle's node weights
+    (written by {!scatter_weights}, read by {!path_weights}); the
+    second, the [v.w] of Update, serves only GCSO's per-constraint
+    reference oracle, since the production Update counts its hits
+    instead. Nodes also carry an activity flag with active-point counts
+    and representatives (used by the rounding procedure of Appendix C
+    and the RCRO algorithm of Appendix E). *)
 
 type t
 
@@ -101,6 +105,23 @@ val add_weight : t -> int -> float -> unit
 val get_weight : t -> int -> float
 val add_weight2 : t -> int -> float -> unit
 val get_weight2 : t -> int -> float
+(** Single-node access to the two accumulators. Only the per-constraint
+    reference oracle of GCSO and the tests use these; the production
+    oracle uses the batched pair below and leaves the second
+    accumulator at zero. *)
+
+val scatter_weights : t -> Csr.t -> float array -> unit
+(** [scatter_weights t rows w] adds [w.(i)] to the first accumulator of
+    every node listed in row [i] of [rows], rows in order and each row
+    in element order: the same float accumulation as the equivalent
+    sequence of [add_weight] calls, without boxing a float per call. *)
+
+val path_weights : t -> float array -> unit
+(** [path_weights t out] sets [out.(l)], for every point [l], to the sum
+    of the first accumulator over the path from [l]'s leaf to the root,
+    added leaf first, as [fold_path_to_root] with [get_weight] would.
+    One pass over the default {!Cso_parallel.Pool}; bit-identical for
+    every pool size. *)
 
 (** {2 Activity (deletion) support} *)
 

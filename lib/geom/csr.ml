@@ -31,6 +31,26 @@ let of_lists rows =
   done;
   { offsets; ids }
 
+(* Counting sort by column: one pass sizes the columns, one pass fills
+   them, visiting rows in ascending order so each column row lists its
+   source rows ascending (with repeats for repeated entries). *)
+let transpose t ~cols =
+  let offsets = Array.make (cols + 1) 0 in
+  Array.iter (fun c -> offsets.(c + 1) <- offsets.(c + 1) + 1) t.ids;
+  for c = 0 to cols - 1 do
+    offsets.(c + 1) <- offsets.(c + 1) + offsets.(c)
+  done;
+  let next = Array.sub offsets 0 cols in
+  let ids = Array.make (Array.length t.ids) 0 in
+  for i = 0 to Array.length t.offsets - 2 do
+    for e = t.offsets.(i) to t.offsets.(i + 1) - 1 do
+      let c = t.ids.(e) in
+      ids.(next.(c)) <- i;
+      next.(c) <- next.(c) + 1
+    done
+  done;
+  { offsets; ids }
+
 let rows t = Array.length t.offsets - 1
 let entries t = Array.length t.ids
 let row_length t i = t.offsets.(i + 1) - t.offsets.(i)

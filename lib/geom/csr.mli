@@ -19,6 +19,12 @@ type t = private {
 val of_lists : int list array -> t
 (** Flatten, preserving row and element order. *)
 
+val transpose : t -> cols:int -> t
+(** [transpose t ~cols] has one row per column [c] in [0 .. cols - 1],
+    listing in ascending order the rows of [t] that contain [c] (a row
+    that contains [c] twice is listed twice). Raises [Invalid_argument]
+    when an element of [t] lies outside [0 .. cols - 1]. *)
+
 val rows : t -> int
 val entries : t -> int
 

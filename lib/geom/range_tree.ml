@@ -203,6 +203,7 @@ let build_packed coords =
 let build pts = build_packed (Points.of_array pts)
 
 let size t = Points.length t.coords
+let n_nodes t = Array.length t.weight
 
 (* Canonical cover of index range [a, b) inside a seg. *)
 let seg_cover seg a b acc =
@@ -287,24 +288,34 @@ let report t rect =
 let count t rect =
   List.fold_left (fun acc gid -> acc + node_count t gid) 0 (query_nodes t rect)
 
+(* Aggregates the local ids [first .. last] of a seg from point weights
+   [w]. Pre-order ids: children come after parents, so a reverse scan
+   aggregates bottom-up. *)
+let aggregate t seg w ~first ~last =
+  for local = last downto first do
+    let gid = seg.base + local in
+    if seg.s_left.(local) < 0 then
+      t.weight.(gid) <- w.(seg.s_pts.(seg.s_lo.(local)))
+    else
+      t.weight.(gid) <-
+        t.weight.(seg.base + seg.s_left.(local))
+        +. t.weight.(seg.base + seg.s_right.(local))
+  done
+
 let set_point_weights t w =
   if Array.length w <> Points.length t.coords then
     invalid_arg "Range_tree.set_point_weights: length";
   Array.iter
-    (fun seg ->
-      let nn = Array.length seg.s_lo in
-      (* Pre-order ids: children come after parents, so a reverse scan
-         aggregates bottom-up. *)
-      for local = nn - 1 downto 0 do
-        let gid = seg.base + local in
-        if seg.s_left.(local) < 0 then
-          t.weight.(gid) <- w.(seg.s_pts.(seg.s_lo.(local)))
-        else
-          t.weight.(gid) <-
-            t.weight.(seg.base + seg.s_left.(local))
-            +. t.weight.(seg.base + seg.s_right.(local))
-      done)
+    (fun seg -> aggregate t seg w ~first:0 ~last:(Array.length seg.s_lo - 1))
     t.seg_of
+
+(* A pre-order subtree over [m] points is the contiguous id range of
+   its [2m - 1] nodes, starting at its root. *)
+let set_subtree_weights t w gid =
+  let seg = seg_of_global t gid in
+  let top = gid - seg.base in
+  let m = seg.s_hi.(top) - seg.s_lo.(top) in
+  aggregate t seg w ~first:top ~last:(top + (2 * m) - 2)
 
 let node_weight t gid = t.weight.(gid)
 

@@ -7,9 +7,16 @@
     integer ids and carry the mutable state the MWU implementation of the
     paper needs:
 
-    - an {e aggregated weight} recomputed from per-point weights
-      ([set_point_weights], the node weight [u.s] of the Oracle);
-    - a second accumulator ([add_weight2], the [v.w] of Update);
+    - an {e aggregated weight} recomputed from per-point weights (the
+      node weight [u.s] of the Oracle). GCSO's oracle recomputes only the
+      subtrees of the rectangles' canonical nodes
+      ([set_subtree_weights]) unless those subtrees hold more nodes than
+      the tree, as under nested rectangles; then it, like the
+      per-constraint reference oracle, calls the whole-tree
+      [set_point_weights];
+    - a second accumulator ([add_weight2], the [v.w] of Update), read
+      only by that reference: the production Update counts rectangle
+      hits from the chosen rectangles' member points instead;
     - an integer {e mark} (the [u.list] occupancy of the Round procedure).
 
     [fold_point_paths] visits, for a point [p], every node on the paths
@@ -28,6 +35,10 @@ val build_packed : Cso_metric.Points.t -> t
 
 val size : t -> int
 
+val n_nodes : t -> int
+(** Number of canonical (last-level) nodes: node ids are
+    [0 .. n_nodes t - 1], and [set_point_weights] recomputes them all. *)
+
 val query_nodes : t -> Rect.t -> int list
 (** Canonical node ids whose point sets partition [rect cap P] exactly
     (closed-interval containment). Raises [Invalid_argument] when the
@@ -45,8 +56,17 @@ val set_point_weights : t -> float array -> unit
     recomputes every node's aggregated weight. [w] must have length
     [size t]. *)
 
+val set_subtree_weights : t -> float array -> int -> unit
+(** [set_subtree_weights t w gid] recomputes the aggregated weights of
+    node [gid]'s subtree only: afterwards [node_weight t v] reads, for
+    [gid] and every node under it, exactly what [set_point_weights t w]
+    would give it, bit for bit (leaf = the weight of its point,
+    internal = left +. right). Costs O(points under [gid]) rather than
+    O(every node); other nodes keep their weights. *)
+
 val node_weight : t -> int -> float
-(** Aggregated weight of a canonical node (sum of its points' weights). *)
+(** Aggregated weight of a canonical node (sum of its points' weights),
+    as last set by [set_point_weights] or [set_subtree_weights]. *)
 
 val node_count : t -> int -> int
 

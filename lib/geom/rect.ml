@@ -10,6 +10,11 @@ let make ~lo ~hi =
     invalid_arg "Rect.make: dimension mismatch";
   Array.iteri
     (fun i l ->
+      (* A nan bound would make [contains] reject every point while the
+         range tree's binary searches read a nan [lo] as -infinity, so
+         the two notions of membership would disagree. *)
+      if Float.is_nan l || Float.is_nan hi.(i) then
+        invalid_arg (Printf.sprintf "Rect.make: nan bound in dimension %d" i);
       if l > hi.(i) then
         invalid_arg
           (Printf.sprintf "Rect.make: lo.(%d) = %g > hi.(%d) = %g" i l i
@@ -107,7 +112,10 @@ let cube ~center ~side =
     hi = Array.map (fun x -> x +. h) center;
   }
 
-let min_dist_to_point r (p : Point.t) =
+(* Both distances run on every node a BBD ball query visits. They are
+   [@inline] so that the query loop gets the float unboxed: a call that
+   returns a float allocates a box for it. *)
+let[@inline] min_dist_to_point r (p : Point.t) =
   let acc = ref 0.0 in
   for i = 0 to dim r - 1 do
     let d =
@@ -119,16 +127,29 @@ let min_dist_to_point r (p : Point.t) =
   done;
   sqrt !acc
 
-let max_dist_to_point r (p : Point.t) =
-  let acc = ref 0.0 in
-  (try
-     for i = 0 to dim r - 1 do
-       let d = max (abs_float (p.(i) -. r.lo.(i))) (abs_float (r.hi.(i) -. p.(i))) in
-       if d = infinity then raise Exit;
-       acc := !acc +. (d *. d)
-     done
-   with Exit -> acc := infinity);
-  if !acc = infinity then infinity else sqrt !acc
+(* Monomorphic and exception-free. [if a >= b then a else b] is
+   [Stdlib.max]'s own definition, and IEEE [>=] on floats is what the
+   polymorphic compare does for them, so nan and signed zeros pick the
+   same side as [max] did. An infinite side short-cuts to [infinity]
+   whatever the other dimensions hold; [sqrt infinity = infinity]
+   covers an overflowing sum. *)
+let[@inline] max_dist_to_point r (p : Point.t) =
+  let n = dim r in
+  let acc = ref 0.0 and i = ref 0 in
+  while !i < n do
+    let a = abs_float (p.(!i) -. r.lo.(!i))
+    and b = abs_float (r.hi.(!i) -. p.(!i)) in
+    let d = if a >= b then a else b in
+    if d = infinity then begin
+      acc := infinity;
+      i := n
+    end
+    else begin
+      acc := !acc +. (d *. d);
+      incr i
+    end
+  done;
+  sqrt !acc
 
 let points_inside r pts =
   let acc = ref [] in

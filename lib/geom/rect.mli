@@ -12,7 +12,8 @@ type t = private {
 }
 
 val make : lo:float array -> hi:float array -> t
-(** Raises [Invalid_argument] if dimensions differ or some [lo_i > hi_i]. *)
+(** Raises [Invalid_argument] if dimensions differ, some bound is nan or
+    some [lo_i > hi_i]. *)
 
 val of_intervals : (float * float) list -> t
 

@@ -172,9 +172,7 @@ let solver_trace which prepared ~r =
 (* The batched oracle must be indistinguishable from the per-constraint
    reference — solution, round count, weight bits and every lp.mwu.* /
    cso.gcso.* counter total — at each pool size. *)
-let test_batched_oracle_matches_reference () =
-  let w = Planted.gcso_disjoint (rng ()) ~n:40 ~m:6 ~k:2 ~z:1 in
-  let g = w.Planted.geo in
+let check_batched_matches_reference g ~domains =
   let prepared = Gcso_general.prepare g in
   let gamma = Cso_geom.Wspd.candidate_distances_packed g.Geo_instance.coords in
   List.iter
@@ -195,8 +193,12 @@ let test_batched_oracle_matches_reference () =
           Alcotest.(check bool)
             (Printf.sprintf "batched = reference (r=%g, %d domains)" r nd)
             true (batched = reference))
-        [ 1; 2; 4 ])
+        domains)
     [ gamma.(Array.length gamma / 2); gamma.(Array.length gamma - 1) ]
+
+let test_batched_oracle_matches_reference () =
+  let w = Planted.gcso_disjoint (rng ()) ~n:40 ~m:6 ~k:2 ~z:1 in
+  check_batched_matches_reference w.Planted.geo ~domains:[ 1; 2; 4 ]
 
 (* Same differential with instrumentation off (the CSO_OBS=0 story):
    no counters move, and the algorithmic trace is unchanged. *)
@@ -224,6 +226,37 @@ let test_batched_oracle_obs_disabled () =
       in
       Alcotest.(check bool) "batched = reference with CSO_OBS off" true
         ((refr, refrounds, refweights) = (sol, rounds, weights)))
+
+(* Heavily overlapping rectangles (16 wide windows over 30 points):
+   their canonical subtrees hold more nodes than the range tree, so the
+   oracle weighs rectangles with one whole-tree pass per round instead.
+   The windows cross, so which rectangles weigh most moves with sigma. *)
+let test_batched_oracle_overlapping_rects () =
+  let st = Random.State.make [| 5150 |] in
+  let points =
+    Array.init 30 (fun _ ->
+        [| Random.State.float st 100.0; Random.State.float st 100.0 |])
+  in
+  let rects =
+    Array.init 16 (fun _ ->
+        let a = Random.State.float st 40.0 in
+        Rect.of_intervals [ (a, a +. 60.0); (0.0, 100.0) ])
+  in
+  let rects = Array.append rects [| Rect.unbounded 2 |] in
+  let g = Geo_instance.make ~points ~rects ~k:2 ~z:2 in
+  let rt = Cso_geom.Range_tree.build points in
+  let subtree_nodes =
+    Array.fold_left
+      (fun acc rect ->
+        List.fold_left
+          (fun acc u -> acc + (2 * Cso_geom.Range_tree.node_count rt u) - 1)
+          acc
+          (Cso_geom.Range_tree.query_nodes rt rect))
+      0 rects
+  in
+  Alcotest.(check bool) "canonical subtrees outweigh the range tree" true
+    (subtree_nodes > Cso_geom.Range_tree.n_nodes rt);
+  check_batched_matches_reference g ~domains:[ 1; 2 ]
 
 (* Random instances (the shapes of prop_gcso_mwu_tri_criteria), random
    radius guesses: bit-identity is a property, not a fixture. *)
@@ -254,6 +287,35 @@ let prop_batched_oracle_identity =
       in
       let r = gamma.(Random.State.int rngp (Array.length gamma)) in
       solver_trace `Batched prepared ~r = solver_trace `Reference prepared ~r)
+
+(* The oracle's selection must return exactly the sort-based list,
+   ties included: sibling points that no canonical ball separates get
+   bit-equal weights, so tie-heavy inputs are the common case, not an
+   edge. A few value levels (drawn per case), signed zeros, infinities
+   and nan; n across the fast path and the tie fallback, and k up
+   to n + 1. A stdlib change to [Array.sort] would show here. *)
+let prop_top_k_matches_sort =
+  let rngp = Random.State.make [| 4711 |] in
+  QCheck.Test.make ~name:"top_k = Array.sort prefix on tie-heavy weights"
+    ~count:400 QCheck.unit
+    (fun () ->
+      let n = Random.State.int rngp 401 in
+      let k = Random.State.int rngp (n + 2) in
+      let levels =
+        Array.init
+          (1 + Random.State.int rngp 5)
+          (fun _ -> Random.State.float rngp 1.0)
+      in
+      let specials = [| 0.0; -0.0; infinity; neg_infinity; nan |] in
+      let distinct = Random.State.int rngp 4 = 0 in
+      let w =
+        Array.init n (fun _ ->
+            if distinct then Random.State.float rngp 1.0
+            else if Random.State.int rngp 8 = 0 then
+              specials.(Random.State.int rngp (Array.length specials))
+            else levels.(Random.State.int rngp (Array.length levels)))
+      in
+      Gcso_general.top_k w k = Gcso_general.top_k_reference w k)
 
 let test_mwu_on_round_trace () =
   let w = Planted.gcso_disjoint (rng ()) ~n:30 ~m:5 ~k:2 ~z:1 in
@@ -429,7 +491,10 @@ let suite =
       test_batched_oracle_matches_reference;
     Alcotest.test_case "batched oracle with obs disabled" `Quick
       test_batched_oracle_obs_disabled;
+    Alcotest.test_case "batched oracle = reference, overlapping rects" `Quick
+      test_batched_oracle_overlapping_rects;
     QCheck_alcotest.to_alcotest prop_batched_oracle_identity;
+    QCheck_alcotest.to_alcotest prop_top_k_matches_sort;
     Alcotest.test_case "mwu round trace" `Quick test_mwu_on_round_trace;
     Alcotest.test_case "delete_rect orphan witness" `Quick
       test_delete_rect_orphan_witness;

@@ -18,7 +18,10 @@ let test_rect_basics () =
     (Rect.contains (Rect.unbounded 2) [| 1e9; -1e9 |]);
   Alcotest.check_raises "lo > hi"
     (Invalid_argument "Rect.make: lo.(0) = 2 > hi.(0) = 1") (fun () ->
-      ignore (Rect.make ~lo:[| 2.0 |] ~hi:[| 1.0 |]))
+      ignore (Rect.make ~lo:[| 2.0 |] ~hi:[| 1.0 |]));
+  Alcotest.check_raises "nan bound"
+    (Invalid_argument "Rect.make: nan bound in dimension 1") (fun () ->
+      ignore (Rect.make ~lo:[| 0.0; nan |] ~hi:[| 1.0; 1.0 |]))
 
 let test_rect_inter () =
   let a = Rect.of_intervals [ (0.0, 2.0) ] in
@@ -42,6 +45,56 @@ let test_rect_dists () =
     (Rect.max_dist_to_point (Rect.unbounded 2) [| 0.0; 0.0 |] = infinity);
   Alcotest.(check bool) "bounded rect" true (Rect.is_bounded r);
   Alcotest.(check bool) "unbounded rect" false (Rect.is_bounded (Rect.unbounded 1))
+
+(* Reference formula for [Rect.max_dist_to_point]: polymorphic [max]
+   and an [Exit] on an infinite side. The monomorphic production version
+   must agree with it bit for bit. *)
+let max_dist_to_point_old r (p : Point.t) =
+  let acc = ref 0.0 in
+  (try
+     for i = 0 to Rect.dim r - 1 do
+       let d =
+         max (abs_float (p.(i) -. r.Rect.lo.(i))) (abs_float (r.Rect.hi.(i) -. p.(i)))
+       in
+       if d = infinity then raise Exit;
+       acc := !acc +. (d *. d)
+     done
+   with Exit -> acc := infinity);
+  if !acc = infinity then infinity else sqrt !acc
+
+(* Rect bounds as the wire protocol carries them: infinite sides,
+   signed zeros, huge magnitudes whose squares overflow, flat sides. *)
+let gen_bound st =
+  match Random.State.int st 8 with
+  | 0 -> infinity
+  | 1 -> neg_infinity
+  | 2 -> 0.0
+  | 3 -> -0.0
+  | 4 -> 1e200 *. (Random.State.float st 2.0 -. 1.0)
+  | _ -> Random.State.float st 200.0 -. 100.0
+
+let gen_coord st =
+  match Random.State.int st 10 with
+  | 0 -> nan
+  | 1 -> infinity
+  | 2 -> -0.0
+  | _ -> gen_bound st
+
+let prop_rect_max_dist_bits =
+  QCheck.Test.make ~name:"rect max_dist_to_point bit-identical to the max/Exit form"
+    ~count:2000 QCheck.(pair (int_range 1 4) int)
+    (fun (d, seed) ->
+      let st = Random.State.make [| seed |] in
+      let bounds =
+        List.init d (fun _ ->
+            let a = gen_bound st and b = gen_bound st in
+            if a <= b then (a, b) else (b, a))
+      in
+      let r = Rect.of_intervals bounds in
+      let p = Array.init d (fun _ -> gen_coord st) in
+      Int64.equal
+        (Int64.bits_of_float (Rect.max_dist_to_point r p))
+        (Int64.bits_of_float (max_dist_to_point_old r p)))
 
 let test_rect_cube_bbox () =
   let c = Rect.cube ~center:[| 1.0; 1.0 |] ~side:2.0 in
@@ -145,6 +198,37 @@ let test_bbd_weights_paths () =
   done;
   Alcotest.(check bool) "oracle weight transport" true !ok
 
+(* The batched weight primitives the GCSO oracle runs every MWU round
+   must be the per-node calls they replace, bit for bit: one scatter
+   in row order, one leaf-first path sum per point. *)
+let prop_bbd_batched_weights =
+  QCheck.Test.make ~name:"bbd scatter/path weights = add_weight/get_weight"
+    ~count:40
+    QCheck.(pair (int_range 1 80) (float_range 1.0 60.0))
+    (fun (n, radius) ->
+      let pts = random_points n 2 in
+      let tree = Bbd_tree.build pts in
+      let rows =
+        Array.map (fun c -> Bbd_tree.ball_query tree ~center:c ~radius ~eps:0.2) pts
+      in
+      let w = Array.init n (fun _ -> Random.State.float rng 1.0 ** 7.0) in
+      Bbd_tree.reset_weights tree;
+      Array.iteri
+        (fun i nodes -> List.iter (fun u -> Bbd_tree.add_weight tree u w.(i)) nodes)
+        rows;
+      let per_node =
+        Array.init n (fun l ->
+            Bbd_tree.fold_path_to_root tree (Bbd_tree.leaf_of_point tree l)
+              ~init:0.0 ~f:(fun acc u -> acc +. Bbd_tree.get_weight tree u))
+      in
+      Bbd_tree.reset_weights tree;
+      Bbd_tree.scatter_weights tree (Csr.of_lists rows) w;
+      let batched = Array.make n nan in
+      Bbd_tree.path_weights tree batched;
+      Array.for_all2
+        (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+        per_node batched)
+
 (* --- Range tree --- *)
 
 let random_rect d =
@@ -201,6 +285,44 @@ let prop_range_tree_weights =
           (Rect.points_inside rect pts)
       in
       abs_float (got -. want) < 1e-6)
+
+(* Recomputing only a canonical node's subtree must give the node the
+   weight the whole-tree aggregation gives it, bit for bit. Every other
+   node is first poisoned with nan, so a subtree range that missed a
+   descendant would read the poison. Weights span many magnitudes, so a
+   changed association order would show in the low bits. *)
+let prop_range_tree_subtree_weights =
+  QCheck.Test.make ~name:"range tree subtree weights = set_point_weights bits"
+    ~count:60
+    QCheck.(pair (int_range 1 80) (int_range 1 3))
+    (fun (n, d) ->
+      let pts = random_points n d in
+      let t = Range_tree.build pts in
+      let w =
+        Array.init n (fun _ ->
+            Random.State.float rng 1.0 *. (10.0 ** float_of_int (Random.State.int rng 17 - 8)))
+      in
+      let poison = Array.make n nan in
+      List.for_all
+        (fun rect ->
+          List.for_all
+            (fun u ->
+              Range_tree.set_point_weights t poison;
+              Range_tree.set_subtree_weights t w u;
+              let got = Range_tree.node_weight t u in
+              Range_tree.set_point_weights t w;
+              Int64.equal (Int64.bits_of_float got)
+                (Int64.bits_of_float (Range_tree.node_weight t u)))
+            (Range_tree.query_nodes t rect))
+        (List.init 4 (fun _ -> random_rect d)))
+
+let test_csr_transpose () =
+  let t = Csr.of_lists [| [ 2; 0 ]; []; [ 0; 0 ]; [ 1 ] |] in
+  let tt = Csr.transpose t ~cols:4 in
+  Alcotest.(check (list (list int))) "columns list their rows ascending"
+    [ [ 0; 2; 2 ]; [ 3 ]; [ 0 ]; [] ]
+    (List.init (Csr.rows tt) (fun c ->
+         List.rev (Csr.fold_row tt c ~init:[] ~f:(fun acc i -> i :: acc))))
 
 let prop_range_tree_marks =
   QCheck.Test.make ~name:"marks on canonical nodes flag exactly the covered points"
@@ -387,14 +509,18 @@ let suite =
     Alcotest.test_case "rect basics" `Quick test_rect_basics;
     Alcotest.test_case "rect intersection" `Quick test_rect_inter;
     Alcotest.test_case "rect distances" `Quick test_rect_dists;
+    QCheck_alcotest.to_alcotest prop_rect_max_dist_bits;
     Alcotest.test_case "rect cube and bbox" `Quick test_rect_cube_bbox;
     QCheck_alcotest.to_alcotest prop_bbd_sandwich;
     QCheck_alcotest.to_alcotest prop_bbd_counts;
     Alcotest.test_case "bbd deactivate" `Quick test_bbd_deactivate;
     Alcotest.test_case "bbd oracle weight transport" `Quick test_bbd_weights_paths;
+    QCheck_alcotest.to_alcotest prop_bbd_batched_weights;
     QCheck_alcotest.to_alcotest prop_range_tree_report;
     QCheck_alcotest.to_alcotest prop_range_tree_nodes_partition;
     QCheck_alcotest.to_alcotest prop_range_tree_weights;
+    QCheck_alcotest.to_alcotest prop_range_tree_subtree_weights;
+    Alcotest.test_case "csr transpose" `Quick test_csr_transpose;
     QCheck_alcotest.to_alcotest prop_range_tree_marks;
     QCheck_alcotest.to_alcotest prop_range_tree_weight2_paths;
     QCheck_alcotest.to_alcotest prop_wspd_candidates;
