@@ -3,6 +3,7 @@ module Bbd = Cso_geom.Bbd_tree
 module Range_tree = Cso_geom.Range_tree
 module Wspd = Cso_geom.Wspd
 module Csr = Cso_geom.Csr
+module Float_sort = Cso_geom.Float_sort
 module Mwu = Cso_lp.Mwu
 module Pool = Cso_parallel.Pool
 module Obs = Cso_obs.Obs
@@ -80,18 +81,26 @@ let top_k_reference weights k =
 
 (* Selection scratch, allocated once per guess and reused by every
    round: the [k + 1] largest keys seen so far (descending) and their
-   ids. *)
-type topk = { best_ids : int array; best_ks : float array }
+   ids, and the key/id arrays the tie fallback sorts. *)
+type topk = {
+  best_ids : int array;
+  best_ks : float array;
+  sort_ids : int array;
+  sort_ks : float array;
+}
 
-let topk_scratch ~k =
-  { best_ids = Array.make (k + 1) 0; best_ks = Array.make (k + 1) 0.0 }
+let topk_scratch ~k ~n =
+  { best_ids = Array.make (k + 1) 0; best_ks = Array.make (k + 1) 0.0;
+    sort_ids = Array.make n 0; sort_ks = Array.make n 0.0 }
 
 (* [top_k_reference weights k] without sorting all of [weights]. One pass
    keeps the [k + 1] largest keys by [Float.compare]. When those are
    pairwise distinct, every correct descending sort starts with the
    same [k] ids, so the kept prefix is the answer. A tie there (sibling
    points no canonical ball separates get bit-equal weights) leaves the
-   order among equal keys to [Array.sort], so it runs the reference. *)
+   order among equal keys to [Array.sort], so the fallback sorts every
+   id with {!Float_sort.ids_by_key_desc}, which leaves [Array.sort]'s
+   exact permutation, in the scratch arrays. *)
 let top_k_into s weights k =
   let n = Array.length weights in
   let take = min k n in
@@ -118,13 +127,24 @@ let top_k_into s weights k =
     for j = 1 to cap - 1 do
       if Float.compare bk.(j - 1) bk.(j) = 0 then distinct := false
     done;
-    if not !distinct then top_k_reference weights k
-    else
-      let rec mk j acc = if j < 0 then acc else mk (j - 1) (bi.(j) :: acc) in
-      mk (take - 1) []
+    let ids =
+      if !distinct then bi
+      else begin
+        let ids = s.sort_ids in
+        for l = 0 to n - 1 do
+          ids.(l) <- l
+        done;
+        Array.blit weights 0 s.sort_ks 0 n;
+        Float_sort.ids_by_key_desc s.sort_ks ids n;
+        ids
+      end
+    in
+    let rec mk j acc = if j < 0 then acc else mk (j - 1) (ids.(j) :: acc) in
+    mk (take - 1) []
   end
 
-let top_k weights k = top_k_into (topk_scratch ~k:(max 0 k)) weights k
+let top_k weights k =
+  top_k_into (topk_scratch ~k:(max 0 k) ~n:(Array.length weights)) weights k
 
 type oracle_sol = {
   chosen_pts : int list;
@@ -233,7 +253,7 @@ let solve_at ?(eps = 0.3) ?rounds ?(cover_mult = 1.0) ?(removal_mult = 2.0)
     let tau = Array.make m 0.0 in
     let hits = Array.make n 0 in
     let viol = Array.make n 0.0 in
-    let sel_pts = topk_scratch ~k and sel_rects = topk_scratch ~k:z in
+    let sel_pts = topk_scratch ~k ~n and sel_rects = topk_scratch ~k:z ~n:m in
     let oracle sigma =
       Obs.incr c_oracle;
       (* w_l = sum of sigma over the points whose ball query captured l.

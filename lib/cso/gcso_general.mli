@@ -75,8 +75,10 @@ val top_k : float array -> int -> int list
 (** [top_k w k] is the indices of the [k] largest weights, largest
     first: exactly {!top_k_reference}[ w k], ties, [-0.]/[0.], nan and
     infinities included, without sorting [w] unless the [k + 1] largest
-    keys hold a tie (then it is {!top_k_reference}). The Oracle's
-    selection. *)
+    keys hold a tie. Then it sorts every id with
+    {!Cso_geom.Float_sort.ids_by_key_desc}, which leaves [Array.sort]'s
+    exact permutation, in scratch the Oracle reuses across a guess's
+    rounds. The Oracle's selection. *)
 
 val top_k_reference : float array -> int -> int list
 (** The first [min k n] indices of [Array.sort] under

@@ -34,121 +34,76 @@ let budgets =
     };
   ]
 
-type node = {
-  box : Rect.t;
-  parent : int;
-  left : int; (* -1 for leaves *)
-  right : int;
-  point : int; (* point index for leaves, -1 otherwise *)
-  count : int;
-  mutable active : bool;
-  mutable active_count : int;
-  mutable repr : int; (* an active point in the subtree, -1 if none *)
-}
-
-(* The two weight accumulators live in flat float arrays indexed by
-   node id, not in the node records: a mutable float field of a mixed
-   record is boxed, so every [add_weight] would allocate. *)
+(* Struct-of-arrays layout, indexed by node id (pre-order, so every
+   parent id is smaller than its children's and a left child is its
+   parent's id + 1). Node [u]'s box is [boxes.(u * 2d .. u * 2d + d - 1)]
+   (low corner) followed by its [d] high coordinates. A ball query, a
+   root-path sum or a rounding step reads these int and float arrays
+   and dereferences no per-node record. The two weight accumulators are
+   flat too: a mutable float field of a record would be boxed. *)
 type t = {
   coords : Points.t;
-  mutable nodes : node array;
-  mutable n_nodes : int;
-  root : int;
+  n_nodes : int;
+  boxes : float array;
+  parent : int array; (* -1 at the root *)
+  left : int array; (* -1 for leaves *)
+  right : int array;
+  point : int array; (* point index for leaves, -1 otherwise *)
+  count : int array;
+  active : bool array;
+  active_count : int array;
+  repr : int array; (* an active point in the subtree, -1 if none *)
   leaf_of : int array;
   weight : float array;
   weight2 : float array;
 }
 
-let dummy_node =
-  {
-    box = Rect.unbounded 1;
-    parent = -1;
-    left = -1;
-    right = -1;
-    point = -1;
-    count = 0;
-    active = true;
-    active_count = 0;
-    repr = -1;
-  }
-
-let push t node =
-  if t.n_nodes = Array.length t.nodes then begin
-    let bigger = Array.make (max 16 (2 * t.n_nodes)) dummy_node in
-    Array.blit t.nodes 0 bigger 0 t.n_nodes;
-    t.nodes <- bigger
-  end;
-  t.nodes.(t.n_nodes) <- node;
-  t.n_nodes <- t.n_nodes + 1;
-  t.n_nodes - 1
-
-(* Widest dimension of the bounding box of [idx.(lo..hi-1)], read straight
-   off the packed coordinate store. *)
-let widest_dim coords idx lo hi =
-  let d = Points.dim coords in
-  let best = ref 0 and best_w = ref neg_infinity in
-  for j = 0 to d - 1 do
-    let mn = ref infinity and mx = ref neg_infinity in
-    for i = lo to hi - 1 do
-      let x = Points.coord coords idx.(i) j in
-      if x < !mn then mn := x;
-      if x > !mx then mx := x
-    done;
-    let w = !mx -. !mn in
-    if w > !best_w then begin
-      best_w := w;
-      best := j
-    end
-  done;
-  !best
+let root = 0
 
 let build_with coords =
   let n = Points.length coords in
+  let d = Points.dim coords in
+  let nn = if n = 0 then 0 else (2 * n) - 1 in
   let t =
-    { coords; nodes = Array.make (max 1 (2 * n)) dummy_node; n_nodes = 0;
-      root = 0; leaf_of = Array.make n (-1); weight = [||]; weight2 = [||] }
+    { coords; n_nodes = nn; boxes = Array.make (nn * 2 * d) 0.0;
+      parent = Array.make nn (-1); left = Array.make nn (-1);
+      right = Array.make nn (-1); point = Array.make nn (-1);
+      count = Array.make nn 0; active = Array.make nn true;
+      active_count = Array.make nn 0; repr = Array.make nn (-1);
+      leaf_of = Array.make n (-1); weight = Array.make nn 0.0;
+      weight2 = Array.make nn 0.0 }
   in
-  if n = 0 then t
-  else begin
+  if n > 0 then begin
     let idx = Array.init n (fun i -> i) in
+    let keys = Array.make n 0.0 and ids = Array.make n 0 in
+    let next = ref 0 in
     (* Builds the subtree over idx.(lo..hi-1); returns its node id. *)
     let rec go parent lo hi =
+      let id = !next in
+      incr next;
       let count = hi - lo in
-      let box = Rect.bounding_box_idx coords idx ~lo ~hi in
+      Rect.bounding_box_into coords idx ~lo ~hi t.boxes (id * 2 * d);
+      t.parent.(id) <- parent;
+      t.count.(id) <- count;
+      t.active_count.(id) <- count;
       if count = 1 then begin
         let p = idx.(lo) in
-        let id =
-          push t
-            { box; parent; left = -1; right = -1; point = p; count = 1;
-              active = true; active_count = 1; repr = p }
-        in
-        t.leaf_of.(p) <- id;
-        id
+        t.point.(id) <- p;
+        t.repr.(id) <- p;
+        t.leaf_of.(p) <- id
       end
       else begin
-        let j = widest_dim coords idx lo hi in
-        let sub = Array.sub idx lo count in
-        Array.sort
-          (fun a b ->
-            Float.compare (Points.coord coords a j) (Points.coord coords b j))
-          sub;
-        Array.blit sub 0 idx lo count;
+        Rect.sort_by_widest_dim coords idx ~lo ~hi ~keys ~ids;
+        t.repr.(id) <- idx.(lo);
         let mid = lo + (count / 2) in
-        let id =
-          push t
-            { box; parent; left = -1; right = -1; point = -1; count;
-              active = true; active_count = count; repr = idx.(lo) }
-        in
-        let l = go id lo mid in
-        let r = go id mid hi in
-        t.nodes.(id) <- { (t.nodes.(id)) with left = l; right = r };
-        id
-      end
+        t.left.(id) <- go id lo mid;
+        t.right.(id) <- go id mid hi
+      end;
+      id
     in
-    ignore (go (-1) 0 n);
-    { t with weight = Array.make t.n_nodes 0.0;
-             weight2 = Array.make t.n_nodes 0.0 }
-  end
+    ignore (go (-1) 0 n)
+  end;
+  t
 
 let build pts = build_with (Points.of_array pts)
 let build_packed coords = build_with coords
@@ -159,13 +114,12 @@ let size t = t.coords.Points.n
    on every call — the tree no longer retains a boxed array. *)
 let points t = Points.to_array t.coords
 let coords t = t.coords
-let node_count t id = t.nodes.(id).count
-let node_active_count t id =
-  if t.nodes.(id).active then t.nodes.(id).active_count else 0
+let node_count t id = t.count.(id)
+let node_active_count t id = if t.active.(id) then t.active_count.(id) else 0
 let leaf_of_point t i = t.leaf_of.(i)
 let n_nodes t = t.n_nodes
-let parent t id = t.nodes.(id).parent
-let node_point t id = t.nodes.(id).point
+let parent t id = t.parent.(id)
+let node_point t id = t.point.(id)
 
 (* Per-domain traversal scratch: an explicit DFS stack and a canonical-id
    buffer, reused across queries so the hot sweep allocates only the
@@ -204,42 +158,47 @@ let query_into ~respect_active t ~center ~radius ~eps s =
   let visited = ref 0 and expanded = ref 0 in
   let r_out = (1.0 +. eps) *. radius in
   let stk = s.stk and cbuf = s.cbuf in
+  let boxes = t.boxes and d = t.coords.Points.dim in
   let sp = ref 1 and cnt = ref 0 in
-  stk.(0) <- t.root;
+  stk.(0) <- root;
   while !sp > 0 do
     decr sp;
     let id = Array.unsafe_get stk !sp in
     incr visited;
-    let nd = Array.unsafe_get t.nodes id in
-    if respect_active && not nd.active then ()
+    if respect_active && not (Array.unsafe_get t.active id) then ()
     else begin
-      let dmin = Rect.min_dist_to_point nd.box center in
+      let lo = id * 2 * d in
+      let dmin = Rect.min_dist_packed boxes ~lo ~hi:(lo + d) ~d center in
       if dmin > radius then ()
       else
-        let dmax = Rect.max_dist_to_point nd.box center in
+        let dmax = Rect.max_dist_packed boxes ~lo ~hi:(lo + d) ~d center in
         if dmax <= r_out then begin
           Array.unsafe_set cbuf !cnt id;
           incr cnt
         end
-        else if nd.left >= 0 then begin
-          incr expanded;
-          (* Two pushes per expansion, one pop per visit: the stack top
-             never exceeds one slot per tree level plus one, well inside
-             the [n_nodes + 1] capacity of the scratch. *)
-          Array.unsafe_set stk !sp nd.right;
-          incr sp;
-          Array.unsafe_set stk !sp nd.left;
-          incr sp
+        else begin
+          let l = Array.unsafe_get t.left id in
+          if l >= 0 then begin
+            incr expanded;
+            (* Two pushes per expansion, one pop per visit: the stack
+               top never exceeds one slot per tree level plus one, well
+               inside the [n_nodes + 1] capacity of the scratch. *)
+            Array.unsafe_set stk !sp (Array.unsafe_get t.right id);
+            incr sp;
+            Array.unsafe_set stk !sp l;
+            incr sp
+          end
+          (* A leaf always satisfies dmax = dmin <= radius <= r_out
+             here, so a leaf never reaches this branch. *)
         end
-          (* A leaf always satisfies dmax = dmin <= radius <= r_out here,
-             so this branch is unreachable for leaves. *)
     end
   done;
   Obs.add c_visits !visited;
   Obs.add c_canonical !cnt;
   Obs.add c_expansions !expanded;
   Obs.Hist.observe h_nodes !visited;
-  let rec mk acc k = if k >= !cnt then acc else mk (cbuf.(k) :: acc) (k + 1) in
+  let cnt = !cnt in
+  let rec mk acc k = if k >= cnt then acc else mk (cbuf.(k) :: acc) (k + 1) in
   mk [] 0
 
 let ball_query_gen ~respect_active t ~center ~radius ~eps =
@@ -292,11 +251,11 @@ let balls_all t ~radius ~eps =
 let points_of_node t id =
   let acc = ref [] in
   let rec go id =
-    let nd = t.nodes.(id) in
-    if nd.point >= 0 then acc := nd.point :: !acc
+    let p = t.point.(id) in
+    if p >= 0 then acc := p :: !acc
     else begin
-      go nd.left;
-      go nd.right
+      go t.left.(id);
+      go t.right.(id)
     end
   in
   go id;
@@ -306,19 +265,18 @@ let points_of_node t id =
 let active_points_of_node t id =
   let acc = ref [] in
   let rec go id =
-    let nd = t.nodes.(id) in
-    if not nd.active then ()
-    else if nd.point >= 0 then acc := nd.point :: !acc
+    if not t.active.(id) then ()
+    else if t.point.(id) >= 0 then acc := t.point.(id) :: !acc
     else begin
-      go nd.left;
-      go nd.right
+      go t.left.(id);
+      go t.right.(id)
     end
   in
   go id;
   !acc
 
 let fold_path_to_root t id ~init ~f =
-  let rec go acc id = if id < 0 then acc else go (f acc id) t.nodes.(id).parent in
+  let rec go acc id = if id < 0 then acc else go (f acc id) t.parent.(id) in
   go init id
 
 let reset_weights t =
@@ -346,64 +304,59 @@ let scatter_weights t (rows : Csr.t) w =
 let path_weights t out =
   let n = t.coords.Points.n in
   let pool = Pool.get_default () in
+  let weight = t.weight and parent = t.parent and leaf_of = t.leaf_of in
   Pool.parallel_for pool ~chunk:64 ~start:0 ~finish:(n - 1) (fun l ->
-      let acc = ref 0.0 and u = ref t.leaf_of.(l) in
+      let acc = ref 0.0 and u = ref leaf_of.(l) in
       while !u >= 0 do
-        acc := !acc +. t.weight.(!u);
-        u := t.nodes.(!u).parent
+        acc := !acc +. Array.unsafe_get weight !u;
+        u := Array.unsafe_get parent !u
       done;
       out.(l) <- !acc)
 
 let reset_active t =
   for i = 0 to t.n_nodes - 1 do
-    let nd = t.nodes.(i) in
-    nd.active <- true;
-    nd.active_count <- nd.count;
-    nd.repr <- (if nd.point >= 0 then nd.point else nd.repr)
+    t.active.(i) <- true;
+    t.active_count.(i) <- t.count.(i);
+    if t.point.(i) >= 0 then t.repr.(i) <- t.point.(i)
   done;
   (* Recompute internal representatives bottom-up: node ids are assigned
      pre-order so a simple reverse scan sees children before parents. *)
   for i = t.n_nodes - 1 downto 0 do
-    let nd = t.nodes.(i) in
-    if nd.left >= 0 then nd.repr <- t.nodes.(nd.left).repr
+    let l = t.left.(i) in
+    if l >= 0 then t.repr.(i) <- t.repr.(l)
   done
 
-let eff t id = if t.nodes.(id).active then t.nodes.(id).active_count else 0
+let eff t id = if t.active.(id) then t.active_count.(id) else 0
 
 let deactivate t id =
-  let nd = t.nodes.(id) in
-  nd.active <- false;
-  nd.active_count <- 0;
-  nd.repr <- -1;
-  let rec up pid =
-    if pid >= 0 then begin
-      let p = t.nodes.(pid) in
-      p.active_count <- eff t p.left + eff t p.right;
-      if p.active_count = 0 then begin
-        p.active <- false;
-        p.repr <- -1
+  t.active.(id) <- false;
+  t.active_count.(id) <- 0;
+  t.repr.(id) <- -1;
+  let rec up p =
+    if p >= 0 then begin
+      let l = t.left.(p) and r = t.right.(p) in
+      let c = eff t l + eff t r in
+      t.active_count.(p) <- c;
+      if c = 0 then begin
+        t.active.(p) <- false;
+        t.repr.(p) <- -1
       end
-      else
-        p.repr <-
-          (if eff t p.left > 0 then t.nodes.(p.left).repr
-           else t.nodes.(p.right).repr);
-      up p.parent
+      else t.repr.(p) <- (if eff t l > 0 then t.repr.(l) else t.repr.(r));
+      up t.parent.(p)
     end
   in
-  up nd.parent
+  up t.parent.(id)
 
-let is_active t id = t.nodes.(id).active
+let is_active t id = t.active.(id)
 
-let root_active_count t =
-  if t.n_nodes = 0 then 0 else eff t t.root
+let root_active_count t = if t.n_nodes = 0 then 0 else eff t root
 
 let root_repr t =
-  if t.n_nodes = 0 || not t.nodes.(t.root).active then None
-  else Some t.nodes.(t.root).repr
+  if t.n_nodes = 0 || not t.active.(root) then None else Some t.repr.(root)
 
 let point_is_active t i =
   fold_path_to_root t (leaf_of_point t i) ~init:true ~f:(fun acc id ->
-      acc && t.nodes.(id).active)
+      acc && t.active.(id))
 
 let active_count_in_ball t ~center ~radius ~eps =
   List.fold_left

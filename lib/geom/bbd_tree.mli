@@ -9,8 +9,12 @@
     nodes are pairwise disjoint and their point sets [U] satisfy
     [B(c,r) cap P subseteq U subseteq B(c,(1+eps)r) cap P].
 
-    Each node has two float weight accumulators, held in flat arrays
-    indexed by node id: the first carries the MWU Oracle's node weights
+    The tree is stored struct-of-arrays, indexed by node id: all node
+    boxes in one packed float array, and parent, child, point, count
+    and activity fields in int and bool arrays, so a ball query, a
+    root-path sum or a rounding step reads flat arrays and follows no
+    per-node record. Each node has two float weight accumulators, held
+    the same way: the first carries the MWU Oracle's node weights
     (written by {!scatter_weights}, read by {!path_weights}); the
     second, the [v.w] of Update, serves only GCSO's per-constraint
     reference oracle, since the production Update counts its hits

@@ -87,23 +87,64 @@ let bounding_box pts =
 (* Packed equivalent of [bounding_box] over the points [idx.(lo..hi-1)]
    of a packed store: same seed-with-first-point, same strict-compare
    updates, so the box coordinates are bit-identical to boxing the points
-   first. *)
-let bounding_box_idx coords idx ~lo ~hi =
-  if hi <= lo then invalid_arg "Rect.bounding_box_idx: empty";
+   first. The low corner goes to [dst.(off ..)], the high one right
+   after it. *)
+let bounding_box_into coords idx ~lo ~hi dst off =
+  if hi <= lo then invalid_arg "Rect.bounding_box_into: empty";
   let module Points = Cso_metric.Points in
   let d = Points.dim coords in
-  let bl = Array.make d 0.0 and bh = Array.make d 0.0 in
-  Points.blit_point coords idx.(lo) bl;
-  Points.blit_point coords idx.(lo) bh;
+  if off < 0 || off + (2 * d) > Array.length dst then
+    invalid_arg "Rect.bounding_box_into: destination too short";
+  let p0 = idx.(lo) in
+  for j = 0 to d - 1 do
+    let x = Points.coord coords p0 j in
+    dst.(off + j) <- x;
+    dst.(off + d + j) <- x
+  done;
   for i = lo to hi - 1 do
     let p = idx.(i) in
     for j = 0 to d - 1 do
       let x = Points.coord coords p j in
-      if x < bl.(j) then bl.(j) <- x;
-      if x > bh.(j) then bh.(j) <- x
+      if x < dst.(off + j) then dst.(off + j) <- x;
+      if x > dst.(off + d + j) then dst.(off + d + j) <- x
     done
+  done
+
+let bounding_box_idx coords idx ~lo ~hi =
+  if hi <= lo then invalid_arg "Rect.bounding_box_idx: empty";
+  let d = Cso_metric.Points.dim coords in
+  let box = Array.make (2 * d) 0.0 in
+  bounding_box_into coords idx ~lo ~hi box 0;
+  { lo = Array.sub box 0 d; hi = Array.sub box d d }
+
+(* Both trees' median split. The widest side is the first dimension of
+   largest [max -. min] under strict [>]; the sort is the permutation
+   [Array.sort] leaves under [Float.compare] on that coordinate
+   (Float_sort's contract), with the keys staged in [keys]. *)
+let sort_by_widest_dim coords idx ~lo ~hi ~keys ~ids =
+  let module Points = Cso_metric.Points in
+  let best = ref 0 and best_w = ref neg_infinity in
+  for j = 0 to Points.dim coords - 1 do
+    let mn = ref infinity and mx = ref neg_infinity in
+    for i = lo to hi - 1 do
+      let x = Points.coord coords idx.(i) j in
+      if x < !mn then mn := x;
+      if x > !mx then mx := x
+    done;
+    let w = !mx -. !mn in
+    if w > !best_w then begin
+      best_w := w;
+      best := j
+    end
   done;
-  { lo = bl; hi = bh }
+  let c = hi - lo in
+  for i = 0 to c - 1 do
+    let p = idx.(lo + i) in
+    ids.(i) <- p;
+    keys.(i) <- Points.coord coords p !best
+  done;
+  Float_sort.ids_by_key keys ids c;
+  Array.blit ids 0 idx lo c
 
 let cube ~center ~side =
   let h = side /. 2.0 in
@@ -114,16 +155,17 @@ let cube ~center ~side =
 
 (* Both distances run on every node a BBD ball query visits. They are
    [@inline] so that the query loop gets the float unboxed: a call that
-   returns a float allocates a box for it. *)
-let[@inline] min_dist_to_point r (p : Point.t) =
+   returns a float allocates a box for it. The low corner is
+   [lo_a.(lo ..)] and the high one [hi_a.(hi ..)], so a [t] and a box
+   packed in one array share one formula. *)
+let[@inline] min_dist_gen lo_a ~lo hi_a ~hi ~d (p : Point.t) =
   let acc = ref 0.0 in
-  for i = 0 to dim r - 1 do
-    let d =
-      if p.(i) < r.lo.(i) then r.lo.(i) -. p.(i)
-      else if p.(i) > r.hi.(i) then p.(i) -. r.hi.(i)
-      else 0.0
-    in
-    acc := !acc +. (d *. d)
+  for i = 0 to d - 1 do
+    let l = Array.unsafe_get lo_a (lo + i)
+    and h = Array.unsafe_get hi_a (hi + i) in
+    let x = p.(i) in
+    let e = if x < l then l -. x else if x > h then x -. h else 0.0 in
+    acc := !acc +. (e *. e)
   done;
   sqrt !acc
 
@@ -133,23 +175,35 @@ let[@inline] min_dist_to_point r (p : Point.t) =
    same side as [max] did. An infinite side short-cuts to [infinity]
    whatever the other dimensions hold; [sqrt infinity = infinity]
    covers an overflowing sum. *)
-let[@inline] max_dist_to_point r (p : Point.t) =
-  let n = dim r in
+let[@inline] max_dist_gen lo_a ~lo hi_a ~hi ~d (p : Point.t) =
   let acc = ref 0.0 and i = ref 0 in
-  while !i < n do
-    let a = abs_float (p.(!i) -. r.lo.(!i))
-    and b = abs_float (r.hi.(!i) -. p.(!i)) in
-    let d = if a >= b then a else b in
-    if d = infinity then begin
+  while !i < d do
+    let x = p.(!i) in
+    let a = abs_float (x -. Array.unsafe_get lo_a (lo + !i))
+    and b = abs_float (Array.unsafe_get hi_a (hi + !i) -. x) in
+    let m = if a >= b then a else b in
+    if m = infinity then begin
       acc := infinity;
-      i := n
+      i := d
     end
     else begin
-      acc := !acc +. (d *. d);
+      acc := !acc +. (m *. m);
       incr i
     end
   done;
   sqrt !acc
+
+let[@inline] min_dist_to_point r p =
+  min_dist_gen r.lo ~lo:0 r.hi ~hi:0 ~d:(dim r) p
+
+let[@inline] max_dist_to_point r p =
+  max_dist_gen r.lo ~lo:0 r.hi ~hi:0 ~d:(dim r) p
+
+let[@inline] min_dist_packed box ~lo ~hi ~d p =
+  min_dist_gen box ~lo box ~hi ~d p
+
+let[@inline] max_dist_packed box ~lo ~hi ~d p =
+  max_dist_gen box ~lo box ~hi ~d p
 
 let points_inside r pts =
   let acc = ref [] in

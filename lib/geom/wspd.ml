@@ -1,4 +1,3 @@
-module Point = Cso_metric.Point
 module Points = Cso_metric.Points
 module Obs = Cso_obs.Obs
 
@@ -14,123 +13,148 @@ let c_find = Obs.counter "geom.wspd.find_calls"
    sides and land in the top bucket (ratio = infinity). *)
 let h_sep = Obs.Hist.hist "geom.wspd.pair_sep_ratio"
 
-type node = {
-  repr : int; (* a point index inside the node *)
-  center : Point.t;
-  radius : float; (* half-diagonal of the tight bounding box *)
-  left : node option;
-  right : node option;
+(* Every center-to-center distance and node radius is a Euclidean
+   distance evaluation, counted once each on the shared counter exactly
+   as a [Point.l2] call would; the flat code tallies them locally and
+   publishes one [Obs.add] per call. *)
+let c_dist = Obs.counter "metric.dist_evals"
+
+(* Fair-split tree as flat arrays indexed by node id (pre-order). Node
+   [u] has representative point [repr.(u)], ball center
+   [center.(u * d .. u * d + d - 1)] (the middle of its tight bounding
+   box) and radius [radius.(u)] (that box's half-diagonal); [left] and
+   [right] are [-1] at leaves. Leaves hold one point each. *)
+type tree = {
+  d : int;
+  n_nodes : int;
+  repr : int array;
+  center : float array;
+  radius : float array;
+  left : int array;
+  right : int array;
 }
 
-let node_of_box coords idx lo hi =
-  let box = Rect.bounding_box_idx coords idx ~lo ~hi in
-  let center =
-    Array.init (Rect.dim box) (fun j -> (box.Rect.lo.(j) +. box.Rect.hi.(j)) /. 2.0)
-  in
-  let radius = Point.l2 center box.Rect.lo in
-  (center, radius)
+(* [Point.l2] between rows [u] and [v] of a row-major array of
+   [d]-vectors, same accumulation order (hence also bit-identical to
+   [Points.l2_idx]), without a counter event. *)
+let[@inline] l2_rows (x : float array) d u v =
+  let acc = ref 0.0 in
+  for j = 0 to d - 1 do
+    let e =
+      Array.unsafe_get x ((u * d) + j) -. Array.unsafe_get x ((v * d) + j)
+    in
+    acc := !acc +. (e *. e)
+  done;
+  sqrt !acc
+
+let[@inline] center_dist t u v = l2_rows t.center t.d u v
+
+(* [Stdlib.max] on floats: [if a >= b then a else b]. *)
+let[@inline] fmax (a : float) b = if a >= b then a else b
 
 (* Fair-split tree: split the widest dimension of the bounding box at the
    median point. Identical-coordinate inputs still split by index count.
-   Coordinates come from the packed store; node centers stay boxed (they
-   are fresh synthesized points, not members of the input set). *)
-let build_tree_packed coords =
-  let n = Points.length coords in
+   Every node costs one distance evaluation (its radius). *)
+let build_tree coords =
+  let n = Points.length coords and d = Points.dim coords in
+  let nn = if n = 0 then 0 else (2 * n) - 1 in
+  let t =
+    { d; n_nodes = nn; repr = Array.make nn (-1);
+      center = Array.make (nn * d) 0.0; radius = Array.make nn 0.0;
+      left = Array.make nn (-1); right = Array.make nn (-1) }
+  in
   let idx = Array.init n (fun i -> i) in
-  let widest lo hi =
-    let d = Points.dim coords in
-    let best = ref 0 and best_w = ref neg_infinity in
-    for j = 0 to d - 1 do
-      let mn = ref infinity and mx = ref neg_infinity in
-      for i = lo to hi - 1 do
-        let x = Points.coord coords idx.(i) j in
-        if x < !mn then mn := x;
-        if x > !mx then mx := x
-      done;
-      if !mx -. !mn > !best_w then begin
-        best_w := !mx -. !mn;
-        best := j
-      end
-    done;
-    !best
-  in
+  let box = Array.make (2 * d) 0.0 in
+  let keys = Array.make n 0.0 and ids = Array.make n 0 in
+  let next = ref 0 in
   let rec go lo hi =
-    let center, radius = node_of_box coords idx lo hi in
-    if hi - lo = 1 then
-      { repr = idx.(lo); center; radius; left = None; right = None }
+    let id = !next in
+    incr next;
+    Rect.bounding_box_into coords idx ~lo ~hi box 0;
+    let acc = ref 0.0 in
+    for j = 0 to d - 1 do
+      let c = (box.(j) +. box.(d + j)) /. 2.0 in
+      t.center.((id * d) + j) <- c;
+      let e = c -. box.(j) in
+      acc := !acc +. (e *. e)
+    done;
+    t.radius.(id) <- sqrt !acc;
+    if hi - lo = 1 then t.repr.(id) <- idx.(lo)
     else begin
-      let j = widest lo hi in
-      let sub = Array.sub idx lo (hi - lo) in
-      Array.sort
-        (fun a b ->
-          Float.compare (Points.coord coords a j) (Points.coord coords b j))
-        sub;
-      Array.blit sub 0 idx lo (hi - lo);
+      Rect.sort_by_widest_dim coords idx ~lo ~hi ~keys ~ids;
       let mid = lo + ((hi - lo) / 2) in
-      let l = go lo mid in
-      let r = go mid hi in
-      { repr = idx.(lo); center; radius; left = Some l; right = Some r }
-    end
+      t.left.(id) <- go lo mid;
+      t.right.(id) <- go mid hi;
+      (* Read after the children's splits: the leftmost leaf's point. *)
+      t.repr.(id) <- idx.(lo)
+    end;
+    id
   in
-  if n = 0 then None else Some (go 0 n)
+  if n > 0 then ignore (go 0 n);
+  Obs.add c_dist nn;
+  t
 
-let build_tree pts = build_tree_packed (Points.of_array pts)
-
-(* Core recursion over the split tree, shared by [pairs] and
-   [pairs_info]; [emit u v] receives each well-separated node pair. *)
-let iter_pairs ~s root emit =
-  let well_separated u v =
-    let gap = Point.l2 u.center v.center -. u.radius -. v.radius in
-    gap >= s *. max u.radius v.radius
-  in
+(* Core recursion over the split tree, shared by [pairs], [pairs_info]
+   and [candidate_distances_packed]; [emit u v] receives each
+   well-separated node pair. With observability on, each emitted pair
+   also records its separation ratio, one more center distance unless
+   both radii are 0. *)
+let iter_pairs ~s t emit =
+  let left = t.left and right = t.right and radius = t.radius in
+  let finds = ref 0 and pairs = ref 0 and dists = ref 0 in
   let emit u v =
-    Obs.incr c_pairs;
+    incr pairs;
     if Obs.enabled () then begin
-      let rmax = max u.radius v.radius in
+      let rmax = fmax radius.(u) radius.(v) in
       let ratio =
-        if rmax > 0.0 then Point.l2 u.center v.center /. rmax else infinity
+        if rmax > 0.0 then begin
+          incr dists;
+          center_dist t u v /. rmax
+        end
+        else infinity
       in
       Obs.Hist.observe_float h_sep ratio
     end;
     emit u v
   in
   let rec find u v =
-    Obs.incr c_find;
-    if well_separated u v then emit u v
-    else if u.radius >= v.radius then
-      match (u.left, u.right) with
-      | Some l, Some r ->
-          find l v;
-          find r v
-      | _ ->
-          (* u is a leaf: v cannot also be a leaf here unless the two
-             points coincide; then split v instead. *)
-          (match (v.left, v.right) with
-          | Some l, Some r ->
-              find u l;
-              find u r
-          | _ -> emit u v)
-    else
-      match (v.left, v.right) with
-      | Some l, Some r ->
-          find u l;
-          find u r
-      | _ -> (
-          match (u.left, u.right) with
-          | Some l, Some r ->
-              find l v;
-              find r v
-          | _ -> emit u v)
+    incr finds;
+    incr dists;
+    let ru = radius.(u) and rv = radius.(v) in
+    if center_dist t u v -. ru -. rv >= s *. fmax ru rv then emit u v
+    else if ru >= rv then begin
+      (* A leaf u splits v instead; two leaves here coincide. *)
+      if left.(u) >= 0 then begin
+        find left.(u) v;
+        find right.(u) v
+      end
+      else if left.(v) >= 0 then begin
+        find u left.(v);
+        find u right.(v)
+      end
+      else emit u v
+    end
+    else if left.(v) >= 0 then begin
+      find u left.(v);
+      find u right.(v)
+    end
+    else if left.(u) >= 0 then begin
+      find left.(u) v;
+      find right.(u) v
+    end
+    else emit u v
   in
   let rec walk u =
-    match (u.left, u.right) with
-    | Some l, Some r ->
-        find l r;
-        walk l;
-        walk r
-    | _ -> ()
+    if left.(u) >= 0 then begin
+      find left.(u) right.(u);
+      walk left.(u);
+      walk right.(u)
+    end
   in
-  walk root
+  if t.n_nodes > 0 then walk 0;
+  Obs.add c_find !finds;
+  Obs.add c_pairs !pairs;
+  Obs.add c_dist !dists
 
 let separation ?(eps = 0.25) () =
   (* Separation 4/eps: representative distances then approximate every
@@ -139,10 +163,9 @@ let separation ?(eps = 0.25) () =
 
 let pairs ?(eps = 0.25) pts =
   let s = separation ~eps () in
+  let t = build_tree (Points.of_array pts) in
   let acc = ref [] in
-  (match build_tree pts with
-  | None -> ()
-  | Some root -> iter_pairs ~s root (fun u v -> acc := (u.repr, v.repr) :: !acc));
+  iter_pairs ~s t (fun u v -> acc := (t.repr.(u), t.repr.(v)) :: !acc);
   !acc
 
 type pair_info = {
@@ -155,45 +178,66 @@ type pair_info = {
   pi_pts_b : int list;
 }
 
-let rec points_of u acc =
-  match (u.left, u.right) with
-  | Some l, Some r -> points_of l (points_of r acc)
-  | _ -> u.repr :: acc
+let rec points_of t u acc =
+  if t.left.(u) >= 0 then points_of t t.left.(u) (points_of t t.right.(u) acc)
+  else t.repr.(u) :: acc
 
 let pairs_info ?(eps = 0.25) pts =
   let s = separation ~eps () in
+  let t = build_tree (Points.of_array pts) in
   let acc = ref [] in
-  (match build_tree pts with
-  | None -> ()
-  | Some root ->
-      iter_pairs ~s root (fun u v ->
-          acc :=
-            { pi_a = u.repr; pi_b = v.repr; pi_ra = u.radius; pi_rb = v.radius;
-              pi_center_dist = Point.l2 u.center v.center;
-              pi_pts_a = points_of u []; pi_pts_b = points_of v [] }
-            :: !acc));
+  iter_pairs ~s t (fun u v ->
+      Obs.incr c_dist;
+      acc :=
+        { pi_a = t.repr.(u); pi_b = t.repr.(v); pi_ra = t.radius.(u);
+          pi_rb = t.radius.(v); pi_center_dist = center_dist t u v;
+          pi_pts_a = points_of t u []; pi_pts_b = points_of t v [] }
+        :: !acc);
   !acc
 
-(* Production entry point: representative distances are read straight
-   off the packed store ([Points.l2_idx] is bit-identical to [Point.l2]
-   on the same coordinates, same counter events), so no boxed point is
-   touched anywhere on the candidate-lattice path. *)
+(* Production entry point. The representative distance of every pair
+   goes straight into one float buffer, after a leading [0.]; the
+   emitted run is then reversed, so the buffer holds the values in the
+   order the list-based reference (lib/refcheck) sorts them. That
+   order, the exact [Array.sort] permutation of {!Float_sort.floats}
+   and a first-of-run dedupe under [=] make the result bit-identical
+   to the reference, nan and signed zeros included. *)
 let candidate_distances_packed ?(eps = 0.25) coords =
   let s = separation ~eps () in
-  let ps = ref [] in
-  (match build_tree_packed coords with
-  | None -> ()
-  | Some root ->
-      iter_pairs ~s root (fun u v -> ps := (u.repr, v.repr) :: !ps));
-  let ds = List.map (fun (a, b) -> Points.l2_idx coords a b) !ps in
-  let arr = Array.of_list (0.0 :: ds) in
-  (* Monomorphic float sort; same total order as the polymorphic one. *)
-  Array.sort Float.compare arr;
-  let out = ref [] in
-  Array.iter
-    (fun d -> match !out with x :: _ when x = d -> () | _ -> out := d :: !out)
-    arr;
-  Array.of_list (List.rev !out)
+  let t = build_tree coords in
+  let buf = ref (Array.make (max 16 (8 * Points.length coords)) 0.0) in
+  let len = ref 1 in
+  iter_pairs ~s t (fun u v ->
+      if !len = Array.length !buf then begin
+        let bigger = Array.make (2 * !len) 0.0 in
+        Array.blit !buf 0 bigger 0 !len;
+        buf := bigger
+      end;
+      Array.unsafe_set !buf !len
+        (l2_rows coords.Points.data coords.Points.dim t.repr.(u) t.repr.(v));
+      incr len);
+  let a = !buf and len = !len in
+  Obs.add c_dist (len - 1);
+  let i = ref 1 and j = ref (len - 1) in
+  while !i < !j do
+    let x = a.(!i) in
+    a.(!i) <- a.(!j);
+    a.(!j) <- x;
+    incr i;
+    decr j
+  done;
+  Float_sort.floats a len;
+  (* In place: keep the first of each run of [=]-equal values (every nan
+     stays, since nan <> nan). *)
+  let out = ref 0 in
+  for i = 0 to len - 1 do
+    let x = a.(i) in
+    if !out = 0 || not (a.(!out - 1) = x) then begin
+      a.(!out) <- x;
+      incr out
+    end
+  done;
+  Array.sub a 0 !out
 
 (* Boxed wrapper, test/reference only: packs and delegates. *)
 let candidate_distances ?eps pts =

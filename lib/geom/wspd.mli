@@ -1,6 +1,9 @@
 (** Well-Separated Pair Decomposition (Section 3.1, [15, 46]).
 
-    Built over a fair-split tree. Its role in the paper is to produce a
+    Built over a fair-split tree, stored as flat arrays indexed by node
+    id (representative point, packed ball center, radius, children)
+    and shared by the three entry points below. Its role in the paper
+    is to produce a
     small set of {e candidate distances} [Gamma] such that every pairwise
     distance of [P] is approximated within a [(1 +- eps)] factor by some
     candidate; the binary searches of Sections 3.2/3.3 then run over
@@ -35,9 +38,16 @@ val candidate_distances_packed : ?eps:float -> Cso_metric.Points.t ->
   float array
 (** Sorted, deduplicated candidate distances (0. included): the array
     [Gamma] of Algorithm 1, computed over a packed store — the
-    production entry point; no boxed point on the path. For every
-    pairwise distance [delta] of the input there is a candidate in
-    [[(1-eps) delta, (1+eps) delta]]. *)
+    production entry point. For every pairwise distance [delta] of the
+    input there is a candidate in [[(1-eps) delta, (1+eps) delta]].
+
+    The pair distances go straight into one float buffer, which is
+    sorted with {!Float_sort.floats} and deduplicated in place: no pair
+    list and no boxed float. The result is bit-identical to the
+    list-based reference [Cso_refcheck.Reference.wspd_candidate_distances],
+    and the call publishes the same [geom.wspd.pairs],
+    [geom.wspd.find_calls] and [metric.dist_evals] totals (once per
+    call) and the same [geom.wspd.pair_sep_ratio] events. *)
 
 val candidate_distances : ?eps:float -> Cso_metric.Point.t array ->
   float array

@@ -108,9 +108,13 @@ let run ~m ~width ~eps ?rounds ?warm_weights ?on_round ?on_weights ~oracle
           let v = violation sol in
           if Array.length v <> m then invalid_arg "Mwu.run: violation length";
           if Obs.enabled () then begin
-            (* Sequential count so the bucket vector is deterministic. *)
+            (* Sequential count so the bucket vector is deterministic. A
+               [for] loop reads each float unboxed; [Array.iter] with a
+               closure would box every element. *)
             let violated = ref 0 in
-            Array.iter (fun x -> if x < 0.0 then incr violated) v;
+            for i = 0 to m - 1 do
+              if Array.unsafe_get v i < 0.0 then incr violated
+            done;
             Obs.Hist.observe h_violated !violated
           end;
           (match on_round with

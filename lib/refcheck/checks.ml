@@ -346,6 +346,95 @@ let geom_rtree_report =
       in
       require (List.sort compare union = naive) "canonical union <> report")
 
+(* The flat WSPD lattice against the boxed tree it replaced
+   ([Reference.wspd_candidate_distances]): every candidate bit for bit,
+   and the same geom.wspd.* / metric.dist_evals counter deltas and
+   separation-ratio histogram deltas. Inputs in 1-3 dimensions, with
+   collinear runs, duplicate points and infinite coordinates (whose
+   boxes have nan centers) in the mix. *)
+type lattice_inst = { l_pts : Point.t array; l_eps : float }
+
+let gen_lattice rng =
+  let n = int_in rng 0 24 and d = int_in rng 1 3 in
+  let pts = Array.init n (fun _ -> Array.init d (fun _ -> coord rng)) in
+  let pts =
+    match Random.State.int rng 4 with
+    | 0 ->
+        (* collinear: a + t v *)
+        let a = Array.init d (fun _ -> coord rng)
+        and v = Array.init d (fun _ -> float_of_int (int_in rng (-2) 2)) in
+        Array.map
+          (fun _ ->
+            let t = coord rng in
+            Array.mapi (fun j x -> x +. (t *. v.(j))) a)
+          pts
+    | 1 ->
+        (* duplicates of earlier points *)
+        Array.iteri
+          (fun i _ ->
+            if i > 0 && Random.State.bool rng then
+              pts.(i) <- Array.copy pts.(Random.State.int rng i))
+          pts;
+        pts
+    | 2 ->
+        Array.map
+          (Array.map (fun x ->
+               match Random.State.int rng 8 with
+               | 0 -> infinity
+               | 1 -> neg_infinity
+               | _ -> x))
+          pts
+    | _ -> pts
+  in
+  { l_pts = pts;
+    l_eps = [| 0.1; 0.25; 0.5; 1.0; 2.0 |].(Random.State.int rng 5) }
+
+let geom_wspd_lattice =
+  Fuzz.make ~name:"geom.wspd_lattice_vs_reference" ~gen:gen_lattice
+    ~shrink:(fun l ->
+      List.map (fun p -> { l with l_pts = p })
+        (drop_each l.l_pts @ round_pts l.l_pts))
+    ~show:(fun l -> Printf.sprintf "eps=%g %s" l.l_eps (pts_str l.l_pts))
+    ~prop:(fun l ->
+      let coords = Cso_metric.Points.of_array l.l_pts in
+      let observed f =
+        let (gamma, counters), hists =
+          Cso_obs.Obs.Hist.with_delta (fun () ->
+              Cso_obs.Obs.with_delta (fun () -> f ~eps:l.l_eps coords))
+        in
+        let counters =
+          List.filter
+            (fun (c, _) ->
+              c = "metric.dist_evals"
+              || String.starts_with ~prefix:"geom.wspd." c)
+            counters
+        in
+        (Array.map Int64.bits_of_float gamma, counters,
+         List.assoc_opt "geom.wspd.pair_sep_ratio" hists)
+      in
+      let flat, fc, fh =
+        observed (fun ~eps c -> Cso_geom.Wspd.candidate_distances_packed ~eps c)
+      in
+      let reference, rc, rh =
+        observed (fun ~eps c -> Reference.wspd_candidate_distances ~eps c)
+      in
+      let* () =
+        let common = min (Array.length flat) (Array.length reference) in
+        let rec first i =
+          if i >= common || flat.(i) <> reference.(i) then i else first (i + 1)
+        in
+        requiref (flat = reference)
+          "candidates differ from index %d on: %d flat vs %d reference"
+          (first 0) (Array.length flat) (Array.length reference)
+      in
+      let show l =
+        String.concat "," (List.map (fun (c, v) -> Printf.sprintf "%s=%d" c v) l)
+      in
+      let* () =
+        requiref (fc = rc) "counter deltas differ: %s vs %s" (show fc) (show rc)
+      in
+      require (fh = rh) "pair_sep_ratio histogram deltas differ")
+
 (* ------------------------------------------------------------------ *)
 (* kcenter.*                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -2273,6 +2362,7 @@ let all =
     geom_bbd_balls_all;
     geom_bbd_scale;
     geom_rtree_report;
+    geom_wspd_lattice;
     kcenter_gonzalez;
     kcenter_gonzalez_scale;
     kcenter_charikar;

@@ -3,7 +3,10 @@
    pruning and no incremental state. They are quadratic-to-exponential
    and only meant for the tiny instances the fuzzer generates, where
    "obviously correct" beats "fast" — the optimized substrates are
-   checked against these, never the other way around. *)
+   checked against these, never the other way around. A few entries are
+   instead the earlier, simpler implementation of a substrate that was
+   since rewritten for speed, kept so the rewrite can be pinned to it
+   bit for bit. *)
 
 module Point = Cso_metric.Point
 module Space = Cso_metric.Space
@@ -31,6 +34,150 @@ let ball pts ~center ~radius =
 let range_report pts rect =
   List.filter (fun i -> Rect.contains rect pts.(i))
     (indices (Array.length pts))
+
+(* --- WSPD candidate lattice --- *)
+
+(* The boxed fair-split tree and list-based lattice that
+   [Cso_geom.Wspd.candidate_distances_packed] replaced with flat arrays:
+   option-linked nodes with boxed centers, [Point.l2] per center
+   distance, a pair list, and [Array.sort Float.compare] on the boxed
+   distances. It publishes the same counter and histogram events, one
+   at a time, so the flat lattice must match it event for event as well
+   as bit for bit. *)
+module Wspd_lattice = struct
+  module Points = Cso_metric.Points
+  module Obs = Cso_obs.Obs
+
+  let c_pairs = Obs.counter "geom.wspd.pairs"
+  let c_find = Obs.counter "geom.wspd.find_calls"
+  let h_sep = Obs.Hist.hist "geom.wspd.pair_sep_ratio"
+
+  type node = {
+    repr : int;
+    center : Point.t;
+    radius : float;
+    left : node option;
+    right : node option;
+  }
+
+  let node_of_box coords idx lo hi =
+    let box = Rect.bounding_box_idx coords idx ~lo ~hi in
+    let center =
+      Array.init (Rect.dim box) (fun j ->
+          (box.Rect.lo.(j) +. box.Rect.hi.(j)) /. 2.0)
+    in
+    (center, Point.l2 center box.Rect.lo)
+
+  let build_tree coords =
+    let n = Points.length coords in
+    let idx = Array.init n (fun i -> i) in
+    let widest lo hi =
+      let best = ref 0 and best_w = ref neg_infinity in
+      for j = 0 to Points.dim coords - 1 do
+        let mn = ref infinity and mx = ref neg_infinity in
+        for i = lo to hi - 1 do
+          let x = Points.coord coords idx.(i) j in
+          if x < !mn then mn := x;
+          if x > !mx then mx := x
+        done;
+        if !mx -. !mn > !best_w then begin
+          best_w := !mx -. !mn;
+          best := j
+        end
+      done;
+      !best
+    in
+    let rec go lo hi =
+      let center, radius = node_of_box coords idx lo hi in
+      if hi - lo = 1 then
+        { repr = idx.(lo); center; radius; left = None; right = None }
+      else begin
+        let j = widest lo hi in
+        let sub = Array.sub idx lo (hi - lo) in
+        Array.sort
+          (fun a b ->
+            Float.compare (Points.coord coords a j) (Points.coord coords b j))
+          sub;
+        Array.blit sub 0 idx lo (hi - lo);
+        let mid = lo + ((hi - lo) / 2) in
+        let l = go lo mid in
+        let r = go mid hi in
+        { repr = idx.(lo); center; radius; left = Some l; right = Some r }
+      end
+    in
+    if n = 0 then None else Some (go 0 n)
+
+  let iter_pairs ~s root emit =
+    let well_separated u v =
+      let gap = Point.l2 u.center v.center -. u.radius -. v.radius in
+      gap >= s *. max u.radius v.radius
+    in
+    let emit u v =
+      Obs.incr c_pairs;
+      if Obs.enabled () then begin
+        let rmax = max u.radius v.radius in
+        let ratio =
+          if rmax > 0.0 then Point.l2 u.center v.center /. rmax else infinity
+        in
+        Obs.Hist.observe_float h_sep ratio
+      end;
+      emit u v
+    in
+    let rec find u v =
+      Obs.incr c_find;
+      if well_separated u v then emit u v
+      else if u.radius >= v.radius then
+        match (u.left, u.right) with
+        | Some l, Some r ->
+            find l v;
+            find r v
+        | _ -> (
+            match (v.left, v.right) with
+            | Some l, Some r ->
+                find u l;
+                find u r
+            | _ -> emit u v)
+      else
+        match (v.left, v.right) with
+        | Some l, Some r ->
+            find u l;
+            find u r
+        | _ -> (
+            match (u.left, u.right) with
+            | Some l, Some r ->
+                find l v;
+                find r v
+            | _ -> emit u v)
+    in
+    let rec walk u =
+      match (u.left, u.right) with
+      | Some l, Some r ->
+          find l r;
+          walk l;
+          walk r
+      | _ -> ()
+    in
+    walk root
+
+  let candidate_distances ?(eps = 0.25) coords =
+    let s = max (4.0 /. eps) 1.0 in
+    let ps = ref [] in
+    (match build_tree coords with
+    | None -> ()
+    | Some root ->
+        iter_pairs ~s root (fun u v -> ps := (u.repr, v.repr) :: !ps));
+    let ds = List.map (fun (a, b) -> Points.l2_idx coords a b) !ps in
+    let arr = Array.of_list (0.0 :: ds) in
+    Array.sort Float.compare arr;
+    let out = ref [] in
+    Array.iter
+      (fun d ->
+        match !out with x :: _ when x = d -> () | _ -> out := d :: !out)
+      arr;
+    Array.of_list (List.rev !out)
+end
+
+let wspd_candidate_distances = Wspd_lattice.candidate_distances
 
 (* --- k-center: cost and exhaustive optimum --- *)
 

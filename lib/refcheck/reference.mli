@@ -5,7 +5,10 @@
     the tiny instances the fuzzer generates, and obviously correct by
     inspection. The optimized substrates ([Bbd_tree], [Range_tree],
     [Gonzalez], [Charikar_outliers], [Simplex], [Yannakakis],
-    [Cso_general], ...) are differentially checked against these. *)
+    [Cso_general], ...) are differentially checked against these.
+    {!wspd_candidate_distances} is the exception: the earlier
+    implementation of a substrate rewritten for speed, which the
+    rewrite must match bit for bit. *)
 
 val subsets_up_to : 'a list -> int -> 'a list list
 (** All subsets of size at most [r] (the enumeration backbone of the
@@ -19,6 +22,16 @@ val ball :
 
 val range_report : Cso_metric.Point.t array -> Cso_geom.Rect.t -> int list
 (** Indices inside the rectangle, by linear scan. *)
+
+val wspd_candidate_distances :
+  ?eps:float -> Cso_metric.Points.t -> float array
+(** The WSPD candidate lattice as it was built before the fair-split
+    tree went flat: option-linked nodes with boxed centers, a pair
+    list and [Array.sort Float.compare] on the boxed distances, with
+    the same [geom.wspd.*], [metric.dist_evals] and
+    [geom.wspd.pair_sep_ratio] events, published one at a time.
+    {!Cso_geom.Wspd.candidate_distances_packed} must match it bit for
+    bit and event for event. *)
 
 val kcenter_cost :
   Cso_metric.Space.t -> centers:int list -> int list -> float

@@ -472,6 +472,63 @@ let test_warm_weights_stable_ids () =
                 w.(i))
         ids
 
+(* Identity pin for the cold solve: a digest over everything a
+   [Gcso_general.solve] can show — solution, radius bits, guess and
+   round counts, the accepted guess's final weight bits, and every
+   counter and histogram delta — plus every bit of the WSPD candidate
+   lattice the solve searches, on four fixed overlapping instances
+   (three at n=300, one at n=800). The expected digest comes from the
+   record-based BBD and WSPD trees with an [Array.sort] tie fallback, so
+   a layout or sort change that moves one bit fails here. *)
+let gcso_identity_digest = "c51dc1b9af967d073542c28165210837"
+
+let solve_fingerprint buf (w : Planted.gcso) =
+  let final = ref [||] in
+  let (rep, counters), hists =
+    Obs.Hist.with_delta (fun () ->
+        Obs.with_delta (fun () ->
+            Gcso_general.solve ~eps:0.3 ~rounds:60
+              ~on_weights:(fun a -> final := a)
+              w.Planted.geo))
+  in
+  let sol = rep.Gcso_general.solution in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Printf.bprintf buf "centers=%s;outliers=%s;radius=%Lx;rounds=%d;guesses=%d\n"
+    (ints sol.Instance.centers) (ints sol.Instance.outliers)
+    (Int64.bits_of_float rep.Gcso_general.radius)
+    rep.Gcso_general.rounds_per_guess rep.Gcso_general.guesses;
+  Array.iter
+    (fun x -> Printf.bprintf buf "%Lx," (Int64.bits_of_float x))
+    !final;
+  Buffer.add_char buf '\n';
+  List.iter (fun (c, v) -> Printf.bprintf buf "%s=%d\n" c v) counters;
+  List.iter
+    (fun (h, bs) ->
+      Printf.bprintf buf "%s:%s\n" h
+        (String.concat ","
+           (List.map (fun (b, c) -> Printf.sprintf "%d*%d" b c) bs)))
+    hists;
+  (* The whole candidate lattice at the solve's accuracy, not only the
+     few guesses the binary search reads. *)
+  let eps_c = 0.3 /. 5.0 in
+  Array.iter
+    (fun x -> Printf.bprintf buf "%Lx," (Int64.bits_of_float x))
+    (Cso_geom.Wspd.candidate_distances_packed ~eps:(eps_c /. (2.0 +. eps_c))
+       w.Planted.geo.Geo_instance.coords)
+
+let test_gcso_identity_digest () =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (seed, n) ->
+      let st = Random.State.make [| seed; 0x1d3a |] in
+      solve_fingerprint buf (Planted.gcso_overlapping st ~n ~d:2 ~k:3 ~z:2))
+    [ (1, 300); (2, 300); (3, 300); (4, 800) ];
+  Alcotest.(check string) "solve digest" gcso_identity_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     Alcotest.test_case "geo instance membership" `Quick
@@ -502,4 +559,6 @@ let suite =
       test_rect_update_forces_resolve;
     Alcotest.test_case "warm weights keyed by stable ids" `Quick
       test_warm_weights_stable_ids;
+    Alcotest.test_case "cold solve identity digest" `Slow
+      test_gcso_identity_digest;
   ]

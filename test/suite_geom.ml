@@ -504,6 +504,66 @@ let test_box_complement_hole () =
   Alcotest.(check bool) "outside point covered" true
     (List.exists (fun c -> Rect.contains c [| 1.0; 1.0 |]) cells)
 
+(* --- Float_sort --- *)
+
+(* Every entry point of [Float_sort] must leave exactly the permutation
+   [Array.sort] leaves under the matching comparator — the order among
+   equal keys included — on tie-heavy keys with nan, +-0 and +-inf.
+   Entries past [len] must stay untouched. *)
+let prop_float_sort_is_array_sort =
+  let rngp = Random.State.make [| 8123 |] in
+  QCheck.Test.make
+    ~name:"float_sort = Array.sort permutation (floats, ids asc/desc)"
+    ~count:400 QCheck.unit
+    (fun () ->
+      let n = Random.State.int rngp 401 in
+      let extra = Random.State.int rngp 3 in
+      let levels =
+        Array.init (1 + Random.State.int rngp 5) (fun _ ->
+            Float.round (Random.State.float rngp 4.0))
+      in
+      let specials = [| 0.0; -0.0; infinity; neg_infinity; nan |] in
+      let distinct = Random.State.int rngp 4 = 0 in
+      let key =
+        Array.init (n + extra) (fun _ ->
+            if distinct then Random.State.float rngp 1.0
+            else if Random.State.int rngp 4 = 0 then
+              specials.(Random.State.int rngp (Array.length specials))
+            else levels.(Random.State.int rngp (Array.length levels)))
+      in
+      let bits a = Array.map Int64.bits_of_float a in
+      (* floats *)
+      let a = Array.copy key in
+      Float_sort.floats a n;
+      let expect = Array.sub key 0 n in
+      Array.sort Float.compare expect;
+      let floats_ok =
+        bits a = bits (Array.append expect (Array.sub key n extra))
+      in
+      (* ids, both directions, over a shuffled id order *)
+      let ids0 = Array.init n Fun.id in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int rngp (i + 1) in
+        let t = ids0.(i) in
+        ids0.(i) <- ids0.(j);
+        ids0.(j) <- t
+      done;
+      let ids_ok sort cmp =
+        let ids = Array.append ids0 (Array.make extra (-7)) in
+        let keys = Array.map (fun i -> if i < 0 then 0.5 else key.(i)) ids in
+        sort keys ids n;
+        let expect = Array.copy ids0 in
+        Array.sort cmp expect;
+        Array.sub ids 0 n = expect
+        && Array.for_all (fun i -> i = -7) (Array.sub ids n extra)
+        && bits keys
+           = bits (Array.map (fun i -> if i < 0 then 0.5 else key.(i)) ids)
+      in
+      floats_ok
+      && ids_ok Float_sort.ids_by_key (fun a b -> Float.compare key.(a) key.(b))
+      && ids_ok Float_sort.ids_by_key_desc (fun a b ->
+             Float.compare key.(b) key.(a)))
+
 let suite =
   [
     Alcotest.test_case "rect basics" `Quick test_rect_basics;
@@ -524,6 +584,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_range_tree_marks;
     QCheck_alcotest.to_alcotest prop_range_tree_weight2_paths;
     QCheck_alcotest.to_alcotest prop_wspd_candidates;
+    QCheck_alcotest.to_alcotest prop_float_sort_is_array_sort;
     QCheck_alcotest.to_alcotest prop_dense_regions_invariant;
     Alcotest.test_case "dense regions max balls" `Quick
       test_dense_regions_max_balls;

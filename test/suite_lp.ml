@@ -376,6 +376,32 @@ let test_mwu_default_rounds () =
     (Mwu.default_rounds ~m:100 ~width:10.0 ~eps:0.3
     > Mwu.default_rounds ~m:100 ~width:1.0 ~eps:0.3)
 
+(* A round's own allocation must not depend on observability: with a
+   preallocated oracle, the words a round allocates (the difference
+   between two run lengths, so set-up cancels) are the same with
+   CSO_OBS on and off. The violated-constraint count that only
+   observability reads must not box the violation vector's floats. *)
+let test_mwu_round_alloc_obs_independent () =
+  let m = 300 in
+  let v = Array.init m (fun i -> if i mod 3 = 0 then -0.5 else 0.25) in
+  let sol = Some () in
+  let oracle _ = sol and violation () = v in
+  let words rounds =
+    let before = Gc.minor_words () in
+    ignore (Mwu.run ~m ~width:2.0 ~eps:0.5 ~rounds ~oracle ~violation ());
+    Gc.minor_words () -. before
+  in
+  let per_round obs =
+    let module Obs = Cso_obs.Obs in
+    let was = Obs.enabled () in
+    Obs.set_enabled obs;
+    Fun.protect ~finally:(fun () -> Obs.set_enabled was) (fun () ->
+        ignore (words 5);
+        (words 60 -. words 20) /. 40.0)
+  in
+  let on = per_round true and off = per_round false in
+  Alcotest.(check (float 0.0)) "minor words per round, CSO_OBS on = off" off on
+
 let suite =
   [
     Alcotest.test_case "simplex known optimum" `Quick test_simplex_known_optimum;
@@ -397,4 +423,6 @@ let suite =
       test_mwu_overwidth_recovery;
     Alcotest.test_case "mwu weight floor" `Quick test_mwu_weight_floor;
     Alcotest.test_case "mwu warm weights" `Quick test_mwu_warm_weights;
+    Alcotest.test_case "mwu round allocation independent of CSO_OBS" `Quick
+      test_mwu_round_alloc_obs_independent;
   ]
