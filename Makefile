@@ -44,13 +44,21 @@ kernels-smoke:
 # Trace round-trip gate: record a traced GCSO run, re-read the JSONL
 # through the csokit parser (proving writer and parser agree), check the
 # Chrome export parses, and re-check the committed budget baseline
-# through the CLI path. Temp artifacts are cleaned up on success.
+# through the CLI path. A traced relational run makes the same round
+# trip and must keep the oracle.farthest_linf and oracle.outside_witness
+# spans, which the benchmark's table1 attribution reads. Temp artifacts
+# are cleaned up on success.
 trace-smoke:
 	dune exec bin/csokit.exe -- trace --run gcso -n 60 --seed 7 \
 		--jsonl trace_smoke.jsonl --chrome trace_smoke_chrome.json
 	dune exec bin/csokit.exe -- trace --in trace_smoke.jsonl
+	dune exec bin/csokit.exe -- trace --run relational -n 60 --seed 7 \
+		--jsonl trace_smoke_rel.jsonl
+	dune exec bin/csokit.exe -- trace --in trace_smoke_rel.jsonl \
+		--require-span oracle.farthest_linf \
+		--require-span oracle.outside_witness
 	dune exec bin/csokit.exe -- budgets --series BENCH_budgets_baseline.json
-	rm -f trace_smoke.jsonl trace_smoke_chrome.json
+	rm -f trace_smoke.jsonl trace_smoke_chrome.json trace_smoke_rel.jsonl
 
 # Differential fuzzing gate: every optimized substrate against its
 # naive reference oracle / metamorphic invariants (lib/refcheck), 1000

@@ -270,7 +270,7 @@ let print_phase_table events =
         (top_deltas p.Obs.Trace.ph_deltas))
     phases
 
-let run_trace in_file kind n k z seed jsonl_out chrome_out =
+let run_trace in_file kind n k z seed jsonl_out chrome_out required =
  guard @@ fun () ->
   let events =
     match in_file with
@@ -303,6 +303,15 @@ let run_trace in_file kind n k z seed jsonl_out chrome_out =
       | _ -> failwith "chrome export: traceEvents array mismatch");
       write_file path chrome;
       Fmt.pr "wrote %s (well-formed Chrome trace JSON)@." path);
+  (match
+     List.filter
+       (fun name ->
+         not (List.exists (fun e -> e.Obs.Trace.ev_name = name) events))
+       required
+   with
+  | [] -> ()
+  | missing ->
+      failwith ("trace has no span named " ^ String.concat ", " missing));
   `Ok ()
 
 (* --- budgets command --- *)
@@ -553,6 +562,14 @@ let trace_cmd =
             "Write a Chrome trace-event JSON file (load in chrome://tracing \
              or Perfetto).")
   in
+  let require_arg =
+    Arg.(
+      value & opt_all string []
+      & info [ "require-span" ] ~docv:"NAME"
+          ~doc:
+            "Fail unless the trace holds a span with this leaf name \
+             (repeatable).")
+  in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
@@ -560,11 +577,11 @@ let trace_cmd =
           print a phase table")
     Term.(
       ret
-        (const (fun v i r n k z s jl ch ->
+        (const (fun v i r n k z s jl ch req ->
              setup_logs v;
-             run_trace i r n k z s jl ch)
+             run_trace i r n k z s jl ch req)
         $ verbose_arg $ in_arg $ run_arg $ n_arg $ k_arg $ z_arg $ seed_arg
-        $ jsonl_arg $ chrome_arg))
+        $ jsonl_arg $ chrome_arg $ require_arg))
 
 (* --- fuzz command --- *)
 

@@ -20,33 +20,36 @@ let provenance inst q =
   List.init g (fun i -> (i, Rel.Instance.project_result inst ~rel:i q))
 
 (* One validity test at radius guess [r]: grow cubes of half-side r_hat
-   around the centers, then drain the complement cells. Returns the
-   outlier tuples or [None] when a drained result was not fully in I_2
-   or more than [z] results had to be drained. *)
-let drain inst tree ~i2 ~centers ~r_hat ~z =
+   around the centers, then drain the complement cells through [h], the
+   handle prepared on [inst]; each drained result's tuples are removed
+   from [h] until the next test. Returns the outlier tuples or [None]
+   when a drained result was not fully in I_2 or more than [z] results
+   had to be drained. *)
+let drain h inst ~i2 ~centers ~r_hat ~z =
   let d = Rel.Schema.dims inst.Rel.Instance.schema in
   let cubes =
     List.map (fun p -> Rect.cube ~center:p ~side:(2.0 *. r_hat)) centers
   in
-  let cells = Box_complement.decompose cubes d in
-  let cur = ref inst and t' = ref [] and visited = ref 0 in
+  Oracles.restore h;
+  let t' = ref [] and visited = ref 0 in
   let exception Invalid in
+  let drain_cell cell =
+    let continue = ref true in
+    while !continue do
+      match Oracles.any_in_rect h cell with
+      | None -> continue := false
+      | Some q ->
+          if !visited >= z then raise Invalid;
+          if not (Yannakakis.contains_result i2 q) then raise Invalid;
+          let victims = provenance inst q in
+          Oracles.remove h victims;
+          t' := victims @ !t';
+          incr visited
+    done;
+    None
+  in
   try
-    List.iter
-      (fun cell ->
-        let continue = ref true in
-        while !continue do
-          match Oracles.any_in_rect !cur tree cell with
-          | None -> continue := false
-          | Some q ->
-              if !visited >= z then raise Invalid;
-              if not (Yannakakis.contains_result i2 q) then raise Invalid;
-              let victims = provenance inst q in
-              cur := Rel.Instance.remove !cur victims;
-              t' := victims @ !t';
-              incr visited
-        done)
-      cells;
+    ignore (Box_complement.find_map cubes d drain_cell);
     Some (List.sort_uniq compare !t')
   with Invalid -> None
 
@@ -68,6 +71,7 @@ let solve ?rng ?iters inst tree ~k ~z =
         else (1 lsl shift) * int_of_float (ceil (log (float_of_int n)))
   in
   let cand = Oracles.candidate_linf_distances inst in
+  let h = Oracles.prepare inst tree in
   let best = ref None in
   let successes = ref 0 in
   for _ = 1 to iters do
@@ -80,7 +84,7 @@ let solve ?rng ?iters inst tree ~k ~z =
       while !lo <= !hi do
         let mid = (!lo + !hi) / 2 in
         let r_hat = r_s1 +. (sqrt (float_of_int d) *. cand.(mid)) in
-        match drain inst tree ~i2 ~centers:s1 ~r_hat ~z with
+        match drain h inst ~i2 ~centers:s1 ~r_hat ~z with
         | Some t' ->
             iter_best := Some (t', r_hat);
             hi := mid - 1
@@ -102,12 +106,12 @@ let solve ?rng ?iters inst tree ~k ~z =
   | None -> None
   | Some (s1, outlier_tuples, r_hat) ->
       (* Representatives: one surviving join result per center cube. *)
-      let reduced = Rel.Instance.remove inst outlier_tuples in
+      Oracles.restore h;
+      Oracles.remove h outlier_tuples;
       let centers =
         List.filter_map
           (fun p ->
-            Oracles.any_in_rect reduced tree
-              (Rect.cube ~center:p ~side:(2.0 *. r_hat)))
+            Oracles.any_in_rect h (Rect.cube ~center:p ~side:(2.0 *. r_hat)))
           s1
       in
       Some

@@ -129,7 +129,7 @@ let solve ?(eps = 0.3) ?rounds ?(dirty_rel = 0) inst tree ~k ~z =
         if centers = [] then 0.0
         else
           let _, delta =
-            Oracles.farthest_linf reduced tree ~centers
+            Oracles.farthest_linf (Oracles.prepare reduced tree) ~centers
               ~cand:(Oracles.candidate_linf_distances reduced)
           in
           sqd *. delta

@@ -1,6 +1,9 @@
 module Point = Cso_metric.Point
 
-let cover_test boxes p = List.exists (fun b -> Rect.contains b p) boxes
+let rec cover_test boxes p =
+  match boxes with
+  | [] -> false
+  | b :: rest -> Rect.contains b p || cover_test rest p
 
 (* Witness coordinate strictly inside an interval that may be unbounded. *)
 let witness lo hi =
@@ -9,10 +12,14 @@ let witness lo hi =
   else if hi = infinity then lo +. 1.0
   else (lo +. hi) /. 2.0
 
-let decompose ?domain boxes d =
+(* The cells come in the order [decompose] has always listed them:
+   the reverse of the lexicographic enumeration of grid intervals, dim 0
+   outermost, so every dimension walks its intervals downwards. *)
+let find_map ?domain boxes d f =
   let domain = match domain with Some r -> r | None -> Rect.unbounded d in
   (* Per-dimension grid breakpoints: all box faces clipped to the domain,
-     plus the domain bounds. *)
+     plus the domain bounds. The lists are tiny; [List.sort_uniq] picks
+     which of two equal faces (0. and -0.) survives. *)
   let breakpoints j =
     let vals =
       List.concat_map
@@ -23,33 +30,38 @@ let decompose ?domain boxes d =
         boxes
     in
     let all = domain.Rect.lo.(j) :: domain.Rect.hi.(j) :: vals in
-    List.sort_uniq Float.compare all
+    Array.of_list (List.sort_uniq Float.compare all)
   in
-  let intervals j =
-    let rec pair = function
-      | a :: (b :: _ as rest) -> (a, b) :: pair rest
-      | _ -> []
-    in
-    pair (breakpoints j)
-  in
-  let dims = Array.init d intervals in
-  (* Cartesian product of per-dimension intervals; keep the cells whose
-     interior witness lies in no box. *)
-  let cells = ref [] in
+  let grid = Array.init d breakpoints in
+  (* One scratch cell: [Rect.make] keeps the arrays it is given, so the
+     cell follows [lo] and [hi]. Breakpoints are sorted, so every cell
+     [Rect.make] would accept. *)
   let lo = Array.make d 0.0 and hi = Array.make d 0.0 in
-  let rec enumerate j =
-    if j = d then begin
-      let w = Array.init d (fun i -> witness lo.(i) hi.(i)) in
-      if not (cover_test boxes w) then
-        cells := Rect.make ~lo:(Array.copy lo) ~hi:(Array.copy hi) :: !cells
-    end
+  let w = Array.make d 0.0 in
+  let cell = Rect.make ~lo ~hi in
+  (* Keep the cells whose interior witness lies in no box. *)
+  let rec go j =
+    if j = d then if cover_test boxes w then None else f cell
     else
-      List.iter
-        (fun (a, b) ->
-          lo.(j) <- a;
-          hi.(j) <- b;
-          enumerate (j + 1))
-        dims.(j)
+      let bp = grid.(j) in
+      let rec each i =
+        if i < 0 then None
+        else begin
+          lo.(j) <- bp.(i);
+          hi.(j) <- bp.(i + 1);
+          w.(j) <- witness bp.(i) bp.(i + 1);
+          match go (j + 1) with None -> each (i - 1) | found -> found
+        end
+      in
+      each (Array.length bp - 2)
   in
-  enumerate 0;
-  !cells
+  go 0
+
+let decompose ?domain boxes d =
+  let cells = ref [] in
+  ignore
+    (find_map ?domain boxes d (fun (c : Rect.t) ->
+         let lo = Array.copy c.Rect.lo and hi = Array.copy c.Rect.hi in
+         cells := Rect.make ~lo ~hi :: !cells;
+         None));
+  List.rev !cells

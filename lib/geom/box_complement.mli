@@ -13,5 +13,12 @@ val decompose : ?domain:Rect.t -> Rect.t list -> int -> Rect.t list
     every returned cell's interior is disjoint from every box's interior.
     Cells are closed rectangles, so cell boundaries may touch boxes. *)
 
+val find_map : ?domain:Rect.t -> Rect.t list -> int ->
+  (Rect.t -> 'a option) -> 'a option
+(** [find_map ?domain boxes d f] applies [f] to the cells of
+    [decompose ?domain boxes d], in its order, and returns the first
+    [Some], without building the list. [f] receives one scratch cell
+    that the next cell overwrites: copy it to keep it. *)
+
 val cover_test : Rect.t list -> Cso_metric.Point.t -> bool
 (** [cover_test boxes p] is true iff [p] lies in some box (closed). *)

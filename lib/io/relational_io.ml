@@ -74,10 +74,10 @@ let load ~schema ~files =
       (List.mapi
          (fun i path ->
            let arity = Array.length (Rel.Schema.rel_attrs sch i) in
-           (* Parse and arity-check inside the per-line callback so every
-              failure — bad float or wrong column count — carries the
-              [path:lineno:] prefix [with_lines] attaches (pre-fix the
-              arity error named the file but not the line). *)
+           (* Parse, arity- and nan-check inside the per-line callback so
+              every failure — bad float, wrong column count or a nan
+              that [Instance.of_arrays] would refuse — carries the
+              [path:lineno:] prefix [with_lines] attaches. *)
            Array.of_list
              (Formats.with_lines path (fun line ->
                   let row =
@@ -89,6 +89,14 @@ let load ~schema ~files =
                     failwith
                       (Printf.sprintf "expected %d columns, got %d" arity
                          (Array.length row));
+                  Array.iteri
+                    (fun col x ->
+                      if Float.is_nan x then
+                        failwith
+                          (Printf.sprintf "nan in column %d: relations \
+                                           hold no nan values"
+                             (col + 1)))
+                    row;
                   row)))
          files)
   in

@@ -16,7 +16,8 @@ val load : schema:string -> files:string list ->
   Cso_relational.Instance.t * Cso_relational.Join_tree.t
 (** [load ~schema ~files] reads one CSV per relation (same order as the
     spec) and builds the join tree. Raises [Failure] on arity mismatch,
-    file errors, or a cyclic schema (decompose cyclic schemas with
+    a nan value (both reported as [path:lineno:]), file errors, or a
+    cyclic schema (decompose cyclic schemas with
     {!Cso_relational.Hypertree} instead). *)
 
 val save : Cso_relational.Instance.t -> files:string list -> unit

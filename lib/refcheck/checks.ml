@@ -435,6 +435,100 @@ let geom_wspd_lattice =
       in
       require (fh = rh) "pair_sep_ratio histogram deltas differ")
 
+(* The complement grid against the list version it replaced
+   ([Reference.box_complement]): the same cells in the same order, bit
+   for bit, whole or cut short by [find_map]. Faces mix grid and uniform
+   values, -0. beside 0., and the infinities; boxes may be flat, nested
+   or repeated, and a third of the instances clip to a domain. *)
+type boxes_inst = {
+  bx_d : int;
+  bx_boxes : Rect.t list;
+  bx_domain : Rect.t option;
+}
+
+let box_face rng =
+  match Random.State.int rng 8 with
+  | 0 -> -0.0
+  | 1 -> 0.0
+  | 2 -> neg_infinity
+  | 3 -> infinity
+  | _ -> coord rng
+
+let gen_box rng d =
+  Rect.of_intervals
+    (List.init d (fun _ ->
+         let a = box_face rng in
+         let b = if Random.State.int rng 4 = 0 then a else box_face rng in
+         if Float.compare a b <= 0 then (a, b) else (b, a)))
+
+let gen_boxes rng =
+  let d = int_in rng 1 3 in
+  let boxes = List.init (int_in rng 0 3) (fun _ -> gen_box rng d) in
+  let boxes =
+    match boxes with
+    | b :: _ when Random.State.int rng 4 = 0 -> b :: boxes
+    | _ -> boxes
+  in
+  let domain =
+    if Random.State.int rng 3 = 0 then Some (gen_box rng d) else None
+  in
+  { bx_d = d; bx_boxes = boxes; bx_domain = domain }
+
+let rect_str (r : Rect.t) =
+  String.concat "x"
+    (Array.to_list
+       (Array.mapi
+          (fun i lo -> Printf.sprintf "[%.17g,%.17g]" lo r.Rect.hi.(i))
+          r.Rect.lo))
+
+let geom_box_complement =
+  Fuzz.make ~name:"geom.box_complement_vs_reference" ~gen:gen_boxes
+    ~shrink:(fun b ->
+      List.init (List.length b.bx_boxes) (fun i ->
+          { b with bx_boxes = List.filteri (fun j _ -> j <> i) b.bx_boxes })
+      @ if b.bx_domain = None then [] else [ { b with bx_domain = None } ])
+    ~show:(fun b ->
+      Printf.sprintf "d=%d domain=%s boxes=%s" b.bx_d
+        (match b.bx_domain with Some r -> rect_str r | None -> "none")
+        (String.concat " " (List.map rect_str b.bx_boxes)))
+    ~prop:(fun b ->
+      let bits (r : Rect.t) =
+        (Array.map Int64.bits_of_float r.Rect.lo,
+         Array.map Int64.bits_of_float r.Rect.hi)
+      in
+      let cells =
+        List.map bits
+          (Cso_geom.Box_complement.decompose ?domain:b.bx_domain b.bx_boxes
+             b.bx_d)
+      in
+      let reference =
+        List.map bits
+          (Reference.box_complement ?domain:b.bx_domain b.bx_boxes b.bx_d)
+      in
+      let rec first i = function
+        | x :: xs, y :: ys -> if x = y then first (i + 1) (xs, ys) else i
+        | _ -> i
+      in
+      let* () =
+        requiref (cells = reference)
+          "%d cells vs %d reference cells, first difference at cell %d"
+          (List.length cells) (List.length reference)
+          (first 0 (cells, reference))
+      in
+      (* [find_map] stops at the middle cell, which it hands over as is. *)
+      let stop = List.length reference / 2 in
+      let seen = ref 0 in
+      let found =
+        Cso_geom.Box_complement.find_map ?domain:b.bx_domain b.bx_boxes b.bx_d
+          (fun c ->
+            incr seen;
+            if !seen > stop then Some (bits c) else None)
+      in
+      requiref
+        (found = List.nth_opt reference stop)
+        "find_map stopped at cell %d of %d on a different cell" stop
+        (List.length reference))
+
 (* ------------------------------------------------------------------ *)
 (* kcenter.*                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -2137,6 +2231,114 @@ let rel_hypertree =
           require (enum = naive)
             "decomposed join differs from nested-loop join of the original")
 
+(* The prepared rectangle oracle against the filtered copy and
+   Yannakakis pass it replaced ([Reference.any_in_rect]), probe after
+   probe on one handle: the same point bit for bit, or both [None], and
+   the same counter deltas. Values repeat and mix -0. with 0., so keys
+   meet across signs; bounds come from the values, -0. and the
+   infinities, and are often flat. Removals and restores between probes
+   pin the handle to [Instance.remove]. *)
+type probe = P_rect of Rect.t | P_remove of int * float array | P_restore
+
+type probe_inst = { pr_rel : rel_inst; pr_ops : probe list }
+
+let probe_value rng = [| -0.0; 0.0; 1.0; 2.0 |].(Random.State.int rng 4)
+
+let probe_bound rng =
+  match Random.State.int rng 6 with
+  | 0 -> neg_infinity
+  | 1 -> infinity
+  | 2 -> -0.0
+  | _ -> probe_value rng
+
+let gen_probe_rect rng d =
+  Rect.of_intervals
+    (List.init d (fun _ ->
+         let a = probe_bound rng in
+         let b = if Random.State.int rng 3 = 0 then a else probe_bound rng in
+         if Float.compare a b <= 0 then (a, b) else (b, a)))
+
+let gen_probes rng =
+  let si = Random.State.int rng n_acyclic in
+  let schema = schemas.(si) in
+  let tuples =
+    List.init (Rel.Schema.n_relations schema) (fun rel ->
+        let arity = Array.length (Rel.Schema.rel_attrs schema rel) in
+        List.init (int_in rng 0 5) (fun _ ->
+            Array.init arity (fun _ -> probe_value rng)))
+  in
+  let victim () =
+    let rel = Random.State.int rng (List.length tuples) in
+    match List.nth tuples rel with
+    | [] -> P_restore
+    | ts ->
+        (* Flip the sign of the zeros now and then: [Instance.remove]
+           compares with [=], which equates them. *)
+        let j = Random.State.int rng (List.length ts) in
+        let tup = Array.copy (List.nth ts j) in
+        if Random.State.bool rng then
+          Array.iteri (fun i x -> if x = 0.0 then tup.(i) <- -.x) tup;
+        P_remove (rel, tup)
+  in
+  let ops =
+    List.init (int_in rng 1 8) (fun _ ->
+        match Random.State.int rng 6 with
+        | 0 -> victim ()
+        | 1 -> P_restore
+        | _ -> P_rect (gen_probe_rect rng (Rel.Schema.dims schema)))
+  in
+  { pr_rel = { r_schema = si; r_tuples = tuples }; pr_ops = ops }
+
+let show_probe = function
+  | P_rect r -> "rect " ^ rect_str r
+  | P_remove (rel, tup) -> Printf.sprintf "remove %d:%s" rel (pt_str tup)
+  | P_restore -> "restore"
+
+let rel_any_in_rect =
+  Fuzz.make ~name:"relational.any_in_rect_vs_reference" ~gen:gen_probes
+    ~shrink:(fun p ->
+      List.map (fun r -> { p with pr_rel = r }) (shrink_rel p.pr_rel)
+      @ List.init (List.length p.pr_ops) (fun i ->
+            { p with pr_ops = List.filteri (fun j _ -> j <> i) p.pr_ops }))
+    ~show:(fun p ->
+      Printf.sprintf "%s ops: %s" (show_rel p.pr_rel)
+        (String.concat "; " (List.map show_probe p.pr_ops)))
+    ~prop:(fun p ->
+      let inst = rel_instance p.pr_rel in
+      let jt = Rel.Join_tree.build_exn schemas.(p.pr_rel.r_schema) in
+      let h = Rel.Oracles.prepare inst jt in
+      let cur = ref inst in
+      let bits = Option.map (Array.map Int64.bits_of_float) in
+      let show = function None -> "none" | Some q -> pt_str q in
+      List.fold_left
+        (fun acc op ->
+          let* () = acc in
+          match op with
+          | P_remove (rel, tup) ->
+              Rel.Oracles.remove h [ (rel, tup) ];
+              cur := Rel.Instance.remove !cur [ (rel, tup) ];
+              Ok ()
+          | P_restore ->
+              Rel.Oracles.restore h;
+              cur := inst;
+              Ok ()
+          | P_rect rect ->
+              let got, gd =
+                Cso_obs.Obs.with_delta (fun () ->
+                    Rel.Oracles.any_in_rect h rect)
+              in
+              let want, wd =
+                Cso_obs.Obs.with_delta (fun () ->
+                    Reference.any_in_rect !cur jt rect)
+              in
+              let* () =
+                requiref (bits got = bits want) "rect %s: %s vs reference %s"
+                  (rect_str rect) (show got) (show want)
+              in
+              requiref (gd = wd) "rect %s: counter deltas differ"
+                (rect_str rect))
+        (Ok ()) p.pr_ops)
+
 (* ------------------------------------------------------------------ *)
 (* serve.*                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -2363,6 +2565,7 @@ let all =
     geom_bbd_scale;
     geom_rtree_report;
     geom_wspd_lattice;
+    geom_box_complement;
     kcenter_gonzalez;
     kcenter_gonzalez_scale;
     kcenter_charikar;
@@ -2386,6 +2589,7 @@ let all =
     rel_semijoin;
     rel_sample;
     rel_hypertree;
+    rel_any_in_rect;
     serve_protocol_roundtrip;
     serve_protocol_malformed;
   ]

@@ -5,7 +5,8 @@
 
     - [metric.*] — {!Cso_metric.Space} ball / pairwise / cached vs scans;
     - [geom.*] — BBD sandwich guarantee, batched queries, power-of-two
-      scale invariance, range-tree reporting vs scans;
+      scale invariance, range-tree reporting vs scans, the flat WSPD
+      lattice and the box-complement grid vs the versions they replaced;
     - [kcenter.*] — Gonzalez 2-approximation and scale invariance,
       Charikar 3-approximation with outliers, vs exhaustive optima;
     - [lp.*] — flat simplex vs reference tableau, feasibility of optima,
@@ -16,7 +17,8 @@
       monotonicity;
     - [relational.*] — Yannakakis count / enumerate / any / sample,
       semijoin reduction and hypertree decomposition vs the nested-loop
-      join. *)
+      join; the prepared rectangle oracle vs a filtered copy and a
+      Yannakakis pass. *)
 
 val all : Fuzz.t list
 (** Every registered check, in substrate order. *)

@@ -179,6 +179,69 @@ end
 
 let wspd_candidate_distances = Wspd_lattice.candidate_distances
 
+(* --- complement of a union of boxes --- *)
+
+(* [Cso_geom.Box_complement.decompose] as it was before its breakpoint
+   arrays and scratch witness: list breakpoints, a fresh witness array
+   per cell, cells consed in enumeration order. *)
+module Box_complement_list = struct
+  let cover_test boxes p = List.exists (fun b -> Rect.contains b p) boxes
+
+  (* Witness coordinate strictly inside an interval that may be unbounded. *)
+  let witness lo hi =
+    if lo = neg_infinity && hi = infinity then 0.0
+    else if lo = neg_infinity then hi -. 1.0
+    else if hi = infinity then lo +. 1.0
+    else (lo +. hi) /. 2.0
+
+  let decompose ?domain boxes d =
+    let domain = match domain with Some r -> r | None -> Rect.unbounded d in
+    (* Per-dimension grid breakpoints: all box faces clipped to the domain,
+       plus the domain bounds. *)
+    let breakpoints j =
+      let vals =
+        List.concat_map
+          (fun (b : Rect.t) ->
+            List.filter
+              (fun v -> v > domain.Rect.lo.(j) && v < domain.Rect.hi.(j))
+              [ b.Rect.lo.(j); b.Rect.hi.(j) ])
+          boxes
+      in
+      let all = domain.Rect.lo.(j) :: domain.Rect.hi.(j) :: vals in
+      List.sort_uniq Float.compare all
+    in
+    let intervals j =
+      let rec pair = function
+        | a :: (b :: _ as rest) -> (a, b) :: pair rest
+        | _ -> []
+      in
+      pair (breakpoints j)
+    in
+    let dims = Array.init d intervals in
+    (* Cartesian product of per-dimension intervals; keep the cells whose
+       interior witness lies in no box. *)
+    let cells = ref [] in
+    let lo = Array.make d 0.0 and hi = Array.make d 0.0 in
+    let rec enumerate j =
+      if j = d then begin
+        let w = Array.init d (fun i -> witness lo.(i) hi.(i)) in
+        if not (cover_test boxes w) then
+          cells := Rect.make ~lo:(Array.copy lo) ~hi:(Array.copy hi) :: !cells
+      end
+      else
+        List.iter
+          (fun (a, b) ->
+            lo.(j) <- a;
+            hi.(j) <- b;
+            enumerate (j + 1))
+          dims.(j)
+    in
+    enumerate 0;
+    !cells
+end
+
+let box_complement = Box_complement_list.decompose
+
 (* --- k-center: cost and exhaustive optimum --- *)
 
 let kcenter_cost (s : Space.t) ~centers pts =
@@ -282,3 +345,10 @@ let join (inst : Rel.Instance.t) =
   in
   go 0 (Array.make d None);
   List.sort_uniq compare !results
+
+(* [Oracles.any_in_rect] as it was before prepared handles: the oracle
+   counter, then a filtered copy of the instance and a Yannakakis pass
+   over it. *)
+let any_in_rect inst tree rect =
+  Cso_obs.Obs.incr (Cso_obs.Obs.counter "relational.oracle.any_in_rect");
+  Rel.Yannakakis.any (Rel.Instance.filter_rect inst rect) tree

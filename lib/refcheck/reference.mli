@@ -6,9 +6,9 @@
     inspection. The optimized substrates ([Bbd_tree], [Range_tree],
     [Gonzalez], [Charikar_outliers], [Simplex], [Yannakakis],
     [Cso_general], ...) are differentially checked against these.
-    {!wspd_candidate_distances} is the exception: the earlier
-    implementation of a substrate rewritten for speed, which the
-    rewrite must match bit for bit. *)
+    {!wspd_candidate_distances}, {!box_complement} and {!any_in_rect}
+    are the exception: the earlier implementation of a substrate
+    rewritten for speed, which the rewrite must match bit for bit. *)
 
 val subsets_up_to : 'a list -> int -> 'a list list
 (** All subsets of size at most [r] (the enumeration backbone of the
@@ -32,6 +32,13 @@ val wspd_candidate_distances :
     [geom.wspd.pair_sep_ratio] events, published one at a time.
     {!Cso_geom.Wspd.candidate_distances_packed} must match it bit for
     bit and event for event. *)
+
+val box_complement :
+  ?domain:Cso_geom.Rect.t -> Cso_geom.Rect.t list -> int ->
+  Cso_geom.Rect.t list
+(** [Cso_geom.Box_complement.decompose] as it was before its breakpoint
+    arrays and scratch witness, kept verbatim: the rewrite must return
+    the same cells in the same order, bit for bit. *)
 
 val kcenter_cost :
   Cso_metric.Space.t -> centers:int list -> int list -> float
@@ -59,3 +66,12 @@ val cover_opt_size : Cso_setcover.Set_cover.t -> int
 val join : Cso_relational.Instance.t -> Cso_metric.Point.t list
 (** The full natural join by nested loops over the cartesian product of
     all relations, sorted and deduplicated. *)
+
+val any_in_rect :
+  Cso_relational.Instance.t -> Cso_relational.Join_tree.t ->
+  Cso_geom.Rect.t -> Cso_metric.Point.t option
+(** The rectangle oracle before prepared handles: one
+    [relational.oracle.any_in_rect] count, then
+    [Yannakakis.any (Instance.filter_rect inst rect) tree].
+    {!Cso_relational.Oracles.any_in_rect} must match it bit for bit and
+    count for count. *)

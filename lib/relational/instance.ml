@@ -24,10 +24,19 @@ let of_arrays schema tuples =
     Array.mapi
       (fun i rel ->
         let arity = Array.length (Schema.rel_attrs schema i) in
-        Array.iter
-          (fun tup ->
+        Array.iteri
+          (fun j tup ->
             if Array.length tup <> arity then
-              invalid_arg "Instance.of_arrays: tuple arity mismatch")
+              invalid_arg "Instance.of_arrays: tuple arity mismatch";
+            (* A nan passes every [filter_rect] interval test, so the
+               oracles would return a point [Rect.contains] rejects, and
+               [Hashtbl] keys treat nan as equal to itself while [=]
+               does not, so join counts and materialized joins would
+               disagree. *)
+            if Array.exists Float.is_nan tup then
+              invalid_arg
+                (Printf.sprintf
+                   "Instance.of_arrays: nan in tuple %d of relation %d" j i))
           rel;
         dedupe rel)
       tuples

@@ -11,9 +11,11 @@ type t = private {
 }
 
 val make : Schema.t -> float array list list -> t
-(** [make schema per_relation_tuples]; validates arities, dedupes. *)
+(** [make schema per_relation_tuples]; validates arities, dedupes.
+    Raises [Invalid_argument] on a wrong arity or a nan value. *)
 
 val of_arrays : Schema.t -> float array array array -> t
+(** As {!make}. *)
 
 val size : t -> int
 (** Total number of tuples [N = |I|]. *)

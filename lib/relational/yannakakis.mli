@@ -7,6 +7,14 @@
     materializing [Q(I)] — the primitive behind the oracles of
     Lemma 4.1. *)
 
+val positions : int array -> int array -> int array
+(** [positions rel_attrs wanted]: where each of the [wanted] global
+    attributes sits in a tuple laid out as [rel_attrs]. *)
+
+val project : float array -> int array -> float array
+(** [project tup pos]: the values at [pos], the join key that tuples
+    meet on along a join-tree edge. *)
+
 val count : Instance.t -> Join_tree.t -> int
 (** [|Q(I)|]. *)
 

@@ -255,6 +255,23 @@ let test_relational_load_error_location () =
       Alcotest.(check bool) "cyclic error names the schema" true
         (contains_sub msg "R(A,B);S(B,C);T(A,C)")
 
+(* Regression: a nan read from a relation file used to load, and the
+   oracles then answered with points outside their rectangle. The
+   loader now refuses it at its file and line. *)
+let test_relational_load_nan () =
+  let f1 = tmp "rel_nan_r1.csv" and f2 = tmp "rel_nan_r2.csv" in
+  let oc = open_out f1 in
+  output_string oc "1.0,10.0\nnan,10.0\n";
+  close_out oc;
+  Formats.write_points f2 [| [| 10.0; 5.0 |] |];
+  match Relational_io.load ~schema:"R1(A,B);R2(B,C)" ~files:[ f1; f2 ] with
+  | _ -> Alcotest.fail "expected a nan failure"
+  | exception Failure msg ->
+      Alcotest.(check bool) "nan error has path:line" true
+        (contains_sub msg (f1 ^ ":2:"));
+      Alcotest.(check bool) "nan error says what is wrong" true
+        (contains_sub msg "nan")
+
 let test_rect_odd_values () =
   let path = tmp "odd_rect.csv" in
   let oc = open_out path in
@@ -286,6 +303,8 @@ let relational_suite =
       test_relational_load_errors;
     Alcotest.test_case "relational load errors carry file:line" `Quick
       test_relational_load_error_location;
+    Alcotest.test_case "relational load refuses nan" `Quick
+      test_relational_load_nan;
     Alcotest.test_case "rect file odd values" `Quick test_rect_odd_values;
     Alcotest.test_case "rect file lo > hi" `Quick test_rect_lo_gt_hi;
   ]

@@ -97,12 +97,13 @@ let test_count_rect () =
 let test_any_in_rect () =
   let inst = tiny_instance () in
   let tree = Join_tree.build_exn inst.Instance.schema in
+  let h = Oracles.prepare inst tree in
   let rect = Rect.of_intervals [ (2.0, 2.0); (neg_infinity, infinity); (neg_infinity, infinity) ] in
-  (match Oracles.any_in_rect inst tree rect with
+  (match Oracles.any_in_rect h rect with
   | Some q -> Alcotest.(check bool) "witness" true (q = [| 2.0; 20.0; 7.0 |])
   | None -> Alcotest.fail "expected a witness");
   let empty = Rect.of_intervals [ (50.0, 60.0); (neg_infinity, infinity); (neg_infinity, infinity) ] in
-  Alcotest.(check bool) "no witness" true (Oracles.any_in_rect inst tree empty = None)
+  Alcotest.(check bool) "no witness" true (Oracles.any_in_rect h empty = None)
 
 let test_samples_are_results () =
   let inst = tiny_instance () in
@@ -142,6 +143,38 @@ let test_tuple_rect () =
     (Rect.contains r [| 1.0; 10.0; 5.0 |]);
   Alcotest.(check bool) "excludes others" false
     (Rect.contains r [| 2.0; 20.0; 7.0 |])
+
+(* Regression: a nan in a tuple passed [filter_rect]'s interval test
+   (every comparison with nan is false), so with R1 = {(nan, 10)} the
+   oracles returned (nan, 10, 5) for A in [0, 1] and [count_rect]
+   counted it, though [Rect.contains] puts it outside; and with
+   R1 = {(1, nan)}, R2 = {(nan, 5)} Yannakakis joined the nan keys
+   ([Hashtbl] equality) while the nested-loop join did not ([=]).
+   Instances now refuse nan. *)
+let test_nan_tuples_refused () =
+  let refused per_rel =
+    match Instance.make (path_schema ()) per_rel with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "nan in a non-key attribute" true
+    (refused [ [ [| nan; 10.0 |] ]; [ [| 10.0; 5.0 |] ] ]);
+  Alcotest.(check bool) "nan join key" true
+    (refused [ [ [| 1.0; nan |] ]; [ [| nan; 5.0 |] ] ]);
+  Alcotest.(check bool) "through of_arrays too" true
+    (match
+       Instance.of_arrays (path_schema ())
+         [| [| [| 1.0; 10.0 |] |]; [| [| 10.0; Float.nan |] |] |]
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  (* Infinities stay legal values. *)
+  let inst =
+    Instance.make (path_schema ())
+      [ [ [| infinity; 10.0 |] ]; [ [| 10.0; neg_infinity |] ] ]
+  in
+  let tree = Join_tree.build_exn inst.Instance.schema in
+  Alcotest.(check int) "infinite values join" 1 (Yannakakis.count inst tree)
 
 let random_instance () =
   let schema = path_schema () in
@@ -218,7 +251,8 @@ let test_farthest_linf () =
   (* From center (1,10,5): farthest result in L_inf is (2,20,7), at
      distance max(1,10,2) = 10. *)
   let w, delta =
-    Oracles.farthest_linf inst tree ~centers:[ [| 1.0; 10.0; 5.0 |] ] ~cand
+    Oracles.farthest_linf (Oracles.prepare inst tree)
+      ~centers:[ [| 1.0; 10.0; 5.0 |] ] ~cand
   in
   Alcotest.(check (float 1e-9)) "farthest distance" 10.0 delta;
   (match w with
@@ -236,7 +270,10 @@ let prop_farthest_linf_matches_brute =
       | [] -> true
       | c :: _ ->
           let cand = Oracles.candidate_linf_distances inst in
-          let _, delta = Oracles.farthest_linf inst tree ~centers:[ c ] ~cand in
+          let _, delta =
+            Oracles.farthest_linf (Oracles.prepare inst tree) ~centers:[ c ]
+              ~cand
+          in
           let brute =
             List.fold_left (fun acc q -> max acc (Point.linf c q)) 0.0 results
           in
@@ -478,6 +515,7 @@ let suite =
     Alcotest.test_case "samples are results" `Quick test_samples_are_results;
     Alcotest.test_case "sampling near uniform" `Quick test_sampling_near_uniform;
     Alcotest.test_case "tuple rect" `Quick test_tuple_rect;
+    Alcotest.test_case "nan tuples refused" `Quick test_nan_tuples_refused;
     QCheck_alcotest.to_alcotest prop_count_matches_brute;
     QCheck_alcotest.to_alcotest prop_enumerate_matches_brute;
     QCheck_alcotest.to_alcotest prop_count_rect_matches_brute;

@@ -2,6 +2,7 @@ open Cso_core
 module Rel = Cso_relational
 module Rgen = Cso_workload.Relational_gen
 module Point = Cso_metric.Point
+module Obs = Cso_obs.Obs
 
 let rng () = Random.State.make [| 77 |]
 
@@ -182,6 +183,86 @@ let test_rcro_empty_join () =
   Alcotest.(check (list (array (float 0.0)))) "no centers" []
     (List.map (fun p -> p) r.Rcro.centers)
 
+(* Identity pin for the relational solvers: a digest over everything an
+   [Rcto.solve] (n1=14, n2=8, k=2, z=2, 100 iterations) and an
+   [Rcto1.solve] (n1=60, n2=20, k=2, z=2, eps=0.3, 120 rounds) can show,
+   three seeds each — center and outlier-tuple bits, radius and
+   [cost_upper] bits, iteration / success / coreset counts, and the
+   delta of every [relational.oracle.*] counter. The expected digest
+   comes from the oracles that filter a copy of the instance and run
+   Yannakakis on it per call, so a faster oracle that moves one bit or
+   one oracle count fails here. *)
+let relational_identity_digest = "723d66c9a591b5f0a8cedf60fb6f02a2"
+
+let fingerprint_relational buf =
+  let floats buf a =
+    Array.iter (fun x -> Printf.bprintf buf "%Lx," (Int64.bits_of_float x)) a;
+    Buffer.add_char buf ';'
+  in
+  let oracle_deltas buf deltas =
+    List.iter
+      (fun (c, v) ->
+        if String.starts_with ~prefix:"relational.oracle." c then
+          Printf.bprintf buf "%s=%d\n" c v)
+      deltas
+  in
+  List.iter
+    (fun seed ->
+      let w =
+        Rgen.rcto (Random.State.make [| seed; 0x4c70 |]) ~n1:14 ~n2:8 ~k:2 ~z:2
+      in
+      let r, deltas =
+        Obs.with_delta (fun () ->
+            Rcto.solve ~rng:(Random.State.make [| seed |]) ~iters:100
+              w.Rgen.instance w.Rgen.tree ~k:2 ~z:2)
+      in
+      Printf.bprintf buf "rcto seed=%d\n" seed;
+      (match r with
+      | None -> Buffer.add_string buf "none\n"
+      | Some r ->
+          List.iter (floats buf) r.Rcto.centers;
+          Buffer.add_char buf '\n';
+          List.iter
+            (fun (rel, tup) ->
+              Printf.bprintf buf "%d:" rel;
+              floats buf tup)
+            r.Rcto.outlier_tuples;
+          Printf.bprintf buf "\nradius=%Lx;iterations=%d;successes=%d\n"
+            (Int64.bits_of_float r.Rcto.radius)
+            r.Rcto.iterations r.Rcto.successes);
+      oracle_deltas buf deltas)
+    [ 1; 2; 3 ];
+  List.iter
+    (fun seed ->
+      let w =
+        Rgen.rcto1 (Random.State.make [| seed; 0x4c71 |]) ~n1:60 ~n2:20 ~k:2
+          ~z:2
+      in
+      let r, deltas =
+        Obs.with_delta (fun () ->
+            Rcto1.solve ~eps:0.3 ~rounds:120 w.Rgen.instance w.Rgen.tree ~k:2
+              ~z:2)
+      in
+      Printf.bprintf buf "rcto1 seed=%d\n" seed;
+      List.iter (floats buf) r.Rcto1.centers;
+      Buffer.add_char buf '\n';
+      List.iter (floats buf) r.Rcto1.outlier_tuples;
+      Printf.bprintf buf "\nradius=%Lx;cost_upper=%Lx;coreset=%d\n"
+        (Int64.bits_of_float r.Rcto1.radius)
+        (Int64.bits_of_float r.Rcto1.cost_upper)
+        r.Rcto1.coreset_size;
+      oracle_deltas buf deltas)
+    [ 1; 2; 3 ]
+
+let test_relational_identity_digest () =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  let buf = Buffer.create 16384 in
+  fingerprint_relational buf;
+  Alcotest.(check string) "relational solve digest" relational_identity_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     Alcotest.test_case "rcto1 planted" `Slow test_rcto1_planted;
@@ -193,4 +274,6 @@ let suite =
     Alcotest.test_case "gcso disjoint at scale" `Slow
       test_gcso_disjoint_at_scale;
     Alcotest.test_case "rcro empty join" `Quick test_rcro_empty_join;
+    Alcotest.test_case "relational solve identity digest" `Slow
+      test_relational_identity_digest;
   ]
