@@ -26,17 +26,16 @@ bench:
 # lib/obs work counters for the pinned workload drift >5% from the
 # recorded BENCH_counters_baseline.json, (c) any fitted log-log
 # complexity exponent leaves its declared budget or drifts >0.1 from the
-# recorded BENCH_budgets_baseline.json, or (d) the dynamic trees answer
-# differently from a static rebuild, amortized insert loses to
-# rebuild-per-insert at n=4096, or their deterministic rebuild-work
+# recorded BENCH_budgets_baseline.json, or (d) the dynamic ball tree
+# answers differently from a static rebuild, amortized insert loses to
+# rebuild-per-insert at n=4096, or its deterministic rebuild-work
 # counts drift from BENCH_dynamic_baseline.json. Cheap enough to run
 # alongside `dune runtest`.
 bench-smoke:
 	dune exec bench/main.exe -- smoke_parallel smoke_counters smoke_budgets smoke_kernels smoke_dynamic
 
-# Compute-kernel gate on its own: boxed vs packed vs tiled vs float32
-# distance kernels, bit-identity of every variant (including float32
-# against its own quantized reference), exact eval-counter totals vs
+# Compute-kernel gate on its own: boxed vs packed vs tiled distance
+# kernels, bit-identity of every variant, exact eval-counter totals vs
 # BENCH_kernels_baseline.json, and the packed/tiled not-slower gates.
 kernels-smoke:
 	dune exec bench/main.exe -- smoke_kernels

@@ -8,10 +8,12 @@ module Planted = Cso_workload.Planted
 module Rgen = Cso_workload.Relational_gen
 module Rel = Cso_relational
 module Point = Cso_metric.Point
+module Points = Cso_metric.Points
 module Gonzalez = Cso_kcenter.Gonzalez
 module Space = Cso_metric.Space
 module Mwu = Cso_lp.Mwu
 module Pool = Cso_parallel.Pool
+module Obs = Cso_obs.Obs
 
 let rng seed = Random.State.make [| seed; 77 |]
 let seeds = [ 1; 2; 3 ]
@@ -864,7 +866,7 @@ let ablation_bbd_eps () =
     Array.init 4000 (fun _ ->
         [| Random.State.float rngs 100.0; Random.State.float rngs 100.0 |])
   in
-  let tree = Cso_geom.Bbd_tree.build pts in
+  let tree = Cso_geom.Bbd_tree.build_packed (Points.of_array pts) in
   let rows =
     List.map
       (fun eps ->
@@ -1015,7 +1017,7 @@ let ablation_gonzalez_fast () =
           Util.time (fun () -> Gonzalez.run_points pts ~k)
         in
         let (_, r_fast), t_fast =
-          Util.time (fun () -> Gonzalez.run_points_fast pts ~k)
+          Util.time (fun () -> Gonzalez.run_packed (Points.of_array pts) ~k)
         in
         assert (r_plain = r_fast);
         [
@@ -1063,7 +1065,7 @@ let ablation_streaming () =
             0.0 pts
         in
         let (_, gonz), t_gonz =
-          Util.time (fun () -> Gonzalez.run_points_fast pts ~k)
+          Util.time (fun () -> Gonzalez.run_packed (Points.of_array pts) ~k)
         in
         [
           string_of_int n;
@@ -1284,27 +1286,70 @@ let read_whole_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Minimal scan for ["name": <int>] in the baseline JSON; the file is
-   our own counters_json output, so no general parser is needed. *)
-let find_counter json name =
-  let needle = Printf.sprintf "\"%s\": " name in
-  let nl = String.length needle and jl = String.length json in
-  let rec go i =
-    if i + nl > jl then None
-    else if String.sub json i nl = needle then begin
-      let j = ref (i + nl) in
-      let start = !j in
-      while
-        !j < jl && (match json.[!j] with '0' .. '9' -> true | _ -> false)
-      do
-        incr j
-      done;
-      if !j > start then Some (int_of_string (String.sub json start (!j - start)))
-      else None
-    end
-    else go (i + 1)
-  in
-  go 0
+(* --- committed baselines --- *)
+
+(* One record-or-compare gate for every smoke baseline. With no file at
+   [path], [record] is written there (commit it to arm the gate), and
+   the result is [None]. Otherwise [rows] reads the committed rows out
+   of the parsed file, and every row of [current] must have a committed
+   twin that [check name committed now] accepts (it raises [Failure] on
+   drift). A committed row this run no longer produces fails too, so a
+   removed feature cannot leave a stale row behind. The result is then
+   [Some] of the committed rows. *)
+let gate_baseline ~tag ~path ~record ~rows ~check current =
+  if not (Sys.file_exists path) then begin
+    Util.write_file path record;
+    Printf.printf
+      "%s: no baseline found; recorded %s (commit it to arm the gate).\n" tag
+      path;
+    None
+  end
+  else begin
+    let committed = rows (Obs.Json.parse (read_whole_file path)) in
+    List.iter
+      (fun (name, v) ->
+        match List.assoc_opt name committed with
+        | None -> failwith (Printf.sprintf "%s: %s missing from %s" tag name path)
+        | Some b -> check name b v)
+      current;
+    List.iter
+      (fun (name, _) ->
+        if not (List.mem_assoc name current) then
+          failwith
+            (Printf.sprintf
+               "%s: %s holds %s, which this run no longer produces; re-record \
+                the baseline"
+               tag path name))
+      committed;
+    Some committed
+  end
+
+(* The file format of the counter baselines: [head] fields between
+   "workload" and "counters", [tail] fields after "counters" (values
+   already rendered as JSON). *)
+let counters_baseline ~bench ?(head = []) ?(tail = []) counts =
+  let field (k, v) = Printf.sprintf "  \"%s\": %s" k v in
+  "{\n"
+  ^ String.concat ",\n"
+      (List.map field
+         ((("bench", Printf.sprintf "\"%s\"" bench) :: ("workload", "\"smoke\"")
+           :: head)
+         @ (("counters", Obs.counters_json counts) :: tail)))
+  ^ "\n}\n"
+
+(* The "counters" object of a parsed counter baseline. *)
+let counter_rows doc =
+  match Obs.Json.member "counters" doc with
+  | Some c ->
+      List.map (fun (k, v) -> (k, int_of_float (Obs.Json.num v))) (Obs.Json.obj c)
+  | None -> failwith "baseline: no \"counters\" object"
+
+(* Exact gate for deterministic counts. *)
+let exact_counts ~tag ~why name b v =
+  if v <> b then
+    failwith
+      (Printf.sprintf "%s: %s drifted (baseline %d, now %d; %s)" tag name b v
+         why)
 
 let parallel_kernels ~label ~n_gonzalez ~m_mwu ~n_matrix ~domain_counts
     ~json_path () =
@@ -1330,7 +1375,9 @@ let parallel_kernels ~label ~n_gonzalez ~m_mwu ~n_matrix ~domain_counts
         n_gonzalez,
         fun () ->
           Marshal.to_string
-            (Array.map (fun pts -> Gonzalez.run_points_fast pts ~k:8) workloads)
+            (Array.map
+               (fun pts -> Gonzalez.run_packed (Points.of_array pts) ~k:8)
+               workloads)
             [] );
       ("mwu", m_mwu, fun () -> Marshal.to_string (mwu_kernel m_mwu) []);
       ( "distmatrix",
@@ -1423,9 +1470,9 @@ let fig_parallel_scaling () =
    nondeterminism between the sequential and parallel paths fails the
    run, and at >= 2 domains no kernel may fall below the committed
    speedup baseline. Speedups are stored as integer permille so the
-   baseline file round-trips through the same [find_counter] scanner
-   the counter gates use. The absolute floor (0.65x) encodes the issue
-   gate -- "parallel not slower than sequential at smoke sizes" -- with
+   baseline file has the same format as the counter baselines. The
+   absolute floor (0.65x) encodes the gate "parallel not slower than
+   sequential at smoke sizes" with
    a noise band for best-of-5 timings of millisecond workloads: at
    these sizes the [seq_below] cutoffs keep the work inline, so an
    honest run sits at ~1.0x regardless of core count, while a genuine
@@ -1450,42 +1497,28 @@ let smoke_parallel () =
       measured
   in
   if entries = [] then failwith "parallel smoke: no multi-domain rows measured";
-  if not (Sys.file_exists parallel_baseline_path) then begin
-    Util.write_file parallel_baseline_path
-      (Printf.sprintf
-         "{\n  \"bench\": \"parallel_baseline\",\n  \"workload\": \
-          \"smoke\",\n  \"nproc\": %d,\n  \"counters\": %s\n}\n"
-         (nproc ())
-         (Cso_obs.Obs.counters_json entries));
-    Printf.printf
-      "parallel smoke: no baseline found; recorded %s (commit it to arm the \
-       gate).\n"
-      parallel_baseline_path
-  end
-  else begin
-    let baseline = read_whole_file parallel_baseline_path in
-    List.iter
-      (fun (name, v) ->
-        match find_counter baseline name with
-        | None ->
-            failwith
-              (Printf.sprintf "parallel smoke: %s missing from %s" name
-                 parallel_baseline_path)
-        | Some b ->
-            let floor = max 650 (b * 6 / 10) in
-            if v < floor then
-              failwith
-                (Printf.sprintf
-                   "parallel smoke: %s regressed to %d permille (baseline \
-                    %d, floor %d) -- a wired kernel is slower than its \
-                    sequential run"
-                   name v b floor))
-      entries;
+  let checked =
+    gate_baseline ~tag:"parallel smoke" ~path:parallel_baseline_path
+      ~record:
+        (counters_baseline ~bench:"parallel_baseline"
+           ~head:[ ("nproc", string_of_int (nproc ())) ]
+           entries)
+      ~rows:counter_rows
+      ~check:(fun name b v ->
+        let floor = max 650 (b * 6 / 10) in
+        if v < floor then
+          failwith
+            (Printf.sprintf
+               "parallel smoke: %s regressed to %d permille (baseline %d, \
+                floor %d) -- a wired kernel is slower than its sequential run"
+               name v b floor))
+      entries
+  in
+  if checked <> None then
     Printf.printf
       "parallel smoke: parallel paths bit-identical and within the speedup \
        baseline (%d gated kernels).\n"
       (List.length entries)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* OBS -- deterministic work-counter series (lib/obs).                  *)
@@ -1495,8 +1528,6 @@ let smoke_parallel () =
 (* divergence is a hard failure. Only counters go into the JSON         *)
 (* artifact (timings would make it non-reproducible byte for byte).     *)
 (* ------------------------------------------------------------------ *)
-
-module Obs = Cso_obs.Obs
 
 let with_obs_enabled f =
   let was = Obs.enabled () in
@@ -1515,7 +1546,7 @@ let counter_kernels =
   [
     ( "gonzalez",
       [ 1_000; 2_000; 4_000; 8_000 ],
-      fun n -> ignore (Gonzalez.run_points_fast (pts_of n) ~k:16) );
+      fun n -> ignore (Gonzalez.run_packed (Points.of_array (pts_of n)) ~k:16) );
     ( "mwu",
       [ 2_000; 8_000; 32_000 ],
       fun n -> ignore (mwu_kernel n) );
@@ -1614,7 +1645,7 @@ let smoke_counter_workload () =
     Array.init 2_000 (fun _ ->
         [| Random.State.float st 1000.0; Random.State.float st 1000.0 |])
   in
-  ignore (Gonzalez.run_points_fast pts ~k:8);
+  ignore (Gonzalez.run_packed (Points.of_array pts) ~k:8);
   ignore (mwu_kernel 2_000)
 
 let smoke_counters () =
@@ -1625,50 +1656,35 @@ let smoke_counters () =
   let current = List.filter (fun (n, _) -> List.mem n smoke_gated) deltas in
   if List.length current <> List.length smoke_gated then
     failwith "counter smoke: pinned workload did not touch a gated counter";
-  if not (Sys.file_exists smoke_baseline_path) then begin
-    Util.write_file smoke_baseline_path
-      (Printf.sprintf
-         "{\n  \"bench\": \"counters_baseline\",\n  \"workload\": \
-          \"smoke\",\n  \"counters\": %s\n}\n"
-         (Obs.counters_json current));
-    Printf.printf
-      "counter smoke: no baseline found; recorded %s (commit it to arm the \
-       gate).\n"
-      smoke_baseline_path
-  end
-  else begin
-    let baseline = read_whole_file smoke_baseline_path in
-    let rows =
-      List.map
-        (fun (name, v) ->
-          match find_counter baseline name with
-          | None ->
-              failwith
-                (Printf.sprintf "counter smoke: %s missing from %s" name
-                   smoke_baseline_path)
-          | Some b ->
-              let drift =
-                if b = 0 then if v = 0 then 0.0 else infinity
-                else
-                  abs_float (float_of_int v -. float_of_int b)
-                  /. float_of_int b
-              in
-              if drift > 0.05 then
-                failwith
-                  (Printf.sprintf
-                     "counter smoke: %s drifted %.1f%% (baseline %d, now %d; \
-                      >5%% gate)"
-                     name (100.0 *. drift) b v);
-              [ name; string_of_int b; string_of_int v;
-                Printf.sprintf "%.2f%%" (100.0 *. drift) ])
-        current
-    in
-    Util.print_table
-      ~title:"SMOKE  counter-regression gate (pinned workload, 5% tolerance)"
-      [ "counter"; "baseline"; "current"; "drift" ]
-      rows;
-    Printf.printf "counter smoke: all gated counters within 5%% of baseline.\n"
-  end
+  let drift b v =
+    if b = 0 then if v = 0 then 0.0 else infinity
+    else abs_float (float_of_int v -. float_of_int b) /. float_of_int b
+  in
+  match
+    gate_baseline ~tag:"counter smoke" ~path:smoke_baseline_path
+      ~record:(counters_baseline ~bench:"counters_baseline" current)
+      ~rows:counter_rows
+      ~check:(fun name b v ->
+        if drift b v > 0.05 then
+          failwith
+            (Printf.sprintf
+               "counter smoke: %s drifted %.1f%% (baseline %d, now %d; >5%% \
+                gate)"
+               name (100.0 *. drift b v) b v))
+      current
+  with
+  | None -> ()
+  | Some committed ->
+      Util.print_table
+        ~title:"SMOKE  counter-regression gate (pinned workload, 5% tolerance)"
+        [ "counter"; "baseline"; "current"; "drift" ]
+        (List.map
+           (fun (name, v) ->
+             let b = List.assoc name committed in
+             [ name; string_of_int b; string_of_int v;
+               Printf.sprintf "%.2f%%" (100.0 *. drift b v) ])
+           current);
+      Printf.printf "counter smoke: all gated counters within 5%% of baseline.\n"
 
 (* ------------------------------------------------------------------ *)
 (* BUDGETS -- machine-checked complexity budgets (Obs.Budget).          *)
@@ -1719,11 +1735,13 @@ let budget_series =
       [ 1_000; 2_000; 4_000; 8_000 ],
       fun n ->
         counter_delta "metric.dist_evals" (fun () ->
-            ignore (Gonzalez.run_points_fast (budget_pts_of n) ~k:16)) );
+            ignore
+              (Gonzalez.run_packed (Points.of_array (budget_pts_of n)) ~k:16))
+    );
     ( "geom.bbd.nodes_per_query",
       [ 1_000; 2_000; 4_000; 8_000 ],
       fun n ->
-        let t = Bbd.build (budget_pts_of n) in
+        let t = Bbd.build_packed (Points.of_array (budget_pts_of n)) in
         let queries = budget_queries () in
         counter_delta "geom.bbd.nodes_visited" (fun () ->
             Array.iter
@@ -1734,7 +1752,7 @@ let budget_series =
     ( "geom.rtree.canonical_per_query",
       [ 1_000; 2_000; 4_000; 8_000 ],
       fun n ->
-        let t = Range_tree.build (budget_pts_of n) in
+        let t = Range_tree.build_packed (Points.of_array (budget_pts_of n)) in
         let rects = budget_rects () in
         counter_delta "geom.rtree.canonical_nodes" (fun () ->
             Array.iter (fun r -> ignore (Range_tree.query_nodes t r)) rects)
@@ -1838,62 +1856,33 @@ let smoke_budgets () =
        \"budgets\": [\n%s\n  ]\n}\n"
       (String.concat ",\n" json_rows)
   in
-  if not (Sys.file_exists budgets_baseline_path) then begin
-    Util.write_file budgets_baseline_path body;
-    Printf.printf
-      "budget smoke: no baseline found; recorded %s (commit it to arm the \
-       gate).\n"
-      budgets_baseline_path
-  end
-  else begin
-    let baseline = read_whole_file budgets_baseline_path in
-    let doc = Obs.Json.parse baseline in
-    let baseline_rows =
-      match Obs.Json.member "budgets" doc with
-      | Some (Obs.Json.Arr rows) -> rows
-      | _ -> failwith (budgets_baseline_path ^ ": no \"budgets\" array")
-    in
-    let fitted_of rows name =
-      List.find_map
-        (fun row ->
-          match (Obs.Json.member "name" row, Obs.Json.member "fitted" row) with
-          | Some (Obs.Json.Str n), Some (Obs.Json.Num f) when n = name ->
-              Some f
-          | _ -> None)
-        rows
-    in
-    let current_rows =
-      match
-        Obs.Json.member "budgets"
-          (Obs.Json.parse
-             (Printf.sprintf "{\"budgets\": [\n%s\n]}"
-                (String.concat ",\n" json_rows)))
-      with
-      | Some (Obs.Json.Arr rows) -> rows
-      | _ -> assert false
-    in
-    List.iter
-      (fun (name, _, _) ->
-        let b =
-          match fitted_of baseline_rows name with
-          | Some f -> f
-          | None ->
-              failwith
-                (Printf.sprintf "budget smoke: %s missing from %s" name
-                   budgets_baseline_path)
-        in
-        let c = Option.get (fitted_of current_rows name) in
+  let fitted_rows doc =
+    match Obs.Json.member "budgets" doc with
+    | Some (Obs.Json.Arr rows) ->
+        List.map
+          (fun row ->
+            match (Obs.Json.member "name" row, Obs.Json.member "fitted" row) with
+            | Some (Obs.Json.Str n), Some (Obs.Json.Num f) -> (n, f)
+            | _ -> failwith "budget smoke: a budget row without name/fitted")
+          rows
+    | _ -> failwith "budget smoke: no \"budgets\" array"
+  in
+  let checked =
+    gate_baseline ~tag:"budget smoke" ~path:budgets_baseline_path ~record:body
+      ~rows:fitted_rows
+      ~check:(fun name b c ->
         if abs_float (c -. b) > 0.1 then
           failwith
             (Printf.sprintf
                "budget smoke: %s fitted exponent drifted (baseline %.3f, now \
                 %.3f; >0.1 gate)"
                name b c))
-      budget_series;
+      (fitted_rows (Obs.Json.parse body))
+  in
+  if checked <> None then
     Printf.printf
       "budget smoke: all fitted exponents within 0.1 of baseline and inside \
        declared tolerances.\n"
-  end
 
 (* ------------------------------------------------------------------ *)
 (* KERNELS -- cache-resident compute core (DESIGN.md, section 3e).      *)
@@ -1905,7 +1894,6 @@ let smoke_budgets () =
 (* gated exactly against a committed baseline in `make bench-smoke`.    *)
 (* ------------------------------------------------------------------ *)
 
-module Points = Cso_metric.Points
 module Simplex = Cso_lp.Simplex
 
 (* Timing sections run with counters off: an atomic add per call would
@@ -2035,36 +2023,6 @@ let tiled_block_sweep c dst passes =
   for p = 0 to passes - 1 do
     let lo = min ((p * 131) land (n - 1)) (n - rows) in
     Points.l2_sq_block c ~lo ~hi:(lo + rows) dst;
-    acc := !acc +. dst.((p * 17) land ((rows * n) - 1))
-  done;
-  !acc
-
-(* Float32 store variants: same shapes over the quantized coordinates.
-   Identity here is f32-vs-f32 (row kernel vs tiled block kernel over
-   the same store); f32-vs-f64 closeness is a points.mli error contract
-   checked in the test/fuzz suites, not a bench identity. *)
-let f32_row_block_sweep s dst passes =
-  let n = Points.F32.length s in
-  let rows = fst (kernel_block_geometry n) in
-  let scratch = Array.make n 0.0 in
-  let acc = ref 0.0 in
-  for p = 0 to passes - 1 do
-    let lo = min ((p * 131) land (n - 1)) (n - rows) in
-    for r = 0 to rows - 1 do
-      Points.F32.l2_sq_to s (lo + r) scratch;
-      Array.blit scratch 0 dst (r * n) n
-    done;
-    acc := !acc +. dst.((p * 17) land ((rows * n) - 1))
-  done;
-  !acc
-
-let f32_tiled_block_sweep s dst passes =
-  let n = Points.F32.length s in
-  let rows = fst (kernel_block_geometry n) in
-  let acc = ref 0.0 in
-  for p = 0 to passes - 1 do
-    let lo = min ((p * 131) land (n - 1)) (n - rows) in
-    Points.F32.l2_sq_block s ~lo ~hi:(lo + rows) dst;
     acc := !acc +. dst.((p * 17) land ((rows * n) - 1))
   done;
   !acc
@@ -2323,64 +2281,12 @@ let run_kernel_checks ~label ~sizes ~balls_n ~reps ~json_path () =
       record "l2_sq_block" size "rows" tbr
         (if tbr > 0.0 then tbb /. tbr else 1.0);
       record "l2_sq_block" size "tiled" tbt
-        (if tbt > 0.0 then tbb /. tbt else 1.0);
-      (* Float32 backing: identity is f32-row vs f32-tiled over the same
-         quantized store; wall-clock is recorded against the float64
-         tiled kernel (the memory-bandwidth story), with no speed gate —
-         the win only materializes on stores that spill cache. *)
-      let s32 = Points.F32.of_points c in
-      let f32_rowbuf = Array.make (rows_b * n) 0.0 in
-      let f32_tiled = Array.make (rows_b * n) 0.0 in
-      let c32r, d32r =
-        with_obs_enabled (fun () ->
-            Obs.with_delta (fun () ->
-                f32_row_block_sweep s32 f32_rowbuf passes_b))
-      in
-      let c32t, d32t =
-        with_obs_enabled (fun () ->
-            Obs.with_delta (fun () ->
-                f32_tiled_block_sweep s32 f32_tiled passes_b))
-      in
-      if
-        Int64.bits_of_float c32r <> Int64.bits_of_float c32t
-        || not
-             (Array.for_all2
-                (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
-                f32_rowbuf f32_tiled)
-      then
-        failwith
-          (Printf.sprintf
-             "kernel check: f32 tiled kernel diverged from the f32 row \
-              kernel at n=%d d=%d"
-             n d);
-      if d32r <> d32t then
-        failwith
-          (Printf.sprintf
-             "kernel check: f32 kernel counter deltas diverged at n=%d d=%d"
-             n d);
-      let f32_evals = pick d32t "metric.dist_evals" in
-      if f32_evals <> passes_b * rows_b * n then
-        failwith
-          (Printf.sprintf
-             "kernel check: expected %d f32 dist evals at n=%d d=%d, \
-              counted %d"
-             (passes_b * rows_b * n) n d f32_evals);
-      counts :=
-        (Printf.sprintf "kernels.f32_block_evals.n%d_d%d" n d, f32_evals)
-        :: !counts;
-      let t32 =
-        with_obs_disabled (fun () ->
-            timed_best reps (fun () ->
-                ignore (f32_tiled_block_sweep s32 f32_tiled passes_b)))
-      in
-      record "l2_sq_block_f32" size "f64_tiled" tbt 1.0;
-      record "l2_sq_block_f32" size "f32_tiled" t32
-        (if t32 > 0.0 then tbt /. t32 else 1.0))
+        (if tbt > 0.0 then tbb /. tbt else 1.0))
     sizes;
   (* --- batched BBD ball sweep: the one pooled kernel here, so results,
      counters and histograms must agree across domain counts {1,2} --- *)
   let bpts = kernel_pts_of balls_n 2 in
-  let bt = Bbd.build bpts in
+  let bt = Bbd.build_packed (Points.of_array bpts) in
   let radius = 120.0 and eps = 0.3 in
   let ball_run nd =
     with_domains nd (fun () ->
@@ -2424,7 +2330,7 @@ let run_kernel_checks ~label ~sizes ~balls_n ~reps ~json_path () =
                 List.map (fun lp -> Marshal.to_string (solver lp) []) lps)))
   in
   let ((out_f, cd_f), hd_f) = lp_run Simplex.solve in
-  let ((out_r, cd_r), hd_r) = lp_run Simplex.solve_reference in
+  let ((out_r, cd_r), hd_r) = lp_run Cso_refcheck.Reference.simplex_solve in
   if out_f <> out_r then
     failwith "kernel check: flat simplex outcomes diverged from reference";
   if cd_f <> cd_r || hd_f <> hd_r then
@@ -2440,7 +2346,9 @@ let run_kernel_checks ~label ~sizes ~balls_n ~reps ~json_path () =
         interleaved_best reps
           [
             (fun () ->
-              List.iter (fun lp -> ignore (Simplex.solve_reference lp)) lps);
+              List.iter
+                (fun lp -> ignore (Cso_refcheck.Reference.simplex_solve lp))
+                lps);
             (fun () -> List.iter (fun lp -> ignore (Simplex.solve lp)) lps);
           ])
   in
@@ -2489,38 +2397,19 @@ let smoke_kernels () =
     run_kernel_checks ~label:"smoke" ~sizes:[ (4096, 4) ] ~balls_n:2_000
       ~reps:3 ~json_path:"BENCH_kernels_smoke.json" ()
   in
-  if not (Sys.file_exists kernels_baseline_path) then begin
-    Util.write_file kernels_baseline_path
-      (Printf.sprintf
-         "{\n  \"bench\": \"kernels_baseline\",\n  \"workload\": \
-          \"smoke\",\n  \"counters\": %s\n}\n"
-         (Obs.counters_json counts));
-    Printf.printf
-      "kernel smoke: no baseline found; recorded %s (commit it to arm the \
-       gate).\n"
-      kernels_baseline_path
-  end
-  else begin
-    let baseline = read_whole_file kernels_baseline_path in
-    List.iter
-      (fun (name, v) ->
-        match find_counter baseline name with
-        | None ->
-            failwith
-              (Printf.sprintf "kernel smoke: %s missing from %s" name
-                 kernels_baseline_path)
-        | Some b ->
-            if v <> b then
-              failwith
-                (Printf.sprintf
-                   "kernel smoke: %s drifted (baseline %d, now %d; counts \
-                    are deterministic, so the gate is exact)"
-                   name b v))
-      counts;
+  let tag = "kernel smoke" in
+  let checked =
+    gate_baseline ~tag ~path:kernels_baseline_path
+      ~record:(counters_baseline ~bench:"kernels_baseline" counts)
+      ~rows:counter_rows
+      ~check:
+        (exact_counts ~tag ~why:"counts are deterministic, so the gate is exact")
+      counts
+  in
+  if checked <> None then
     Printf.printf
       "kernel smoke: packed/boxed and flat/reference paths bit-identical; \
        all work counts match baseline exactly.\n"
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic trees: amortized update cost vs rebuild-per-insert          *)
@@ -2550,17 +2439,8 @@ let replay_ball w =
     w.Drift.ops;
   t
 
-let replay_range w =
-  let t = Dyn.Range.create ~dim:w.Drift.dim () in
-  Array.iter
-    (function
-      | Drift.Insert p -> ignore (Dyn.Range.insert t p)
-      | Drift.Delete id -> Dyn.Range.delete t id)
-    w.Drift.ops;
-  t
-
 (* Shared by [fig_dynamic] and [smoke_dynamic]: replays a drifting
-   insert/delete workload through both dynamic trees, hard-fails if a
+   insert/delete workload through the dynamic ball tree, hard-fails if a
    final query differs from a static rebuild over the survivors, gates
    amortized insert cost against rebuild-per-insert at n >= 4096, then
    replays a delete-heavy churn workload and hard-fails any level whose
@@ -2588,7 +2468,6 @@ let run_dynamic_checks ~label ~sizes ~reps ~json_path () =
       let w = dynamic_workload n in
       (* --- correctness: final answers = static rebuild of survivors --- *)
       let ball = replay_ball w in
-      let range = replay_range w in
       let live = Dyn.Ball.live_points ball in
       let ids = Array.of_list (List.map fst live) in
       let pts = Array.of_list (List.map snd live) in
@@ -2598,7 +2477,7 @@ let run_dynamic_checks ~label ~sizes ~reps ~json_path () =
       let static_hits =
         if pts = [||] then []
         else
-          let st = Bbd.build pts in
+          let st = Bbd.build_packed (Points.of_array pts) in
           Bbd.ball_query st ~center ~radius ~eps:0.0
           |> List.concat_map (Bbd.points_of_node st)
           |> List.map (fun l -> ids.(l))
@@ -2608,13 +2487,6 @@ let run_dynamic_checks ~label ~sizes ~reps ~json_path () =
         failwith
           (Printf.sprintf
              "dynamic check: ball answers diverged from static rebuild at \
-              n=%d"
-             n);
-      let whole = Rect.unbounded w.Drift.dim in
-      if Dyn.Range.report range whole <> Array.to_list ids then
-        failwith
-          (Printf.sprintf
-             "dynamic check: range answers diverged from the live set at \
               n=%d"
              n);
       (* --- deterministic rebuild-work counts --- *)
@@ -2629,8 +2501,6 @@ let run_dynamic_checks ~label ~sizes ~reps ~json_path () =
         :: (Printf.sprintf "dynamic.live.n%d" n, Dyn.Ball.live_count ball)
         :: (Printf.sprintf "dynamic.ball.query_hits.n%d" n,
             List.length dyn_hits)
-        :: (Printf.sprintf "dynamic.range.points_rebuilt.n%d" n,
-            (Dyn.Range.stats range).Dyn.points_rebuilt)
         :: !counts;
       (* --- amortized update cost of the full insert/delete replay --- *)
       let tb =
@@ -2638,11 +2508,6 @@ let run_dynamic_checks ~label ~sizes ~reps ~json_path () =
             timed_best reps (fun () -> ignore (replay_ball w)))
       in
       record "ball" n "dynamic replay" tb (tb /. float_of_int n);
-      let tr =
-        with_obs_disabled (fun () ->
-            timed_best reps (fun () -> ignore (replay_range w)))
-      in
-      record "range" n "dynamic replay" tr (tr /. float_of_int n);
       (* --- insert-only amortized cost vs rebuild-per-insert ---
          The static baseline rebuilds the BBD tree after each insert;
          its cost is sampled every [stride] inserts and scaled (build
@@ -2665,7 +2530,9 @@ let run_dynamic_checks ~label ~sizes ~reps ~json_path () =
                   Array.iter (fun p -> ignore (Dyn.Ball.insert t p)) ins);
                 (fun () ->
                   for i = 1 to n_ins / stride do
-                    ignore (Bbd.build (Array.sub ins 0 (i * stride)))
+                    ignore
+                      (Bbd.build_packed
+                         (Points.of_array (Array.sub ins 0 (i * stride))))
                   done);
               ])
       in
@@ -2691,33 +2558,20 @@ let run_dynamic_checks ~label ~sizes ~reps ~json_path () =
          must still equal the live set. *)
       let cw = churn_workload n in
       let cball = replay_ball cw in
-      let crange = replay_range cw in
-      let clive = Dyn.Ball.live_ids cball in
-      if Dyn.Range.report crange (Rect.unbounded cw.Drift.dim) <> clive then
-        failwith
-          (Printf.sprintf
-             "dynamic check: churn range answers diverged from the live set \
-              at n=%d"
-             n);
-      let gate_levels structure t_alpha stats =
-        List.iteri
-          (fun i (stored, lvl_live) ->
-            if
-              not
-                (float_of_int (stored - lvl_live)
-                < t_alpha *. float_of_int lvl_live)
-            then
-              failwith
-                (Printf.sprintf
-                   "dynamic check: churn %s level %d holds %d stored for %d \
-                    live at n=%d — stored/live ratio exceeds 1 + alpha \
-                    (%.2f); the partial-rebuild policy is broken"
-                   structure i stored lvl_live n (1.0 +. t_alpha)))
-          stats
-      in
-      gate_levels "ball" (Dyn.Ball.alpha cball) (Dyn.Ball.level_stats cball);
-      gate_levels "range" (Dyn.Range.alpha crange)
-        (Dyn.Range.level_stats crange);
+      let alpha = Dyn.Ball.alpha cball in
+      List.iteri
+        (fun i (stored, lvl_live) ->
+          if
+            not
+              (float_of_int (stored - lvl_live) < alpha *. float_of_int lvl_live)
+          then
+            failwith
+              (Printf.sprintf
+                 "dynamic check: churn ball level %d holds %d stored for %d \
+                  live at n=%d — stored/live ratio exceeds 1 + alpha (%.2f); \
+                  the partial-rebuild policy is broken"
+                 i stored lvl_live n (1.0 +. alpha)))
+        (Dyn.Ball.level_stats cball);
       let cs = Dyn.Ball.stats cball in
       if cs.Dyn.partial_rebuilds = 0 then
         failwith
@@ -2748,7 +2602,7 @@ let run_dynamic_checks ~label ~sizes ~reps ~json_path () =
   Util.print_table
     ~title:
       (Printf.sprintf
-         "DYNAMIC (%s)  logarithmic-method trees under drift churn \
+         "DYNAMIC (%s)  logarithmic-method ball tree under drift churn \
           (static-rebuild answers enforced; per-op = wall-clock / ops)"
          label)
     [ "structure"; "n_ops"; "variant"; "wall-clock"; "per-op" ]
@@ -2781,39 +2635,21 @@ let smoke_dynamic () =
     run_dynamic_checks ~label:"smoke" ~sizes:[ 4096 ] ~reps:3
       ~json_path:"BENCH_dynamic_smoke.json" ()
   in
-  if not (Sys.file_exists dynamic_baseline_path) then begin
-    Util.write_file dynamic_baseline_path
-      (Printf.sprintf
-         "{\n  \"bench\": \"dynamic_baseline\",\n  \"workload\": \
-          \"smoke\",\n  \"counters\": %s\n}\n"
-         (Obs.counters_json counts));
-    Printf.printf
-      "dynamic smoke: no baseline found; recorded %s (commit it to arm the \
-       gate).\n"
-      dynamic_baseline_path
-  end
-  else begin
-    let baseline = read_whole_file dynamic_baseline_path in
-    List.iter
-      (fun (name, v) ->
-        match find_counter baseline name with
-        | None ->
-            failwith
-              (Printf.sprintf "dynamic smoke: %s missing from %s" name
-                 dynamic_baseline_path)
-        | Some b ->
-            if v <> b then
-              failwith
-                (Printf.sprintf
-                   "dynamic smoke: %s drifted (baseline %d, now %d; rebuild \
-                    work is deterministic, so the gate is exact)"
-                   name b v))
-      counts;
+  let tag = "dynamic smoke" in
+  let checked =
+    gate_baseline ~tag ~path:dynamic_baseline_path
+      ~record:(counters_baseline ~bench:"dynamic_baseline" counts)
+      ~rows:counter_rows
+      ~check:
+        (exact_counts ~tag
+           ~why:"rebuild work is deterministic, so the gate is exact")
+      counts
+  in
+  if checked <> None then
     Printf.printf
       "dynamic smoke: answers match static rebuilds; amortized insert beats \
        rebuild-per-insert; churn keeps every level below (1 + alpha) * \
        live; all rebuild-work counts match baseline exactly.\n"
-  end
 
 (* ------------------------------------------------------------------ *)
 (* SERVE -- the csokitd session loop benched end-to-end in process     *)
@@ -2823,17 +2659,15 @@ module Sproto = Cso_serve.Protocol
 module Sserver = Cso_serve.Server
 module Sregistry = Cso_serve.Registry
 
-(* Closed-loop replay client over a socketpair: one outstanding request
-   at a time, raw reply payloads kept (newest first) so the transcript
-   can be digested for the deterministic smoke gate. *)
+(* Replay client over a socketpair: one outstanding request at a time,
+   raw reply payloads kept (newest first) so the transcript can be
+   digested for the deterministic smoke gate. *)
 type sclient = {
   sc_fd : Unix.file_descr;
   sc_rd : Sproto.reader;
   mutable sc_script : Sproto.request list;
-  mutable sc_t0 : float;
   mutable sc_outstanding : bool;
   mutable sc_frames : string list;
-  mutable sc_lat_us : float list;
 }
 
 let sc_write c s =
@@ -2853,8 +2687,6 @@ let sc_try_read c =
         List.iter
           (function
             | `Frame payload ->
-                c.sc_lat_us <-
-                  ((Unix.gettimeofday () -. c.sc_t0) *. 1e6) :: c.sc_lat_us;
                 c.sc_outstanding <- false;
                 c.sc_frames <- payload :: c.sc_frames
             | `Oversized _ -> failwith "serve bench: oversized reply")
@@ -2880,17 +2712,12 @@ let serve_script ~points ~n_requests ci =
           Sproto.Query_ball
             { name = "bench"; center = p; radius = 10.0; eps = 0.1 })
 
-let percentile = Util.percentile_sorted
-
-(* Shared by [fig_serve] and [smoke_serve]: drives [n_clients]
-   closed-loop clients through an in-process server (socketpair
-   transport, binary codec, pooled batched execution), hard-fails on any
-   error / overload reply, writes [json_path], and returns the
-   deterministic transcript fingerprint (request and response counts
-   plus an MD5 of every reply payload in client order) for the smoke
-   gate. Wall-clock derived numbers (qps, latency percentiles) land in
-   the JSON but are never gated. *)
-let run_serve_bench ~label ~n_points ~n_clients ~n_requests ~json_path () =
+(* Drives [n_clients] replay clients through an in-process server
+   (socketpair transport, binary codec, pooled batched execution),
+   hard-fails on any error / overload reply, and returns the
+   deterministic transcript fingerprint: request and response counts
+   plus an MD5 of every reply payload in client order. *)
+let serve_replay ~n_points ~n_clients ~n_requests =
   let points = serve_points n_points in
   (* The rects are the candidate outlier sets and must cover every
      point; a 4x4 tiling keeps any single discarded set from emptying
@@ -2911,7 +2738,6 @@ let run_serve_bench ~label ~n_points ~n_clients ~n_requests ~json_path () =
           batch = 32 }
       registry
   in
-  Sserver.set_clock srv Unix.gettimeofday;
   let mk_client () =
     let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Sserver.add_connection srv a;
@@ -2919,10 +2745,8 @@ let run_serve_bench ~label ~n_points ~n_clients ~n_requests ~json_path () =
       sc_fd = b;
       sc_rd = Sproto.reader Sproto.Binary;
       sc_script = [];
-      sc_t0 = 0.0;
       sc_outstanding = false;
       sc_frames = [];
-      sc_lat_us = [];
     }
   in
   let drive clients =
@@ -2935,7 +2759,6 @@ let run_serve_bench ~label ~n_points ~n_clients ~n_requests ~json_path () =
           if (not c.sc_outstanding) && c.sc_script <> [] then begin
             let r = List.hd c.sc_script in
             c.sc_script <- List.tl c.sc_script;
-            c.sc_t0 <- Unix.gettimeofday ();
             c.sc_outstanding <- true;
             sc_write c (Sproto.encode_request Sproto.Binary r)
           end)
@@ -2975,19 +2798,16 @@ let run_serve_bench ~label ~n_points ~n_clients ~n_requests ~json_path () =
     ];
   drive [ setup ];
   assert_clean "setup" setup;
-  (* Measured phase: concurrent closed-loop query replay. *)
+  (* Concurrent query replay. *)
   let clients = List.init n_clients (fun _ -> mk_client ()) in
   List.iteri
     (fun i c -> c.sc_script <- serve_script ~points ~n_requests i)
     clients;
-  let t_start = Unix.gettimeofday () in
   drive clients;
-  let elapsed = Unix.gettimeofday () -. t_start in
   List.iter (assert_clean "client") clients;
   Sserver.close srv;
   List.iter (fun c -> try Unix.close c.sc_fd with Unix.Unix_error _ -> ())
     (setup :: clients);
-  let total = n_clients * n_requests in
   let replies =
     List.fold_left (fun a c -> a + List.length c.sc_frames) 0 clients
   in
@@ -2997,122 +2817,47 @@ let run_serve_bench ~label ~n_points ~n_clients ~n_requests ~json_path () =
          (String.concat ""
             (List.concat_map (fun c -> List.rev c.sc_frames) clients)))
   in
-  let lat =
-    Array.of_list (List.concat_map (fun c -> c.sc_lat_us) clients)
-  in
-  Array.sort compare lat;
-  let p50 = percentile lat 50.0 and p99 = percentile lat 99.0 in
-  let qps = if elapsed > 0.0 then float_of_int replies /. elapsed else 0.0 in
-  Util.print_table
-    ~title:
-      (Printf.sprintf
-         "SERVE (%s)  in-process csokitd replay: %d resident points, \
-          closed-loop clients over socketpairs, binary codec"
-         label n_points)
-    [ "clients"; "requests"; "replies"; "qps"; "p50"; "p99" ]
-    [
-      [
-        string_of_int n_clients; string_of_int total; string_of_int replies;
-        Printf.sprintf "%.0f" qps;
-        Printf.sprintf "%.0f us" p50;
-        Printf.sprintf "%.0f us" p99;
-      ];
-    ];
-  let counts =
-    [ ("serve.replayed_requests", total); ("serve.replayed_responses", replies) ]
-  in
-  Util.write_file json_path
-    (Printf.sprintf
-       "{\n  \"bench\": \"serve\",\n  \"variant\": \"%s\",\n  \"mode\": \
-        \"binary\",\n  \"nproc\": %d,\n  \"domains\": %d,\n  \
-        \"resident_points\": %d,\n  \"clients\": %d,\n  \"elapsed_s\": \
-        %.6f,\n  \"qps\": %.1f,\n  \"p50_us\": %.1f,\n  \"p99_us\": %.1f,\n  \
-        \"counters\": %s,\n  \"digest\": \"%s\"\n}\n"
-       label (nproc ())
-       (Pool.default_size ())
-       n_points n_clients elapsed qps p50 p99
-       (Obs.counters_json counts)
-       digest);
-  (counts, digest)
-
-let fig_serve () =
-  ignore
-    (run_serve_bench ~label:"full" ~n_points:2048 ~n_clients:8
-       ~n_requests:150 ~json_path:"BENCH_serve.json" ())
+  ( [ ("serve.replayed_requests", n_clients * n_requests);
+      ("serve.replayed_responses", replies) ],
+    digest )
 
 let serve_baseline_path = "BENCH_serve_baseline.json"
 
-(* Minimal scan for ["name": "<string>"], mirroring [find_counter]. *)
-let find_json_string json name =
-  let needle = Printf.sprintf "\"%s\": \"" name in
-  let nl = String.length needle and jl = String.length json in
-  let rec go i =
-    if i + nl > jl then None
-    else if String.sub json i nl = needle then begin
-      let j = ref (i + nl) in
-      while !j < jl && json.[!j] <> '"' do
-        incr j
-      done;
-      Some (String.sub json (i + nl) (!j - (i + nl)))
-    end
-    else go (i + 1)
-  in
-  go 0
-
-(* Serve gate for `make serve-smoke` / `make bench-smoke`-style runs: on
-   the pinned replay the request/response counts and the MD5 of the
-   concatenated reply payloads (client order) must match the committed
-   baseline byte-for-byte — the server path may never change an answer.
-   Timings are reported but never gated. *)
+(* Serve gate for `make serve-smoke`: on the pinned replay the
+   request/response counts and the MD5 of the concatenated reply
+   payloads (client order) must match the committed baseline exactly —
+   the server path may never change an answer. *)
 let smoke_serve () =
   let counts, digest =
-    run_serve_bench ~label:"smoke" ~n_points:512 ~n_clients:4 ~n_requests:60
-      ~json_path:"BENCH_serve_smoke.json" ()
+    serve_replay ~n_points:512 ~n_clients:4 ~n_requests:60
   in
-  if not (Sys.file_exists serve_baseline_path) then begin
-    Util.write_file serve_baseline_path
-      (Printf.sprintf
-         "{\n  \"bench\": \"serve_baseline\",\n  \"workload\": \"smoke\",\n  \
-          \"counters\": %s,\n  \"digest\": \"%s\"\n}\n"
-         (Obs.counters_json counts) digest);
-    Printf.printf
-      "serve smoke: no baseline found; recorded %s (commit it to arm the \
-       gate).\n"
-      serve_baseline_path
-  end
-  else begin
-    let baseline = read_whole_file serve_baseline_path in
-    List.iter
-      (fun (name, v) ->
-        match find_counter baseline name with
-        | None ->
-            failwith
-              (Printf.sprintf "serve smoke: %s missing from %s" name
-                 serve_baseline_path)
-        | Some b ->
-            if v <> b then
-              failwith
-                (Printf.sprintf
-                   "serve smoke: %s drifted (baseline %d, now %d)" name b v))
-      counts;
-    (match find_json_string baseline "digest" with
-    | None ->
-        failwith
-          (Printf.sprintf "serve smoke: digest missing from %s"
-             serve_baseline_path)
-    | Some b ->
-        if b <> digest then
+  let rows doc =
+    ("digest", Obs.Json.str (Option.get (Obs.Json.member "digest" doc)))
+    :: List.map (fun (k, v) -> (k, string_of_int v)) (counter_rows doc)
+  in
+  let checked =
+    gate_baseline ~tag:"serve smoke" ~path:serve_baseline_path
+      ~record:
+        (counters_baseline ~bench:"serve_baseline"
+           ~tail:[ ("digest", Printf.sprintf "\"%s\"" digest) ]
+           counts)
+      ~rows
+      ~check:(fun name b v ->
+        if v <> b then
           failwith
             (Printf.sprintf
-               "serve smoke: reply transcript digest drifted (baseline %s, \
-                now %s; the server path changed an answer)"
-               b digest));
+               "serve smoke: %s drifted (baseline %s, now %s; the server path \
+                changed an answer)"
+               name b v))
+      (("digest", digest)
+      :: List.map (fun (k, v) -> (k, string_of_int v)) counts)
+  in
+  if checked <> None then
     Printf.printf
       "serve smoke: %d replies match the committed transcript digest \
        exactly (%s).\n"
       (List.assoc "serve.replayed_responses" counts)
       digest
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
@@ -3150,7 +2895,6 @@ let all =
     ("fig_budgets", fig_budgets);
     ("fig_kernels", fig_kernels);
     ("fig_dynamic", fig_dynamic);
-    ("fig_serve", fig_serve);
     ("smoke_parallel", smoke_parallel);
     ("smoke_counters", smoke_counters);
     ("smoke_budgets", smoke_budgets);

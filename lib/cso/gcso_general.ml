@@ -326,7 +326,10 @@ let solve_at ?(eps = 0.3) ?rounds ?(cover_mult = 1.0) ?(removal_mult = 2.0)
 (* Per-constraint reference path: the pre-batching oracle, kept verbatim
    (list walks, per-round allocations) as the differential baseline the
    batched [solve_at] is pinned against. Test-only — nothing in the
-   production call graph reaches it. *)
+   production call graph reaches it. Its node accumulators are arrays
+   of its own: [bw] takes sigma in the order [Bbd.scatter_weights] adds
+   it, and [bw2] / [rw2] hold the Update's [v.w] on the BBD and
+   range-tree nodes. *)
 let solve_at_reference ?(eps = 0.3) ?rounds ?(cover_mult = 1.0)
     ?(removal_mult = 2.0) ?warm_weights ?on_round ?on_weights p ~r =
   let g = p.g in
@@ -340,19 +343,19 @@ let solve_at_reference ?(eps = 0.3) ?rounds ?(cover_mult = 1.0)
       (fun nodes -> Obs.Hist.observe h_ball_nodes (List.length nodes))
       canon;
     let width = float_of_int (k + z) in
+    let path_sum acc l =
+      Bbd.fold_path_to_root p.bbd (Bbd.leaf_of_point p.bbd l) ~init:0.0
+        ~f:(fun s u -> s +. acc.(u))
+    in
     let oracle sigma =
       Obs.incr c_oracle;
-      Bbd.reset_weights p.bbd;
+      let bw = Array.make (Bbd.n_nodes p.bbd) 0.0 in
       Array.iteri
         (fun i nodes ->
-          List.iter (fun u -> Bbd.add_weight p.bbd u sigma.(i)) nodes)
+          List.iter (fun u -> bw.(u) <- bw.(u) +. sigma.(i)) nodes)
         canon;
       let pool = Pool.get_default () in
-      let w =
-        Pool.tabulate pool ~chunk:64 n (fun l ->
-            Bbd.fold_path_to_root p.bbd (Bbd.leaf_of_point p.bbd l) ~init:0.0
-              ~f:(fun acc u -> acc +. Bbd.get_weight p.bbd u))
-      in
+      let w = Pool.tabulate pool ~chunk:64 n (path_sum bw) in
       Range_tree.set_point_weights p.rtree sigma;
       let tau =
         Array.map
@@ -373,29 +376,22 @@ let solve_at_reference ?(eps = 0.3) ?rounds ?(cover_mult = 1.0)
     in
     let violation sol =
       Obs.incr c_violation;
-      Bbd.reset_weights p.bbd;
+      let bw2 = Array.make (Bbd.n_nodes p.bbd) 0.0 in
       List.iter
         (fun l ->
           Bbd.fold_path_to_root p.bbd (Bbd.leaf_of_point p.bbd l) ~init:()
-            ~f:(fun () u -> Bbd.add_weight2 p.bbd u 1.0))
+            ~f:(fun () u -> bw2.(u) <- bw2.(u) +. 1.0))
         sol.chosen_pts;
-      Range_tree.reset_weight2 p.rtree;
+      let rw2 = Array.make (Range_tree.n_nodes p.rtree) 0.0 in
       List.iter
-        (fun j ->
-          List.iter
-            (fun u -> Range_tree.add_weight2 p.rtree u 1.0)
-            p.rect_nodes.(j))
+        (fun j -> List.iter (fun u -> rw2.(u) <- rw2.(u) +. 1.0) p.rect_nodes.(j))
         sol.chosen_rects;
       let pool = Pool.get_default () in
       Pool.tabulate pool ~chunk:64 n (fun i ->
-          let r1 =
-            List.fold_left
-              (fun acc u -> acc +. Bbd.get_weight2 p.bbd u)
-              0.0 canon.(i)
-          in
+          let r1 = List.fold_left (fun acc u -> acc +. bw2.(u)) 0.0 canon.(i) in
           let r2 =
             Range_tree.fold_point_paths p.rtree i ~init:0.0 ~f:(fun acc u ->
-                acc +. Range_tree.node_weight2 p.rtree u)
+                acc +. rw2.(u))
           in
           r1 +. r2 -. 1.0)
     in
@@ -554,7 +550,6 @@ module Incremental = struct
     rounds : int option;
     drift : float;
     ball : Dyn.Ball.t;
-    range : Dyn.Range.t;
     (* Insert-only doubling k-center sketch over the points live at the
        last re-solve plus everything inserted since; rebuilt from the
        survivors after each re-solve so deletions eventually leave it. *)
@@ -607,7 +602,6 @@ module Incremental = struct
       rounds;
       drift;
       ball = Dyn.Ball.create ~dim ();
-      range = Dyn.Range.create ~dim ();
       (* k + z centers: up to z far-away outlier groups may exist without
          the solved radius having to cover them, so the drift signal
          over-provisions by z to avoid spurious re-solves. *)
@@ -635,15 +629,12 @@ module Incremental = struct
     if not (List.exists (fun (_, r) -> Rect.contains r p) t.rect_slots) then
       invalid_arg "Gcso_general.Incremental.insert: point in no rectangle";
     let id = Dyn.Ball.insert t.ball p in
-    let id' = Dyn.Range.insert t.range p in
-    assert (id = id');
     Streaming.insert t.sketch p;
     Obs.incr c_updates;
     id
 
   let delete t id =
     Dyn.Ball.delete t.ball id;
-    Dyn.Range.delete t.range id;
     (* The sketch is insert-only; the live-count trigger below covers
        deletion drift, and the sketch is rebuilt at the next re-solve. *)
     Obs.incr c_updates
@@ -662,22 +653,20 @@ module Incremental = struct
   (* A delete is rejected when it would orphan a live point — leave it
      inside no rectangle, violating the [insert] invariant that every
      live point can be clustered or outliered. The witness is the
-     smallest orphaned external id; candidates come from one exact
-     range report of the doomed rectangle. *)
+     smallest orphaned external id: live ids are scanned ascending, and
+     [Rect.contains] tests the doomed rectangle's closed bounds. *)
   let delete_rect t rid =
     if not (List.mem_assoc rid t.rect_slots) then
       invalid_arg
         "Gcso_general.Incremental.delete_rect: unknown or deleted rect id";
     let doomed = List.assoc rid t.rect_slots in
     let others = List.filter (fun (rid', _) -> rid' <> rid) t.rect_slots in
-    let orphaned id =
-      let p = Dyn.Ball.point t.ball id in
-      not (List.exists (fun (_, r) -> Rect.contains r p) others)
+    let orphaned (_, p) =
+      Rect.contains doomed p
+      && not (List.exists (fun (_, r) -> Rect.contains r p) others)
     in
-    (* Range report answers ascending, so the first orphan found is the
-       smallest witness. *)
-    match List.find_opt orphaned (Dyn.Range.report t.range doomed) with
-    | Some witness -> Error { rect_id = rid; witness }
+    match List.find_opt orphaned (Dyn.Ball.live_points t.ball) with
+    | Some (witness, _) -> Error { rect_id = rid; witness }
     | None ->
         t.rect_slots <- others;
         t.rects_dirty <- true;
@@ -797,6 +786,4 @@ module Incremental = struct
 
   let ball_report t ~center ~radius =
     Dyn.Ball.ball_report t.ball ~center ~radius
-
-  let range_report t rect = Dyn.Range.report t.range rect
 end

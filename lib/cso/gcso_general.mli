@@ -122,8 +122,8 @@ val solve : ?eps:float -> ?rounds:int -> ?candidates:float array ->
 
 (** Keep a GCSO instance queryable under point inserts/deletes and
     rectangle (outlier-set) inserts/deletes without re-solving per
-    update. Point updates go to logarithmic-method dynamic trees
-    ({!Cso_geom.Dynamic}) plus an insert-only streaming doubling
+    update. Point updates go to one logarithmic-method dynamic ball tree
+    ({!Cso_geom.Dynamic.Ball}) plus an insert-only streaming doubling
     k-center sketch ({!Cso_kcenter.Streaming}); {!Incremental.query}
     returns the cached report until the sketch certifies that covering
     the current population needs more than [drift] times the sketch's
@@ -162,8 +162,8 @@ module Incremental : sig
       outliered). *)
 
   val delete : t -> int -> unit
-  (** Tombstones the id in both trees. Raises [Invalid_argument] if the
-      id is unknown or already deleted. *)
+  (** Tombstones the id in the dynamic ball tree. Raises
+      [Invalid_argument] if the id is unknown or already deleted. *)
 
   val insert_rect : t -> Cso_geom.Rect.t -> int
   (** Adds a rectangle (outlier set) and returns its external rect id —
@@ -175,9 +175,9 @@ module Incremental : sig
       rectangle — then [Error] names the offending rect and the
       smallest orphaned point id, and nothing changes. On [Ok] the next
       {!query} re-solves. Raises [Invalid_argument] if the rect id is
-      unknown or already deleted. Costs one exact range report of the
-      doomed rectangle plus a containment scan of the live rect list
-      per candidate. *)
+      unknown or already deleted. Costs one closed-bounds containment
+      test per live point, plus a scan of the live rect list for each
+      point inside the doomed rectangle. *)
 
   val rects : t -> (int * Cso_geom.Rect.t) list
   (** Live rectangles as [(external id, rect)], ascending by id. *)
@@ -229,10 +229,10 @@ module Incremental : sig
 
   (** {3 Queries between re-solves}
 
-      Direct views of the dynamic trees, so a server can answer ball /
-      range lookups against the live population without paying (or
+      Direct views of the dynamic ball tree, so a server can answer
+      ball lookups against the live population without paying (or
       triggering) a solve. External-id answers, bit-identical to the
-      corresponding {!Cso_geom.Dynamic} calls. *)
+      corresponding {!Cso_geom.Dynamic.Ball} calls. *)
 
   val live_points : t -> (int * Cso_metric.Point.t) list
   (** Ascending by external id; coordinates are fresh copies. *)
@@ -245,7 +245,4 @@ module Incremental : sig
   val ball_report : t -> center:Cso_metric.Point.t -> radius:float ->
     int list
   (** Exact closed ball over the live set (external ids, ascending). *)
-
-  val range_report : t -> Cso_geom.Rect.t -> int list
-  (** Live external ids inside the rectangle, ascending. *)
 end

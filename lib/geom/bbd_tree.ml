@@ -39,8 +39,8 @@ let budgets =
    parent's id + 1). Node [u]'s box is [boxes.(u * 2d .. u * 2d + d - 1)]
    (low corner) followed by its [d] high coordinates. A ball query, a
    root-path sum or a rounding step reads these int and float arrays
-   and dereferences no per-node record. The two weight accumulators are
-   flat too: a mutable float field of a record would be boxed. *)
+   and dereferences no per-node record. The weight accumulator is flat
+   too: a mutable float field of a record would be boxed. *)
 type t = {
   coords : Points.t;
   n_nodes : int;
@@ -55,12 +55,11 @@ type t = {
   repr : int array; (* an active point in the subtree, -1 if none *)
   leaf_of : int array;
   weight : float array;
-  weight2 : float array;
 }
 
 let root = 0
 
-let build_with coords =
+let build_packed coords =
   let n = Points.length coords in
   let d = Points.dim coords in
   let nn = if n = 0 then 0 else (2 * n) - 1 in
@@ -70,8 +69,7 @@ let build_with coords =
       right = Array.make nn (-1); point = Array.make nn (-1);
       count = Array.make nn 0; active = Array.make nn true;
       active_count = Array.make nn 0; repr = Array.make nn (-1);
-      leaf_of = Array.make n (-1); weight = Array.make nn 0.0;
-      weight2 = Array.make nn 0.0 }
+      leaf_of = Array.make n (-1); weight = Array.make nn 0.0 }
   in
   if n > 0 then begin
     let idx = Array.init n (fun i -> i) in
@@ -105,21 +103,12 @@ let build_with coords =
   end;
   t
 
-let build pts = build_with (Points.of_array pts)
-let build_packed coords = build_with coords
-
 let size t = t.coords.Points.n
-
-(* Boxed view for tests and reference paths only: fresh copies, rebuilt
-   on every call — the tree no longer retains a boxed array. *)
-let points t = Points.to_array t.coords
 let coords t = t.coords
 let node_count t id = t.count.(id)
-let node_active_count t id = if t.active.(id) then t.active_count.(id) else 0
 let leaf_of_point t i = t.leaf_of.(i)
 let n_nodes t = t.n_nodes
 let parent t id = t.parent.(id)
-let node_point t id = t.point.(id)
 
 (* Per-domain traversal scratch: an explicit DFS stack and a canonical-id
    buffer, reused across queries so the hot sweep allocates only the
@@ -201,15 +190,9 @@ let query_into ~respect_active t ~center ~radius ~eps s =
   let rec mk acc k = if k >= cnt then acc else mk (cbuf.(k) :: acc) (k + 1) in
   mk [] 0
 
-let ball_query_gen ~respect_active t ~center ~radius ~eps =
-  if t.coords.Points.n = 0 then []
-  else query_into ~respect_active t ~center ~radius ~eps (scratch_for t)
-
 let ball_query t ~center ~radius ~eps =
-  ball_query_gen ~respect_active:false t ~center ~radius ~eps
-
-let ball_query_active t ~center ~radius ~eps =
-  ball_query_gen ~respect_active:true t ~center ~radius ~eps
+  if t.coords.Points.n = 0 then []
+  else query_into ~respect_active:false t ~center ~radius ~eps (scratch_for t)
 
 (* Index-centered queries: the center is one of the tree's own points,
    staged from the packed store into the per-domain scratch row — no
@@ -279,17 +262,10 @@ let fold_path_to_root t id ~init ~f =
   let rec go acc id = if id < 0 then acc else go (f acc id) t.parent.(id) in
   go init id
 
-let reset_weights t =
-  Array.fill t.weight 0 t.n_nodes 0.0;
-  Array.fill t.weight2 0 t.n_nodes 0.0
+let reset_weights t = Array.fill t.weight 0 t.n_nodes 0.0
 
-let add_weight t id w = t.weight.(id) <- t.weight.(id) +. w
-let get_weight t id = t.weight.(id)
-let add_weight2 t id w = t.weight2.(id) <- t.weight2.(id) +. w
-let get_weight2 t id = t.weight2.(id)
-
-(* The batched forms run inside this module, where the accumulator is a
-   local float array: an inlined [add_weight] from another module still
+(* The accumulator is only written and read here, in batched form, as a
+   local float array: a per-node accessor called from another module
    boxes its float argument on every call. *)
 let scatter_weights t (rows : Csr.t) w =
   let o = rows.Csr.offsets and ids = rows.Csr.ids and acc = t.weight in
@@ -347,8 +323,6 @@ let deactivate t id =
   in
   up t.parent.(id)
 
-let is_active t id = t.active.(id)
-
 let root_active_count t = if t.n_nodes = 0 then 0 else eff t root
 
 let root_repr t =
@@ -358,14 +332,8 @@ let point_is_active t i =
   fold_path_to_root t (leaf_of_point t i) ~init:true ~f:(fun acc id ->
       acc && t.active.(id))
 
-let active_count_in_ball t ~center ~radius ~eps =
-  List.fold_left
-    (fun acc id -> acc + node_active_count t id)
-    0
-    (ball_query_active t ~center ~radius ~eps)
-
 let active_count_in_ball_idx t ~center ~radius ~eps =
   List.fold_left
-    (fun acc id -> acc + node_active_count t id)
+    (fun acc id -> acc + eff t id)
     0
     (ball_query_active_idx t ~center ~radius ~eps)

@@ -13,33 +13,21 @@
     boxes in one packed float array, and parent, child, point, count
     and activity fields in int and bool arrays, so a ball query, a
     root-path sum or a rounding step reads flat arrays and follows no
-    per-node record. Each node has two float weight accumulators, held
-    the same way: the first carries the MWU Oracle's node weights
-    (written by {!scatter_weights}, read by {!path_weights}); the
-    second, the [v.w] of Update, serves only GCSO's per-constraint
-    reference oracle, since the production Update counts its hits
-    instead. Nodes also carry an activity flag with active-point counts
-    and representatives (used by the rounding procedure of Appendix C
-    and the RCRO algorithm of Appendix E). *)
+    per-node record. Each node has one float weight accumulator, held
+    the same way: it carries the MWU Oracle's node weights (written by
+    {!scatter_weights}, read by {!path_weights}). Nodes also carry an
+    activity flag with active-point counts and representatives (used by
+    the rounding procedure of Appendix C and the RCRO algorithm of
+    Appendix E). *)
 
 type t
 
-val build : Cso_metric.Point.t array -> t
-(** Builds the tree; single-point leaves. Accepts the empty array.
-    The coordinates are packed into a {!Cso_metric.Points.t} store
-    immediately; no boxed array is retained (test/reference convenience
-    over {!build_packed}, the production entry point). *)
-
 val build_packed : Cso_metric.Points.t -> t
-(** Builds the tree straight from a packed store (same tree, same boxes,
-    same node ids as [build (Points.to_array pts)]). *)
+(** Builds the tree over a packed store; single-point leaves. Accepts
+    the empty store. *)
 
 val size : t -> int
 (** Number of points. *)
-
-val points : t -> Cso_metric.Point.t array
-(** Fresh boxed copies of the points, rebuilt on every call — a
-    test/reference view; production code reads {!coords} by index. *)
 
 val coords : t -> Cso_metric.Points.t
 (** The packed coordinate store the tree was built over. *)
@@ -58,11 +46,6 @@ val balls_all : t -> radius:float -> eps:float -> int list array
     histogram event are identical to the per-point loop (and across pool
     sizes). *)
 
-val ball_query_active : t -> center:Cso_metric.Point.t -> radius:float ->
-  eps:float -> int list
-(** Like [ball_query] but never descends into deactivated nodes; canonical
-    nodes cover only active points. *)
-
 val ball_query_idx : t -> center:int -> radius:float -> eps:float -> int list
 (** [ball_query] centered at the tree's own point [center] (a point
     index), staged from the packed store — no boxed point on the path.
@@ -71,7 +54,8 @@ val ball_query_idx : t -> center:int -> radius:float -> eps:float -> int list
 
 val ball_query_active_idx :
   t -> center:int -> radius:float -> eps:float -> int list
-(** Index-centered {!ball_query_active}. *)
+(** Like {!ball_query_idx} but never descends into deactivated nodes;
+    canonical nodes cover only active points. *)
 
 val points_of_node : t -> int -> int list
 (** All point indices stored under the node. *)
@@ -80,8 +64,6 @@ val active_points_of_node : t -> int -> int list
 
 val node_count : t -> int -> int
 (** Number of points under the node. *)
-
-val node_active_count : t -> int -> int
 
 val leaf_of_point : t -> int -> int
 (** The leaf node holding point [i]. *)
@@ -93,9 +75,6 @@ val n_nodes : t -> int
 val parent : t -> int -> int
 (** Parent node id, [-1] at the root. *)
 
-val node_point : t -> int -> int
-(** The point stored at a leaf node, [-1] for internal nodes. *)
-
 val fold_path_to_root : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
 (** [fold_path_to_root t node ~init ~f] folds [f] over the node ids on the
     path from [node] (inclusive) to the root (inclusive). *)
@@ -103,29 +82,18 @@ val fold_path_to_root : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
 (** {2 Node weights} *)
 
 val reset_weights : t -> unit
-(** Zeroes both weight accumulators on every node. *)
-
-val add_weight : t -> int -> float -> unit
-val get_weight : t -> int -> float
-val add_weight2 : t -> int -> float -> unit
-val get_weight2 : t -> int -> float
-(** Single-node access to the two accumulators. Only the per-constraint
-    reference oracle of GCSO and the tests use these; the production
-    oracle uses the batched pair below and leaves the second
-    accumulator at zero. *)
+(** Zeroes the weight accumulator on every node. *)
 
 val scatter_weights : t -> Csr.t -> float array -> unit
-(** [scatter_weights t rows w] adds [w.(i)] to the first accumulator of
-    every node listed in row [i] of [rows], rows in order and each row
-    in element order: the same float accumulation as the equivalent
-    sequence of [add_weight] calls, without boxing a float per call. *)
+(** [scatter_weights t rows w] adds [w.(i)] to the accumulator of every
+    node listed in row [i] of [rows], rows in order and each row in
+    element order, without boxing a float per addition. *)
 
 val path_weights : t -> float array -> unit
 (** [path_weights t out] sets [out.(l)], for every point [l], to the sum
-    of the first accumulator over the path from [l]'s leaf to the root,
-    added leaf first, as [fold_path_to_root] with [get_weight] would.
-    One pass over the default {!Cso_parallel.Pool}; bit-identical for
-    every pool size. *)
+    of the accumulator over the path from [l]'s leaf to the root, added
+    leaf first, in the order of {!fold_path_to_root}. One pass over the
+    default {!Cso_parallel.Pool}; bit-identical for every pool size. *)
 
 (** {2 Activity (deletion) support} *)
 
@@ -135,8 +103,6 @@ val reset_active : t -> unit
 val deactivate : t -> int -> unit
 (** Deactivates a node (and logically its whole subtree), updating
     active counts and representatives on the path to the root. *)
-
-val is_active : t -> int -> bool
 
 val root_active_count : t -> int
 (** Number of points not covered by any deactivated node. *)
@@ -148,14 +114,11 @@ val point_is_active : t -> int -> bool
 (** True iff no node on the path from point [i]'s leaf to the root has
     been deactivated. *)
 
-val active_count_in_ball : t -> center:Cso_metric.Point.t -> radius:float ->
-  eps:float -> int
-(** Sum of active counts over the canonical nodes of the (active) query:
-    approximately [|B(c,r) cap active P|]. *)
-
 val active_count_in_ball_idx : t -> center:int -> radius:float ->
   eps:float -> int
-(** Index-centered {!active_count_in_ball}. *)
+(** Sum of active counts over the canonical nodes of the active query
+    centered at point [center]: approximately
+    [|B(c,r) cap active P|]. *)
 
 val budgets : Cso_obs.Obs.Budget.t list
 (** Declared complexity budget for the per-query node-visit histogram

@@ -1,5 +1,5 @@
-(* Logarithmic-method (rebuild-by-level) dynamic wrappers over the
-   static packed tree builds.
+(* Logarithmic-method (rebuild-by-level) dynamic wrapper over the
+   static packed BBD tree build.
 
    The classic Bentley–Saxe decomposition: live points are partitioned
    into O(log n) static trees ("levels"), level [i] holding at most
@@ -23,22 +23,13 @@
 
    Determinism contract: every operation is sequential and derived only
    from the operation sequence — level layouts, point ids, query answers
-   and all [geom.dyn*] counters are bit-identical across domain counts
+   and all [geom.dynbbd.*] counters are bit-identical across domain counts
    and with [CSO_OBS=0] (modulo the counters themselves being off). Query
    answers are sorted ascending by point id, so they are directly
    comparable with a static rebuild of the survivors. *)
 
 module Point = Cso_metric.Point
 module Obs = Cso_obs.Obs
-
-module type STATIC = sig
-  type tree
-
-  val build : Cso_metric.Points.t -> tree
-  (** Packed build — the production entry point of every static tree. *)
-
-  val prefix : string (* counter namespace, e.g. "geom.dynbbd" *)
-end
 
 type stats = {
   inserts : int;
@@ -50,15 +41,15 @@ type stats = {
 
 let default_alpha = 0.25
 
-module Core (S : STATIC) = struct
-  let c_inserts = Obs.counter (S.prefix ^ ".inserts")
-  let c_deletes = Obs.counter (S.prefix ^ ".deletes")
-  let c_level_rebuilds = Obs.counter (S.prefix ^ ".level_rebuilds")
-  let c_points_rebuilt = Obs.counter (S.prefix ^ ".points_rebuilt")
-  let c_partial_rebuilds = Obs.counter (S.prefix ^ ".partial_rebuilds")
+module Ball = struct
+  let c_inserts = Obs.counter "geom.dynbbd.inserts"
+  let c_deletes = Obs.counter "geom.dynbbd.deletes"
+  let c_level_rebuilds = Obs.counter "geom.dynbbd.level_rebuilds"
+  let c_points_rebuilt = Obs.counter "geom.dynbbd.points_rebuilt"
+  let c_partial_rebuilds = Obs.counter "geom.dynbbd.partial_rebuilds"
 
   type level = {
-    tree : S.tree;
+    tree : Bbd_tree.t;
     ids : int array; (* external id of local point index, ascending *)
     mutable dead : int; (* tombstones currently stored in this level *)
   }
@@ -82,9 +73,9 @@ module Core (S : STATIC) = struct
   }
 
   let create ?(alpha = default_alpha) ~dim () =
-    if dim < 1 then invalid_arg (S.prefix ^ ".create: dim < 1");
+    if dim < 1 then invalid_arg "geom.dynbbd.create: dim < 1";
     if not (alpha > 0.0 && alpha <= 1.0) then
-      invalid_arg (S.prefix ^ ".create: alpha must be in (0, 1]");
+      invalid_arg "geom.dynbbd.create: alpha must be in (0, 1]";
     {
       dim;
       alpha;
@@ -112,7 +103,7 @@ module Core (S : STATIC) = struct
   let mem t id = id >= 0 && id < t.next_id && t.alive.(id)
 
   let point t id =
-    if not (mem t id) then invalid_arg (S.prefix ^ ".point: dead or unknown id");
+    if not (mem t id) then invalid_arg "geom.dynbbd.point: dead or unknown id";
     Array.copy t.coords.(id)
 
   let stats t =
@@ -170,7 +161,9 @@ module Core (S : STATIC) = struct
     grow_levels t level;
     let pts = Array.map (fun id -> t.coords.(id)) ids in
     t.levels.(level) <-
-      Some { tree = S.build (Cso_metric.Points.of_array pts); ids; dead = 0 };
+      Some
+        { tree = Bbd_tree.build_packed (Cso_metric.Points.of_array pts); ids;
+          dead = 0 };
     Array.iter (fun id -> t.loc.(id) <- level) ids;
     t.n_stored <- t.n_stored + Array.length ids;
     t.s_level_rebuilds <- t.s_level_rebuilds + 1;
@@ -196,7 +189,7 @@ module Core (S : STATIC) = struct
 
   let insert t p =
     if Array.length p <> t.dim then
-      invalid_arg (S.prefix ^ ".insert: wrong dimension");
+      invalid_arg "geom.dynbbd.insert: wrong dimension";
     grow_ids t;
     let id = t.next_id in
     t.coords.(id) <- Array.copy p;
@@ -244,7 +237,7 @@ module Core (S : STATIC) = struct
 
   let delete t id =
     if not (mem t id) then
-      invalid_arg (S.prefix ^ ".delete: dead or unknown id");
+      invalid_arg "geom.dynbbd.delete: dead or unknown id";
     t.alive.(id) <- false;
     t.n_live <- t.n_live - 1;
     t.n_dead_stored <- t.n_dead_stored + 1;
@@ -263,18 +256,11 @@ module Core (S : STATIC) = struct
         if float_of_int l.dead >= t.alpha *. float_of_int live then
           rebuild_level t i)
 
-  (* Folds [f] over the non-empty levels in ascending level order. *)
+  (* Folds [f] over the non-empty levels in ascending level order. [f]
+     sees the whole level record, so counting queries can branch on
+     [dead = 0] (tombstone-free level: canonical-node counts are
+     exact). *)
   let fold_levels t ~init ~f =
-    let acc = ref init in
-    for i = 0 to Array.length t.levels - 1 do
-      match t.levels.(i) with None -> () | Some l -> acc := f !acc l.tree l.ids
-    done;
-    !acc
-
-  (* Like [fold_levels] but hands the whole level record to [f], so the
-     instantiations can branch on [dead = 0] (tombstone-free level:
-     counting queries may trust canonical-node counts). *)
-  let fold_levels_ex t ~init ~f =
     let acc = ref init in
     for i = 0 to Array.length t.levels - 1 do
       match t.levels.(i) with None -> () | Some l -> acc := f !acc l
@@ -282,19 +268,8 @@ module Core (S : STATIC) = struct
     !acc
 
   let is_alive t id = t.alive.(id)
-end
 
-(* ------------------------------------------------------------------ *)
-(* BBD instantiation: approximate / exact ball queries                 *)
-(* ------------------------------------------------------------------ *)
-
-module Ball = struct
-  include Core (struct
-    type tree = Bbd_tree.t
-
-    let build = Bbd_tree.build_packed
-    let prefix = "geom.dynbbd"
-  end)
+  (* --- ball queries --- *)
 
   let of_points ?alpha pts =
     if Array.length pts = 0 then
@@ -311,17 +286,17 @@ module Ball = struct
     if Array.length center <> t.dim then
       invalid_arg "geom.dynbbd.ball_points: wrong dimension";
     let ids =
-      fold_levels t ~init:[] ~f:(fun acc tree ids ->
+      fold_levels t ~init:[] ~f:(fun acc l ->
           List.fold_left
             (fun acc node ->
               List.fold_left
                 (fun acc local ->
-                  let id = ids.(local) in
+                  let id = l.ids.(local) in
                   if is_alive t id then id :: acc else acc)
                 acc
-                (Bbd_tree.points_of_node tree node))
+                (Bbd_tree.points_of_node l.tree node))
             acc
-            (Bbd_tree.ball_query tree ~center ~radius ~eps))
+            (Bbd_tree.ball_query l.tree ~center ~radius ~eps))
     in
     List.sort compare ids
 
@@ -336,7 +311,7 @@ module Ball = struct
   let count_in_ball t ~center ~radius =
     if Array.length center <> t.dim then
       invalid_arg "geom.dynbbd.count_in_ball: wrong dimension";
-    fold_levels_ex t ~init:0 ~f:(fun acc l ->
+    fold_levels t ~init:0 ~f:(fun acc l ->
         let nodes = Bbd_tree.ball_query l.tree ~center ~radius ~eps:0.0 in
         if l.dead = 0 then
           List.fold_left
@@ -351,52 +326,4 @@ module Ball = struct
                 acc
                 (Bbd_tree.points_of_node l.tree node))
             acc nodes)
-end
-
-(* ------------------------------------------------------------------ *)
-(* Range-tree instantiation: exact orthogonal range queries            *)
-(* ------------------------------------------------------------------ *)
-
-module Range = struct
-  include Core (struct
-    type tree = Range_tree.t
-
-    let build = Range_tree.build_packed
-    let prefix = "geom.dynrtree"
-  end)
-
-  let of_points ?alpha pts =
-    if Array.length pts = 0 then
-      invalid_arg "geom.dynrtree.of_points: empty (use create ~dim)";
-    let t = create ?alpha ~dim:(Array.length pts.(0)) () in
-    Array.iter (fun p -> ignore (insert t p)) pts;
-    t
-
-  let report t rect =
-    if Rect.dim rect <> t.dim then
-      invalid_arg "geom.dynrtree.report: wrong dimension";
-    let ids =
-      fold_levels t ~init:[] ~f:(fun acc tree ids ->
-          List.fold_left
-            (fun acc local ->
-              let id = ids.(local) in
-              if is_alive t id then id :: acc else acc)
-            acc (Range_tree.report tree rect))
-    in
-    List.sort compare ids
-
-  (* Canonical nodes exactly partition [rect cap stored] per level, so a
-     tombstone-free level answers from [Range_tree.count] (canonical-node
-     counts, no point materialization); only dirty levels pay a report
-     plus a liveness filter. *)
-  let count t rect =
-    if Rect.dim rect <> t.dim then
-      invalid_arg "geom.dynrtree.count: wrong dimension";
-    fold_levels_ex t ~init:0 ~f:(fun acc l ->
-        if l.dead = 0 then acc + Range_tree.count l.tree rect
-        else
-          List.fold_left
-            (fun acc local -> if is_alive t l.ids.(local) then acc + 1 else acc)
-            acc
-            (Range_tree.report l.tree rect))
 end

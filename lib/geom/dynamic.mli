@@ -1,4 +1,4 @@
-(** Dynamic (insert/delete) wrappers over the static trees, via the
+(** Dynamic (insert/delete) wrapper over the static BBD tree, via the
     logarithmic method (Bentley–Saxe rebuild-by-level).
 
     Live points are partitioned into O(log n) static trees; level [i]
@@ -18,9 +18,9 @@
     [balls_all] path) and drop tombstones, returning live point ids
     sorted ascending — directly comparable with a static rebuild over
     the surviving points, and bit-identical across domain counts and
-    with [CSO_OBS=0]. Counting queries ({!Ball.count_in_ball},
-    {!Range.count}) answer tombstone-free levels straight from
-    canonical-node counts without materializing points.
+    with [CSO_OBS=0]. {!Ball.count_in_ball} answers tombstone-free
+    levels straight from canonical-node counts without materializing
+    points.
 
     Ids are dense non-negative integers assigned in insertion order and
     never reused. All operations are sequential; a [t] must not be
@@ -120,37 +120,4 @@ module Ball : sig
   (** [List.length (ball_report ...)], but tombstone-free levels are
       answered from canonical-node counts without materializing
       points. *)
-end
-
-(** Range-tree levels: exact orthogonal range reporting and counting
-    under insertions and deletions. *)
-module Range : sig
-  type t
-
-  val create : ?alpha:float -> dim:int -> unit -> t
-  val of_points : ?alpha:float -> Cso_metric.Point.t array -> t
-  val insert : t -> Cso_metric.Point.t -> int
-  val delete : t -> int -> unit
-  val mem : t -> int -> bool
-  val point : t -> int -> Cso_metric.Point.t
-  val dim : t -> int
-  val alpha : t -> float
-  val live_count : t -> int
-  val stored_count : t -> int
-  val next_id : t -> int
-  val live_ids : t -> int list
-  val live_points : t -> (int * Cso_metric.Point.t) list
-  val level_sizes : t -> int list
-  val level_stats : t -> (int * int) list
-  val stats : t -> stats
-
-  val report : t -> Rect.t -> int list
-  (** Live ids inside the rectangle (closed intervals), sorted
-      ascending — bit-identical to a static rebuild of the survivors. *)
-
-  val count : t -> Rect.t -> int
-  (** [List.length (report ...)], but tombstone-free levels are
-      answered from canonical-node counts ([Range_tree.count]) without
-      materializing points; only levels holding tombstones pay a report
-      plus a liveness filter. *)
 end

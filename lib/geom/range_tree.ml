@@ -1,4 +1,3 @@
-module Point = Cso_metric.Point
 module Points = Cso_metric.Points
 module Obs = Cso_obs.Obs
 
@@ -69,7 +68,6 @@ type t = {
   d : int;
   root : tree option;
   weight : float array; (* indexed by global canonical-node id *)
-  weight2 : float array;
   mark : int array;
   parent : int array; (* global id -> global parent id, -1 at seg roots *)
   seg_of : seg array; (* all last-level subtrees *)
@@ -193,16 +191,12 @@ let build_packed coords =
     d;
     root;
     weight = Array.make state.next 0.0;
-    weight2 = Array.make state.next 0.0;
     mark = Array.make state.next 0;
     parent;
     seg_of = Array.of_list (List.rev state.segs);
     point_leaves = state.b_point_leaves;
   }
 
-let build pts = build_packed (Points.of_array pts)
-
-let size t = Points.length t.coords
 let n_nodes t = Array.length t.weight
 
 (* Canonical cover of index range [a, b) inside a seg. *)
@@ -319,12 +313,7 @@ let set_subtree_weights t w gid =
 
 let node_weight t gid = t.weight.(gid)
 
-let add_weight2 t gid w = t.weight2.(gid) <- t.weight2.(gid) +. w
-let node_weight2 t gid = t.weight2.(gid)
-let reset_weight2 t = Array.fill t.weight2 0 (Array.length t.weight2) 0.0
-
 let add_mark t gid = t.mark.(gid) <- t.mark.(gid) + 1
-let node_mark t gid = t.mark.(gid)
 let reset_marks t = Array.fill t.mark 0 (Array.length t.mark) 0
 
 let fold_point_paths t i ~init ~f =

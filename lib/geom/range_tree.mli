@@ -14,9 +14,6 @@
       the tree, as under nested rectangles; then it, like the
       per-constraint reference oracle, calls the whole-tree
       [set_point_weights];
-    - a second accumulator ([add_weight2], the [v.w] of Update), read
-      only by that reference: the production Update counts rectangle
-      hits from the chosen rectangles' member points instead;
     - an integer {e mark} (the [u.list] occupancy of the Round procedure).
 
     [fold_point_paths] visits, for a point [p], every node on the paths
@@ -25,15 +22,9 @@
 
 type t
 
-val build : Cso_metric.Point.t array -> t
-(** Accepts the empty array and any dimension [>= 1]. Coordinates are
-    packed into a {!Cso_metric.Points.t} store internally. *)
-
 val build_packed : Cso_metric.Points.t -> t
-(** Builds straight from a packed store — same tree and node ids as
-    [build (Points.to_array pts)], without re-boxing. *)
-
-val size : t -> int
+(** Builds the tree over a packed store. Accepts the empty store and
+    any dimension [>= 1]. *)
 
 val n_nodes : t -> int
 (** Number of canonical (last-level) nodes: node ids are
@@ -72,12 +63,7 @@ val node_count : t -> int -> int
 
 val node_points : t -> int -> int list
 
-val add_weight2 : t -> int -> float -> unit
-val node_weight2 : t -> int -> float
-val reset_weight2 : t -> unit
-
 val add_mark : t -> int -> unit
-val node_mark : t -> int -> int
 val reset_marks : t -> unit
 
 val fold_point_paths : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a

@@ -3,7 +3,7 @@ module Pool = Cso_parallel.Pool
 module Obs = Cso_obs.Obs
 
 (* One round per center chosen after the first; [pruned] counts update
-   candidates the triangle-inequality test in [run_points_fast] skipped
+   candidates the triangle-inequality test in [run_packed] skipped
    without evaluating a distance. *)
 let c_rounds = Obs.counter "kcenter.gonzalez.rounds"
 let c_pruned = Obs.counter "kcenter.gonzalez.pruned"
@@ -80,10 +80,8 @@ let run_points pts ~k =
   let s = Space.of_points pts in
   run_all s ~k
 
-(* The packed kernel behind [run_points_fast]: same relaxation, same
-   triangle-inequality prune, every distance through the index kernel on
-   the packed store — results and counter deltas are bit-identical to
-   the boxed loop on the same coordinates. *)
+(* Same relaxation as [run], plus a triangle-inequality prune, with every
+   distance through the index kernel on the packed store. *)
 let run_packed coords ~k =
   let module Points = Cso_metric.Points in
   let n = Points.length coords in
@@ -132,7 +130,3 @@ let run_packed coords ~k =
     ( List.init !n_centers (fun j -> centers.(j)),
       max_dist pool dist n )
   end
-
-let run_points_fast pts ~k =
-  if k <= 0 then invalid_arg "Gonzalez.run_points_fast: k <= 0";
-  run_packed (Cso_metric.Points.of_array pts) ~k

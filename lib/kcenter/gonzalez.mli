@@ -28,20 +28,15 @@ val run_points : Cso_metric.Point.t array -> k:int -> int list * float
 (** Euclidean convenience wrapper (this is our Feder–Greene [40]
     stand-in, see DESIGN.md substitution 3). *)
 
-val run_points_fast : Cso_metric.Point.t array -> k:int -> int list * float
-(** Same output as {!run_points}, bit for bit, but prunes distance
-    computations with the triangle inequality: when a new center [c] is
-    at distance [>= 2 d_i] from point [i]'s current center, [d(c, i)]
-    cannot improve [d_i] and is skipped. Large constant-factor speedups
-    on clustered inputs with many centers. Packs the coordinates and
-    runs {!run_packed}. *)
-
 val run_packed : Cso_metric.Points.t -> k:int -> int list * float
-(** The kernel behind {!run_points_fast}, taking an already-packed
-    store: all distances go through [Points.l2_idx], so no boxed point
-    is touched in the inner loops. Output and [metric.dist_evals] /
-    [kcenter.gonzalez.*] counter deltas are bit-identical to
-    [run_points_fast (Points.to_array coords)]. *)
+(** Same output as {!run_points} over the same coordinates, bit for
+    bit, but prunes distance computations with the triangle inequality:
+    when a new center [c] is at distance [>= 2 d_i] from point [i]'s
+    current center, [d(c, i)] cannot improve [d_i] and is skipped.
+    Large constant-factor speedups on clustered inputs with many
+    centers. All distances go through [Points.l2_idx], so no boxed
+    point is touched in the inner loops. Raises [Invalid_argument] when
+    [k <= 0] on a non-empty store. *)
 
 val budgets : Cso_obs.Obs.Budget.t list
 (** Declared complexity budget for the distance-evaluation series of the

@@ -44,249 +44,41 @@ let validate p =
       if Array.length a <> p.num_vars then invalid_arg "Simplex: row length")
     p.constraints
 
-(* The working tableau. Row layout: [coefficients ... | rhs]. [basis.(i)]
-   is the column currently basic in row [i]. *)
+(* The working tableau: the m x (ncols + 1) matrix [coefficients | rhs]
+   in one row-major [float array] of stride [ncols + 1] — one
+   allocation, and no per-row pointer chase in the pivot's elimination
+   sweep (the dominant cost of a solve). [basis.(i)] is the column
+   currently basic in row [i]. The row-of-rows tableau this replaced is
+   kept in [lib/refcheck] ([Reference.simplex_solve]); outcomes, pivot
+   sequences and the [lp.simplex.*] counters are pinned bit-identical
+   to it. *)
+
 type tableau = {
-  mutable rows : float array array;
-  mutable basis : int array;
+  tab : float array; (* row i at offset i * stride *)
+  basis : int array;
   ncols : int;
+  m : int;
+  stride : int; (* ncols + 1 *)
 }
 
 let pivot t obj r c =
   Obs.incr c_pivots;
   incr (Domain.DLS.get dls_pivots);
-  let piv = t.rows.(r).(c) in
-  let row = t.rows.(r) in
-  for j = 0 to t.ncols do
-    row.(j) <- row.(j) /. piv
-  done;
-  let eliminate target =
-    let f = target.(c) in
-    if abs_float f > 0.0 then
-      for j = 0 to t.ncols do
-        target.(j) <- target.(j) -. (f *. row.(j))
-      done
-  in
-  Array.iteri (fun i tr -> if i <> r then eliminate tr) t.rows;
-  eliminate obj;
-  t.basis.(r) <- c
-
-(* Reduced-cost row for [cost]: obj.(j) = z_j - c_j; obj.(ncols) = value. *)
-let objective_row t cost =
-  let obj = Array.make (t.ncols + 1) 0.0 in
-  for j = 0 to t.ncols do
-    let zj = ref 0.0 in
-    Array.iteri (fun i b -> zj := !zj +. (cost.(b) *. t.rows.(i).(j))) t.basis;
-    obj.(j) <- !zj -. (if j < t.ncols then cost.(j) else 0.0)
-  done;
-  obj
-
-(* Primal simplex with Bland's rule (smallest-index entering column,
-   smallest-index tie-break on the leaving variable): guarantees
-   termination. We benchmarked Dantzig (most-negative) pricing on the
-   CSO coverage LPs and it was consistently ~2x slower in pivots there
-   — phase-1 feasibility dominates and the first improving column is
-   almost always good — so Bland is also the fast choice here.
-   [allowed.(j)] gates entering columns. *)
-let optimize t cost allowed =
-  let obj = objective_row t cost in
-  let m = Array.length t.rows in
-  let rec loop () =
-    let entering = ref (-1) in
-    (try
-       for j = 0 to t.ncols - 1 do
-         if allowed.(j) && obj.(j) < -.eps then begin
-           entering := j;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    if !entering < 0 then `Optimal obj.(t.ncols)
-    else begin
-      let c = !entering in
-      (* Ratio test; Bland tie-break on the leaving basic variable. *)
-      let best_row = ref (-1) and best_ratio = ref infinity in
-      for i = 0 to m - 1 do
-        let a = t.rows.(i).(c) in
-        if a > eps then begin
-          let ratio = t.rows.(i).(t.ncols) /. a in
-          if
-            ratio < !best_ratio -. eps
-            || (ratio < !best_ratio +. eps
-                && (!best_row < 0 || t.basis.(i) < t.basis.(!best_row)))
-          then begin
-            best_row := i;
-            best_ratio := ratio
-          end
-        end
-      done;
-      if !best_row < 0 then `Unbounded
-      else begin
-        pivot t obj !best_row c;
-        loop ()
-      end
-    end
-  in
-  loop ()
-
-let solve_shifted p =
-  let n = p.num_vars in
-  let shift = Array.map fst p.bounds in
-  let width = Array.map (fun (lo, hi) -> hi -. lo) p.bounds in
-  (* Rows: user constraints with rhs shifted, then the upper bounds. *)
-  let user_rows =
-    List.map
-      (fun (a, op, b) ->
-        let b' = ref b in
-        for i = 0 to n - 1 do
-          b' := !b' -. (a.(i) *. shift.(i))
-        done;
-        (Array.copy a, op, !b'))
-      p.constraints
-  in
-  let bound_rows =
-    List.init n (fun i ->
-        let a = Array.make n 0.0 in
-        a.(i) <- 1.0;
-        (a, Le, width.(i)))
-  in
-  let rows0 = user_rows @ bound_rows in
-  (* Normalize rhs >= 0. *)
-  let rows0 =
-    List.map
-      (fun (a, op, b) ->
-        if b < 0.0 then
-          ( Array.map (fun x -> -.x) a,
-            (match op with Le -> Ge | Ge -> Le | Eq -> Eq),
-            -.b )
-        else (a, op, b))
-      rows0
-  in
-  let m = List.length rows0 in
-  (* Column layout: structural | slack/surplus | artificial. *)
-  let n_slack =
-    List.fold_left
-      (fun acc (_, op, _) -> match op with Le | Ge -> acc + 1 | Eq -> acc)
-      0 rows0
-  in
-  let n_art =
-    List.fold_left
-      (fun acc (_, op, _) -> match op with Ge | Eq -> acc + 1 | Le -> acc)
-      0 rows0
-  in
-  let ncols = n + n_slack + n_art in
-  let rows = Array.make m [||] in
-  let basis = Array.make m 0 in
-  let is_artificial = Array.make ncols false in
-  let slack_idx = ref n and art_idx = ref (n + n_slack) in
-  List.iteri
-    (fun i (a, op, b) ->
-      let row = Array.make (ncols + 1) 0.0 in
-      Array.blit a 0 row 0 n;
-      row.(ncols) <- b;
-      (match op with
-      | Le ->
-          row.(!slack_idx) <- 1.0;
-          basis.(i) <- !slack_idx;
-          incr slack_idx
-      | Ge ->
-          row.(!slack_idx) <- -1.0;
-          incr slack_idx;
-          row.(!art_idx) <- 1.0;
-          is_artificial.(!art_idx) <- true;
-          basis.(i) <- !art_idx;
-          incr art_idx
-      | Eq ->
-          row.(!art_idx) <- 1.0;
-          is_artificial.(!art_idx) <- true;
-          basis.(i) <- !art_idx;
-          incr art_idx);
-      rows.(i) <- row)
-    rows0;
-  let t = { rows; basis; ncols } in
-  (* Phase 1: maximize -(sum of artificials). *)
-  let phase1_cost =
-    Array.init ncols (fun j -> if is_artificial.(j) then -1.0 else 0.0)
-  in
-  let all_allowed = Array.make ncols true in
-  (match optimize t phase1_cost all_allowed with
-  | `Unbounded -> assert false (* phase-1 objective is bounded by 0 *)
-  | `Optimal v -> if v < -1e-7 then raise Exit);
-  (* Drive artificials out of the basis where possible; redundant rows
-     (all-zero over non-artificial columns) are neutralized in place. *)
-  let m = Array.length t.rows in
-  for i = 0 to m - 1 do
-    if is_artificial.(t.basis.(i)) then begin
-      let found = ref (-1) in
-      (try
-         for j = 0 to ncols - 1 do
-           if (not is_artificial.(j)) && abs_float t.rows.(i).(j) > 1e-7 then begin
-             found := j;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      if !found >= 0 then begin
-        let dummy = Array.make (t.ncols + 1) 0.0 in
-        pivot t dummy i !found
-      end
-    end
-  done;
-  (* Phase 2. *)
-  let phase2_cost = Array.make ncols 0.0 in
-  Array.blit p.objective 0 phase2_cost 0 n;
-  let allowed = Array.map not is_artificial in
-  match optimize t phase2_cost allowed with
-  | `Unbounded -> Unbounded
-  | `Optimal _ ->
-      let x = Array.make n 0.0 in
-      Array.iteri
-        (fun i b -> if b < n then x.(b) <- t.rows.(i).(t.ncols))
-        t.basis;
-      let solution = Array.init n (fun i -> x.(i) +. shift.(i)) in
-      let value = ref 0.0 in
-      for i = 0 to n - 1 do
-        value := !value +. (p.objective.(i) *. solution.(i))
-      done;
-      Optimal { value = !value; solution }
-
-(* ------------------------------------------------------------------ *)
-(* Flat tableau.
-
-   Same algorithm as above, with the m x (ncols + 1) tableau stored in
-   one row-major [float array] of stride [ncols + 1]: one allocation,
-   no per-row pointer chase in the pivot's elimination sweep (the
-   dominant cost of a solve). Every arithmetic operation, its order,
-   and the [abs_float f > 0.0] elimination skip are kept literally, so
-   outcomes, pivot sequences and the [lp.simplex.*] counters are
-   bit-identical to the reference implementation kept above. *)
-
-type ftableau = {
-  tab : float array; (* row i at offset i * stride *)
-  fbasis : int array;
-  fncols : int;
-  fm : int;
-  stride : int; (* fncols + 1 *)
-}
-
-let fpivot t obj r c =
-  Obs.incr c_pivots;
-  incr (Domain.DLS.get dls_pivots);
-  let tab = t.tab and stride = t.stride and nc = t.fncols in
+  let tab = t.tab and stride = t.stride and nc = t.ncols in
   let ro = r * stride in
   let piv = tab.(ro + c) in
   for j = ro to ro + nc do
     Array.unsafe_set tab j (Array.unsafe_get tab j /. piv)
   done;
-  for i = 0 to t.fm - 1 do
+  for i = 0 to t.m - 1 do
     if i <> r then begin
       let io = i * stride in
       let f = Array.unsafe_get tab (io + c) in
       if abs_float f > 0.0 then begin
         (* Elimination sweep, four elements per iteration. Each element
            is updated independently with the same single fused
-           expression as the reference, so the unroll changes neither
-           results nor rounding -- only loop overhead. *)
+           expression as the row-by-row sweep, so the unroll changes
+           neither results nor rounding -- only loop overhead. *)
         let a = ref io and b = ref ro in
         let last = io + nc in
         while !a + 3 <= last do
@@ -320,33 +112,40 @@ let fpivot t obj r c =
      for j = 0 to nc do
        obj.(j) <- obj.(j) -. (f *. Array.unsafe_get tab (ro + j))
      done);
-  t.fbasis.(r) <- c
+  t.basis.(r) <- c
 
-let fobjective_row t cost =
-  let obj = Array.make (t.fncols + 1) 0.0 in
-  for j = 0 to t.fncols do
+let objective_row t cost =
+  let obj = Array.make (t.ncols + 1) 0.0 in
+  for j = 0 to t.ncols do
     let zj = ref 0.0 in
     Array.iteri
       (fun i b -> zj := !zj +. (cost.(b) *. t.tab.((i * t.stride) + j)))
-      t.fbasis;
-    obj.(j) <- !zj -. (if j < t.fncols then cost.(j) else 0.0)
+      t.basis;
+    obj.(j) <- !zj -. (if j < t.ncols then cost.(j) else 0.0)
   done;
   obj
 
-let foptimize t cost allowed =
-  let obj = fobjective_row t cost in
-  let m = t.fm in
+(* Primal simplex with Bland's rule (smallest-index entering column,
+   smallest-index tie-break on the leaving variable): guarantees
+   termination. We benchmarked Dantzig (most-negative) pricing on the
+   CSO coverage LPs and it was consistently ~2x slower in pivots there
+   — phase-1 feasibility dominates and the first improving column is
+   almost always good — so Bland is also the fast choice here.
+   [allowed.(j)] gates entering columns. *)
+let optimize t cost allowed =
+  let obj = objective_row t cost in
+  let m = t.m in
   let rec loop () =
     let entering = ref (-1) in
     (try
-       for j = 0 to t.fncols - 1 do
+       for j = 0 to t.ncols - 1 do
          if allowed.(j) && obj.(j) < -.eps then begin
            entering := j;
            raise Exit
          end
        done
      with Exit -> ());
-    if !entering < 0 then `Optimal obj.(t.fncols)
+    if !entering < 0 then `Optimal obj.(t.ncols)
     else begin
       let c = !entering in
       (* Ratio test; Bland tie-break on the leaving basic variable. *)
@@ -354,11 +153,11 @@ let foptimize t cost allowed =
       for i = 0 to m - 1 do
         let a = t.tab.((i * t.stride) + c) in
         if a > eps then begin
-          let ratio = t.tab.((i * t.stride) + t.fncols) /. a in
+          let ratio = t.tab.((i * t.stride) + t.ncols) /. a in
           if
             ratio < !best_ratio -. eps
             || (ratio < !best_ratio +. eps
-                && (!best_row < 0 || t.fbasis.(i) < t.fbasis.(!best_row)))
+                && (!best_row < 0 || t.basis.(i) < t.basis.(!best_row)))
           then begin
             best_row := i;
             best_ratio := ratio
@@ -367,14 +166,14 @@ let foptimize t cost allowed =
       done;
       if !best_row < 0 then `Unbounded
       else begin
-        fpivot t obj !best_row c;
+        pivot t obj !best_row c;
         loop ()
       end
     end
   in
   loop ()
 
-let solve_shifted_flat p =
+let solve_shifted p =
   let n = p.num_vars in
   let shift = Array.map fst p.bounds in
   let width = Array.map (fun (lo, hi) -> hi -. lo) p.bounds in
@@ -448,19 +247,19 @@ let solve_shifted_flat p =
           basis.(i) <- !art_idx;
           incr art_idx)
     rows0;
-  let t = { tab; fbasis = basis; fncols = ncols; fm = m; stride } in
+  let t = { tab; basis; ncols; m; stride } in
   (* Phase 1: maximize -(sum of artificials). *)
   let phase1_cost =
     Array.init ncols (fun j -> if is_artificial.(j) then -1.0 else 0.0)
   in
   let all_allowed = Array.make ncols true in
-  (match foptimize t phase1_cost all_allowed with
+  (match optimize t phase1_cost all_allowed with
   | `Unbounded -> assert false (* phase-1 objective is bounded by 0 *)
   | `Optimal v -> if v < -1e-7 then raise Exit);
   (* Drive artificials out of the basis where possible; redundant rows
      (all-zero over non-artificial columns) are neutralized in place. *)
   for i = 0 to m - 1 do
-    if is_artificial.(t.fbasis.(i)) then begin
+    if is_artificial.(t.basis.(i)) then begin
       let off = i * stride in
       let found = ref (-1) in
       (try
@@ -474,7 +273,7 @@ let solve_shifted_flat p =
        with Exit -> ());
       if !found >= 0 then begin
         let dummy = Array.make (ncols + 1) 0.0 in
-        fpivot t dummy i !found
+        pivot t dummy i !found
       end
     end
   done;
@@ -482,13 +281,13 @@ let solve_shifted_flat p =
   let phase2_cost = Array.make ncols 0.0 in
   Array.blit p.objective 0 phase2_cost 0 n;
   let allowed = Array.map not is_artificial in
-  match foptimize t phase2_cost allowed with
+  match optimize t phase2_cost allowed with
   | `Unbounded -> Unbounded
   | `Optimal _ ->
       let x = Array.make n 0.0 in
       Array.iteri
         (fun i b -> if b < n then x.(b) <- tab.((i * stride) + ncols))
-        t.fbasis;
+        t.basis;
       let solution = Array.init n (fun i -> x.(i) +. shift.(i)) in
       let value = ref 0.0 in
       for i = 0 to n - 1 do
@@ -496,7 +295,7 @@ let solve_shifted_flat p =
       done;
       Optimal { value = !value; solution }
 
-let solve_with shifted p =
+let solve p =
   validate p;
   Obs.incr c_solves;
   let local = Domain.DLS.get dls_pivots in
@@ -505,10 +304,7 @@ let solve_with shifted p =
     ~finally:(fun () -> Obs.Hist.observe h_pivots (!local - before))
     (fun () ->
       Obs.with_span "simplex.solve" (fun () ->
-          try shifted p with Exit -> Infeasible))
-
-let solve p = solve_with solve_shifted_flat p
-let solve_reference p = solve_with solve_shifted p
+          try solve_shifted p with Exit -> Infeasible))
 
 let feasible_point p =
   match solve { p with objective = Array.make p.num_vars 0.0 } with

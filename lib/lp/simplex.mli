@@ -29,13 +29,9 @@ val solve : problem -> outcome
 
     The working tableau is one flat row-major [float array] (stride
     [ncols + 1]); see DESIGN.md section 3e. Outcomes, pivot sequences
-    and all [lp.simplex.*] counters are bit-identical to
-    {!solve_reference}. *)
-
-val solve_reference : problem -> outcome
-(** The original row-of-rows tableau implementation, kept as the
-    differential-testing and benchmarking baseline for {!solve}. Shares
-    every counter and histogram with it. *)
+    and all [lp.simplex.*] counters are bit-identical to the
+    row-of-rows tableau it replaced, kept as
+    [Cso_refcheck.Reference.simplex_solve]. *)
 
 val feasible_point : problem -> float array option
 (** Ignores the objective; [Some x] for any feasible [x], or [None]. *)

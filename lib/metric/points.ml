@@ -382,245 +382,3 @@ let l1_idx t i j =
                (Array.unsafe_get data (oi + k) -. Array.unsafe_get data (oj + k))
       done;
       !acc
-
-(* Float32 Bigarray backing for memory-bound sweeps.
-
-   Storage-only single precision: [of_points] rounds every coordinate to
-   the nearest float32 once (the Bigarray write performs the IEEE
-   round-to-nearest conversion); the kernels read coordinates back as
-   doubles (exact — every float32 is a double) and do all arithmetic in
-   double, exactly the fused expressions of the float64 kernels. OCaml
-   has no float32 arithmetic, and we would not want it: computing in
-   double over rounded inputs keeps the error analysis to the input
-   quantization alone and makes the kernels bit-deterministic.
-
-   Precision contract (documented in the mli, property-tested in
-   suite_metric): with e_k = |fl32(x_ik) - x_ik| + |fl32(x_jk) - x_jk|
-   <= 2^-24 (|x_ik| + |x_jk|) the squared-distance error is bounded by
-   sum_k (2 |d_k| e_k + e_k^2) up to double rounding.
-
-   The payoff is bandwidth: a float32 store moves half the bytes of the
-   float64 store, which is the whole cost of a memory-bound sweep. The
-   counter accounting is unchanged — one [metric.dist_evals] event per
-   element, same as the float64 kernels, so sweeps over either backing
-   feed the same Table-1 series. *)
-module F32 = struct
-  type store = {
-    data32 :
-      (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t;
-    n : int;
-    dim : int;
-  }
-
-  let of_points (p : t) =
-    let data32 =
-      Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout
-        (p.n * p.dim)
-    in
-    for k = 0 to (p.n * p.dim) - 1 do
-      (* This write is the one lossy step: round-to-nearest float32. *)
-      Bigarray.Array1.unsafe_set data32 k (Array.unsafe_get p.data k)
-    done;
-    { data32; n = p.n; dim = p.dim }
-
-  let length t = t.n
-  let dim t = t.dim
-  let coord t i j = Bigarray.Array1.get t.data32 ((i * t.dim) + j)
-
-  let check_i name t i =
-    if i < 0 || i >= t.n then
-      invalid_arg
-        (Printf.sprintf "Points.F32.%s: index %d out of bounds (n = %d)" name
-           i t.n)
-
-  let l2_sq_idx t i j =
-    if i < 0 || i >= t.n || j < 0 || j >= t.n then
-      invalid_arg
-        (Printf.sprintf
-           "Points.F32.l2_sq_idx: index out of bounds (%d, %d; n = %d)" i j
-           t.n);
-    Obs.incr c_dist;
-    let data = t.data32 and d = t.dim in
-    let oi = i * d and oj = j * d in
-    match d with
-    | 2 ->
-        let d0 =
-          Bigarray.Array1.unsafe_get data oi
-          -. Bigarray.Array1.unsafe_get data oj
-        in
-        let d1 =
-          Bigarray.Array1.unsafe_get data (oi + 1)
-          -. Bigarray.Array1.unsafe_get data (oj + 1)
-        in
-        (d0 *. d0) +. (d1 *. d1)
-    | 3 ->
-        let d0 =
-          Bigarray.Array1.unsafe_get data oi
-          -. Bigarray.Array1.unsafe_get data oj
-        in
-        let d1 =
-          Bigarray.Array1.unsafe_get data (oi + 1)
-          -. Bigarray.Array1.unsafe_get data (oj + 1)
-        in
-        let d2 =
-          Bigarray.Array1.unsafe_get data (oi + 2)
-          -. Bigarray.Array1.unsafe_get data (oj + 2)
-        in
-        (d0 *. d0) +. (d1 *. d1) +. (d2 *. d2)
-    | 4 ->
-        let d0 =
-          Bigarray.Array1.unsafe_get data oi
-          -. Bigarray.Array1.unsafe_get data oj
-        in
-        let d1 =
-          Bigarray.Array1.unsafe_get data (oi + 1)
-          -. Bigarray.Array1.unsafe_get data (oj + 1)
-        in
-        let d2 =
-          Bigarray.Array1.unsafe_get data (oi + 2)
-          -. Bigarray.Array1.unsafe_get data (oj + 2)
-        in
-        let d3 =
-          Bigarray.Array1.unsafe_get data (oi + 3)
-          -. Bigarray.Array1.unsafe_get data (oj + 3)
-        in
-        (d0 *. d0) +. (d1 *. d1) +. (d2 *. d2) +. (d3 *. d3)
-    | _ ->
-        let acc = ref 0.0 in
-        for k = 0 to d - 1 do
-          let dk =
-            Bigarray.Array1.unsafe_get data (oi + k)
-            -. Bigarray.Array1.unsafe_get data (oj + k)
-          in
-          acc := !acc +. (dk *. dk)
-        done;
-        !acc
-
-  let l2_sq_to t i dst =
-    check_i "l2_sq_to" t i;
-    if Array.length dst < t.n then
-      invalid_arg "Points.F32.l2_sq_to: destination shorter than n";
-    Obs.add c_dist t.n;
-    let data = t.data32 and d = t.dim and n = t.n in
-    let oi = i * d in
-    match d with
-    | 2 ->
-        let x0 = Bigarray.Array1.unsafe_get data oi
-        and x1 = Bigarray.Array1.unsafe_get data (oi + 1) in
-        for j = 0 to n - 1 do
-          let o = j * 2 in
-          let d0 = x0 -. Bigarray.Array1.unsafe_get data o in
-          let d1 = x1 -. Bigarray.Array1.unsafe_get data (o + 1) in
-          Array.unsafe_set dst j ((d0 *. d0) +. (d1 *. d1))
-        done
-    | 3 ->
-        let x0 = Bigarray.Array1.unsafe_get data oi
-        and x1 = Bigarray.Array1.unsafe_get data (oi + 1)
-        and x2 = Bigarray.Array1.unsafe_get data (oi + 2) in
-        for j = 0 to n - 1 do
-          let o = j * 3 in
-          let d0 = x0 -. Bigarray.Array1.unsafe_get data o in
-          let d1 = x1 -. Bigarray.Array1.unsafe_get data (o + 1) in
-          let d2 = x2 -. Bigarray.Array1.unsafe_get data (o + 2) in
-          Array.unsafe_set dst j ((d0 *. d0) +. (d1 *. d1) +. (d2 *. d2))
-        done
-    | 4 ->
-        let x0 = Bigarray.Array1.unsafe_get data oi
-        and x1 = Bigarray.Array1.unsafe_get data (oi + 1)
-        and x2 = Bigarray.Array1.unsafe_get data (oi + 2)
-        and x3 = Bigarray.Array1.unsafe_get data (oi + 3) in
-        for j = 0 to n - 1 do
-          let o = j * 4 in
-          let d0 = x0 -. Bigarray.Array1.unsafe_get data o in
-          let d1 = x1 -. Bigarray.Array1.unsafe_get data (o + 1) in
-          let d2 = x2 -. Bigarray.Array1.unsafe_get data (o + 2) in
-          let d3 = x3 -. Bigarray.Array1.unsafe_get data (o + 3) in
-          Array.unsafe_set dst j
-            ((d0 *. d0) +. (d1 *. d1) +. (d2 *. d2) +. (d3 *. d3))
-        done
-    | _ ->
-        for j = 0 to n - 1 do
-          let oj = j * d in
-          let acc = ref 0.0 in
-          for k = 0 to d - 1 do
-            let dk =
-              Bigarray.Array1.unsafe_get data (oi + k)
-              -. Bigarray.Array1.unsafe_get data (oj + k)
-            in
-            acc := !acc +. (dk *. dk)
-          done;
-          Array.unsafe_set dst j !acc
-        done
-
-  (* Same j-tiling as the float64 block kernel; a float32 tile of the
-     same element count occupies half the cache footprint, so the tile
-     size errs on the resident side. *)
-  let l2_sq_block t ~lo ~hi dst =
-    if lo < 0 || hi > t.n || lo > hi then
-      invalid_arg
-        (Printf.sprintf
-           "Points.F32.l2_sq_block: bad row range [%d, %d) (n = %d)" lo hi
-           t.n);
-    let rows = hi - lo in
-    if rows > 0 then begin
-      if Array.length dst < rows * t.n then
-        invalid_arg "Points.F32.l2_sq_block: destination shorter than rows * n";
-      Obs.add c_dist (rows * t.n);
-      let data = t.data32 and d = t.dim and n = t.n in
-      let tile = max 1 (tile_floats / max 1 d) in
-      let jt = ref 0 in
-      while !jt < n do
-        let j_hi = min n (!jt + tile) in
-        (match d with
-        | 2 ->
-            for i = lo to hi - 1 do
-              let oi = i * 2 in
-              let x0 = Bigarray.Array1.unsafe_get data oi
-              and x1 = Bigarray.Array1.unsafe_get data (oi + 1) in
-              let base = (i - lo) * n in
-              for j = !jt to j_hi - 1 do
-                let o = j * 2 in
-                let d0 = x0 -. Bigarray.Array1.unsafe_get data o in
-                let d1 = x1 -. Bigarray.Array1.unsafe_get data (o + 1) in
-                Array.unsafe_set dst (base + j) ((d0 *. d0) +. (d1 *. d1))
-              done
-            done
-        | 4 ->
-            for i = lo to hi - 1 do
-              let oi = i * 4 in
-              let x0 = Bigarray.Array1.unsafe_get data oi
-              and x1 = Bigarray.Array1.unsafe_get data (oi + 1)
-              and x2 = Bigarray.Array1.unsafe_get data (oi + 2)
-              and x3 = Bigarray.Array1.unsafe_get data (oi + 3) in
-              let base = (i - lo) * n in
-              for j = !jt to j_hi - 1 do
-                let o = j * 4 in
-                let d0 = x0 -. Bigarray.Array1.unsafe_get data o in
-                let d1 = x1 -. Bigarray.Array1.unsafe_get data (o + 1) in
-                let d2 = x2 -. Bigarray.Array1.unsafe_get data (o + 2) in
-                let d3 = x3 -. Bigarray.Array1.unsafe_get data (o + 3) in
-                Array.unsafe_set dst (base + j)
-                  ((d0 *. d0) +. (d1 *. d1) +. (d2 *. d2) +. (d3 *. d3))
-              done
-            done
-        | _ ->
-            for i = lo to hi - 1 do
-              let oi = i * d in
-              let base = (i - lo) * n in
-              for j = !jt to j_hi - 1 do
-                let oj = j * d in
-                let acc = ref 0.0 in
-                for k = 0 to d - 1 do
-                  let dk =
-                    Bigarray.Array1.unsafe_get data (oi + k)
-                    -. Bigarray.Array1.unsafe_get data (oj + k)
-                  in
-                  acc := !acc +. (dk *. dk)
-                done;
-                Array.unsafe_set dst (base + j) !acc
-              done
-            done);
-        jt := j_hi
-      done
-    end
-end

@@ -87,54 +87,3 @@ val l2_sq_block : t -> lo:int -> hi:int -> float array -> unit
     [l2_sq_idx t i j], and the call counts [(hi - lo) * length t]
     [metric.dist_evals] events — the same delta as the row kernel.
     Raises [Invalid_argument] on a bad row range or a too-short [dst]. *)
-
-(** {2 Float32 backing}
-
-    Storage-only single precision for memory-bound sweeps: half the
-    bytes per coordinate, so roughly half the wall-clock on sweeps that
-    are bound by memory bandwidth rather than arithmetic.
-
-    {b Precision contract.} {!F32.of_points} rounds each coordinate to
-    the nearest float32 {e once}; every kernel then reads the rounded
-    coordinates back as doubles (an exact conversion) and performs all
-    arithmetic in IEEE double, in exactly the accumulation order of the
-    float64 kernels. The only error source is the input quantization:
-    with [e_k <= 2{^-24} (|x_ik| + |x_jk|)] the per-coordinate rounding,
-    the squared distance satisfies
-    [|d32 - d64| <= Σ_k (2 |x_ik - x_jk| e_k + e_k²)] up to double
-    rounding. In particular the kernels are deterministic — for a given
-    store every result is a bit-reproducible function of the rounded
-    coordinates, checked against a naive per-index reference in
-    [lib/refcheck] and the qcheck suites. Counter accounting is
-    unchanged: one [metric.dist_evals] event per element, same as the
-    float64 kernels. *)
-module F32 : sig
-  type store
-  (** Immutable float32 [Bigarray] point store; safe for concurrent
-      reads from any number of domains. *)
-
-  val of_points : t -> store
-  (** Quantize a float64 store: each coordinate is rounded to the
-      nearest float32 (the single lossy step of the contract). *)
-
-  val length : store -> int
-  val dim : store -> int
-
-  val coord : store -> int -> int -> float
-  (** [coord t i j] is the {e rounded} coordinate [j] of point [i],
-      widened exactly to double. *)
-
-  val l2_sq_idx : store -> int -> int -> float
-  (** Squared Euclidean distance over the rounded coordinates, computed
-      in double. Counts one [metric.dist_evals] event. *)
-
-  val l2_sq_to : store -> int -> float array -> unit
-  (** Row sweep; same layout and accounting as {!l2_sq_to}, over the
-      rounded coordinates. Each [dst.(j)] is bit-identical to
-      [F32.l2_sq_idx t i j]. *)
-
-  val l2_sq_block : store -> lo:int -> hi:int -> float array -> unit
-  (** Tiled block sweep; same layout and accounting as {!l2_sq_block},
-      over the rounded coordinates. Each written float is bit-identical
-      to [F32.l2_sq_idx]. *)
-end

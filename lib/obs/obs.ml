@@ -521,7 +521,73 @@ let record_span path dt =
   s.seconds <- s.seconds +. dt;
   Mutex.unlock mu
 
-(* --- trace ring (state; the public surface is module Trace below) --- *)
+(* --- bounded rings: the trace buffer and the flight recorder --- *)
+
+(* A FIFO of at most [cap] elements, read and written only under [mu]:
+   a push into a full ring overwrites the oldest element and counts one
+   drop. The buffer is allocated at the first push after a clear, which
+   supplies the filler element. *)
+type 'a ring = {
+  mutable cap : int;
+  mutable buf : 'a array;
+  mutable len : int;
+  mutable next : int; (* slot of the next push *)
+  mutable dropped : int;
+}
+
+let ring cap = { cap; buf = [||]; len = 0; next = 0; dropped = 0 }
+
+let ring_clear_locked r =
+  r.buf <- [||];
+  r.len <- 0;
+  r.next <- 0;
+  r.dropped <- 0
+
+(* [f] must not raise: ring operations only index arrays they size. *)
+let locked f =
+  Mutex.lock mu;
+  let v = f () in
+  Mutex.unlock mu;
+  v
+
+let ring_push r x =
+  locked @@ fun () ->
+  if Array.length r.buf <> r.cap then begin
+    r.buf <- Array.make r.cap x;
+    r.len <- 0;
+    r.next <- 0
+  end;
+  r.buf.(r.next) <- x;
+  r.next <- (r.next + 1) mod r.cap;
+  if r.len < r.cap then r.len <- r.len + 1 else r.dropped <- r.dropped + 1
+
+let ring_set_capacity ~what r n =
+  if n < 1 then invalid_arg (what ^ ".set_capacity: capacity < 1");
+  locked @@ fun () ->
+  r.cap <- n;
+  ring_clear_locked r
+
+let ring_clear r = locked @@ fun () -> ring_clear_locked r
+let ring_dropped r = locked @@ fun () -> r.dropped
+
+(* Buffered elements, oldest first. *)
+let ring_items r =
+  locked @@ fun () ->
+  let cap = Array.length r.buf in
+  List.init r.len (fun i ->
+      r.buf.((r.next - r.len + i + (2 * cap)) mod max 1 cap))
+
+(* One JSON object per non-blank line, decoded by [of_json]. *)
+let parse_jsonl of_json s =
+  String.split_on_char '\n' s
+  |> List.filter (fun line -> String.trim line <> "")
+  |> List.map (fun line -> of_json (Json.parse line))
+
+(* The member [k] of a parsed JSONL object, which must be present. *)
+let required what j k =
+  match Json.member k j with
+  | Some v -> v
+  | None -> raise (Json.Parse_error (what ^ ": missing field " ^ k))
 
 type trace_event = {
   ev_path : string;
@@ -534,38 +600,10 @@ type trace_event = {
 }
 
 let trace_switch = Atomic.make false
-let trace_cap = ref 4096
-let trace_buf : trace_event array ref = ref [||]
-let trace_len = ref 0
-let trace_next = ref 0
-let trace_dropped = ref 0
+let trace_ring : trace_event ring = ring 4096
 
-let trace_clear_locked () =
-  trace_buf := [||];
-  trace_len := 0;
-  trace_next := 0;
-  trace_dropped := 0
-
-let trace_push ev =
-  Mutex.lock mu;
-  let cap = !trace_cap in
-  if cap > 0 then begin
-    if Array.length !trace_buf <> cap then begin
-      trace_buf := Array.make cap ev;
-      trace_len := 0;
-      trace_next := 0
-    end;
-    !trace_buf.(!trace_next) <- ev;
-    trace_next := (!trace_next + 1) mod cap;
-    if !trace_len < cap then trace_len := !trace_len + 1
-    else Stdlib.incr trace_dropped
-  end;
-  Mutex.unlock mu
-
-(* --- flight-recorder ring (state; public surface is module Flight
-   below). Same ring discipline as the trace buffer, but the payload is
-   a per-request record pushed by lib/serve rather than a span. --- *)
-
+(* The flight recorder's payload: a per-request record pushed by
+   lib/serve rather than a span. *)
 type flight_record = {
   fl_id : int;
   fl_kind : string;
@@ -576,17 +614,7 @@ type flight_record = {
   fl_outcome : string;
 }
 
-let flight_cap = ref 1024
-let flight_buf : flight_record array ref = ref [||]
-let flight_len = ref 0
-let flight_next = ref 0
-let flight_dropped = ref 0
-
-let flight_clear_locked () =
-  flight_buf := [||];
-  flight_len := 0;
-  flight_next := 0;
-  flight_dropped := 0
+let flight_ring : flight_record ring = ring 1024
 
 let with_span name f =
   if not (Atomic.get switch) then f ()
@@ -604,7 +632,7 @@ let with_span name f =
         Domain.DLS.set stack_key stack;
         record_span path (t1 -. t0);
         if tracing then
-          trace_push
+          ring_push trace_ring
             {
               ev_path = path;
               ev_name = name;
@@ -630,8 +658,8 @@ let reset () =
     counters;
   Hashtbl.reset spans;
   Hist.reset_locked ();
-  trace_clear_locked ();
-  flight_clear_locked ();
+  ring_clear_locked trace_ring;
+  ring_clear_locked flight_ring;
   Mutex.unlock mu
 
 (* --- JSON reporters --- *)
@@ -705,34 +733,10 @@ module Trace = struct
   let enabled () = Atomic.get trace_switch
   let set_enabled b = Atomic.set trace_switch b
 
-  let set_capacity n =
-    if n < 1 then invalid_arg "Obs.Trace.set_capacity: capacity < 1";
-    Mutex.lock mu;
-    trace_cap := n;
-    trace_clear_locked ();
-    Mutex.unlock mu
-
-  let clear () =
-    Mutex.lock mu;
-    trace_clear_locked ();
-    Mutex.unlock mu
-
-  let dropped () =
-    Mutex.lock mu;
-    let d = !trace_dropped in
-    Mutex.unlock mu;
-    d
-
-  let events () =
-    Mutex.lock mu;
-    let cap = Array.length !trace_buf in
-    let len = !trace_len in
-    let out =
-      List.init len (fun i ->
-          !trace_buf.((!trace_next - len + i + (2 * cap)) mod (max 1 cap)))
-    in
-    Mutex.unlock mu;
-    out
+  let set_capacity = ring_set_capacity ~what:"Obs.Trace" trace_ring
+  let clear () = ring_clear trace_ring
+  let dropped () = ring_dropped trace_ring
+  let events () = ring_items trace_ring
 
   let event_jsonl ev =
     Printf.sprintf
@@ -745,11 +749,7 @@ module Trace = struct
   let to_jsonl evs = String.concat "\n" (List.map event_jsonl evs) ^ "\n"
 
   let of_json j =
-    let field k =
-      match Json.member k j with
-      | Some v -> v
-      | None -> raise (Json.Parse_error ("trace event: missing field " ^ k))
-    in
+    let field = required "trace event" j in
     {
       ev_path = Json.str (field "path");
       ev_name = Json.str (field "name");
@@ -763,10 +763,7 @@ module Trace = struct
           (Json.obj (field "deltas"));
     }
 
-  let parse_jsonl s =
-    String.split_on_char '\n' s
-    |> List.filter (fun line -> String.trim line <> "")
-    |> List.map (fun line -> of_json (Json.parse line))
+  let parse_jsonl = parse_jsonl of_json
 
   let to_chrome evs =
     (* Chrome trace-event JSON ("X" complete events, microsecond
@@ -874,52 +871,11 @@ module Flight = struct
     fl_outcome : string;
   }
 
-  let set_capacity n =
-    if n < 1 then invalid_arg "Obs.Flight.set_capacity: capacity < 1";
-    Mutex.lock mu;
-    flight_cap := n;
-    flight_clear_locked ();
-    Mutex.unlock mu
-
-  let clear () =
-    Mutex.lock mu;
-    flight_clear_locked ();
-    Mutex.unlock mu
-
-  let dropped () =
-    Mutex.lock mu;
-    let d = !flight_dropped in
-    Mutex.unlock mu;
-    d
-
-  let push r =
-    if Atomic.get switch then begin
-      Mutex.lock mu;
-      let cap = !flight_cap in
-      if cap > 0 then begin
-        if Array.length !flight_buf <> cap then begin
-          flight_buf := Array.make cap r;
-          flight_len := 0;
-          flight_next := 0
-        end;
-        !flight_buf.(!flight_next) <- r;
-        flight_next := (!flight_next + 1) mod cap;
-        if !flight_len < cap then flight_len := !flight_len + 1
-        else Stdlib.incr flight_dropped
-      end;
-      Mutex.unlock mu
-    end
-
-  let records () =
-    Mutex.lock mu;
-    let cap = Array.length !flight_buf in
-    let len = !flight_len in
-    let out =
-      List.init len (fun i ->
-          !flight_buf.((!flight_next - len + i + (2 * cap)) mod (max 1 cap)))
-    in
-    Mutex.unlock mu;
-    out
+  let set_capacity = ring_set_capacity ~what:"Obs.Flight" flight_ring
+  let clear () = ring_clear flight_ring
+  let dropped () = ring_dropped flight_ring
+  let push r = if Atomic.get switch then ring_push flight_ring r
+  let records () = ring_items flight_ring
 
   let record_jsonl r =
     Printf.sprintf
@@ -933,11 +889,7 @@ module Flight = struct
     | rs -> String.concat "\n" (List.map record_jsonl rs) ^ "\n"
 
   let of_json j =
-    let field k =
-      match Json.member k j with
-      | Some v -> v
-      | None -> raise (Json.Parse_error ("flight record: missing field " ^ k))
-    in
+    let field = required "flight record" j in
     let int k = int_of_float (Json.num (field k)) in
     {
       fl_id = int "id";
@@ -949,10 +901,7 @@ module Flight = struct
       fl_outcome = Json.str (field "outcome");
     }
 
-  let parse_jsonl s =
-    String.split_on_char '\n' s
-    |> List.filter (fun line -> String.trim line <> "")
-    |> List.map (fun line -> of_json (Json.parse line))
+  let parse_jsonl = parse_jsonl of_json
 end
 
 (* --- OpenMetrics / Prometheus text exporter --- *)

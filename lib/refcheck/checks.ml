@@ -12,6 +12,7 @@
    residuals, approximation-factor bounds). *)
 
 module Point = Cso_metric.Point
+module Points = Cso_metric.Points
 module Space = Cso_metric.Space
 module Rect = Cso_geom.Rect
 module Bbd = Cso_geom.Bbd_tree
@@ -152,11 +153,8 @@ let metric_cached =
             (Printf.sprintf "cached dist(%d,%d)=%.17g <> direct %.17g" i j
                (c.Space.dist i j) (s.Space.dist i j)))
 
-(* The tiled/batched packed kernels against the naive per-index
-   references (points.mli contract): [l2_sq_block] matches
-   [l2_sq_idx] bitwise; the float32 kernels match a naive double loop
-   over the rounded coordinates bitwise — the same accumulation order,
-   so the only degree of freedom is the single quantization step. *)
+(* The tiled packed kernel against the per-index reference (points.mli
+   contract): [l2_sq_block] matches [l2_sq_idx] bitwise. *)
 let metric_packed_kernels =
   let module Points = Cso_metric.Points in
   Fuzz.make ~name:"metric.packed_kernels_vs_idx"
@@ -174,21 +172,9 @@ let metric_packed_kernels =
       Printf.sprintf "rows [%d, %d) of %s" lo hi (pts_str pts))
     ~prop:(fun (pts, lo, hi) ->
       let c = Points.of_array pts in
-      let s = Points.F32.of_points c in
-      let n = Array.length pts and d = Array.length pts.(0) in
-      let rows = hi - lo in
-      let dst = Array.make (rows * n) nan in
-      let dst32 = Array.make (rows * n) nan in
+      let n = Array.length pts in
+      let dst = Array.make ((hi - lo) * n) nan in
       Points.l2_sq_block c ~lo ~hi dst;
-      Points.F32.l2_sq_block s ~lo ~hi dst32;
-      let naive32 i j =
-        let acc = ref 0.0 in
-        for k = 0 to d - 1 do
-          let dk = Points.F32.coord s i k -. Points.F32.coord s j k in
-          acc := !acc +. (dk *. dk)
-        done;
-        !acc
-      in
       let bits = Int64.bits_of_float in
       let bad = ref (Ok ()) in
       for i = lo to hi - 1 do
@@ -197,13 +183,7 @@ let metric_packed_kernels =
           if bits dst.(at) <> bits (Points.l2_sq_idx c i j) then
             bad :=
               requiref false "l2_sq_block(%d,%d)=%.17g <> l2_sq_idx %.17g" i j
-                dst.(at) (Points.l2_sq_idx c i j);
-          if bits dst32.(at) <> bits (naive32 i j)
-             || bits (Points.F32.l2_sq_idx s i j) <> bits (naive32 i j)
-          then
-            bad :=
-              requiref false "F32 kernel (%d,%d)=%.17g <> naive %.17g" i j
-                dst32.(at) (naive32 i j)
+                dst.(at) (Points.l2_sq_idx c i j)
         done
       done;
       !bad)
@@ -243,7 +223,7 @@ let geom_bbd_sandwich =
   Fuzz.make ~name:"geom.bbd_sandwich" ~gen:gen_ball_inst
     ~shrink:shrink_ball_inst ~show:show_ball_inst
     ~prop:(fun b ->
-      let t = Bbd.build b.b_pts in
+      let t = Bbd.build_packed (Points.of_array b.b_pts) in
       let nodes =
         Bbd.ball_query t ~center:b.b_center ~radius:b.b_radius ~eps:b.b_eps
       in
@@ -276,7 +256,7 @@ let geom_bbd_balls_all =
     ~gen:(fun rng -> gen_ball_inst ~n_min:1 rng)
     ~shrink:shrink_ball_inst ~show:show_ball_inst
     ~prop:(fun b ->
-      let t = Bbd.build b.b_pts in
+      let t = Bbd.build_packed (Points.of_array b.b_pts) in
       let batched = Bbd.balls_all t ~radius:b.b_radius ~eps:b.b_eps in
       let looped =
         Array.init (Array.length b.b_pts) (fun i ->
@@ -294,7 +274,9 @@ let geom_bbd_scale =
          floating point, so the tree makes identical comparisons and must
          return identical canonical node ids. *)
       let q pts center radius =
-        Bbd.ball_query (Bbd.build pts) ~center ~radius ~eps:b.b_eps
+        Bbd.ball_query
+          (Bbd.build_packed (Points.of_array pts))
+          ~center ~radius ~eps:b.b_eps
       in
       let base = q b.b_pts b.b_center b.b_radius in
       let scaled =
@@ -325,7 +307,7 @@ let geom_rtree_report =
     ~show:(fun (pts, rect) ->
       Format.asprintf "rect=%a %s" Rect.pp rect (pts_str pts))
     ~prop:(fun (pts, rect) ->
-      let t = Rtree.build pts in
+      let t = Rtree.build_packed (Points.of_array pts) in
       let report = List.sort compare (Rtree.report t rect) in
       let naive = Reference.range_report pts rect in
       let* () =
@@ -559,10 +541,10 @@ let kcenter_gonzalez =
         requiref (cost = r) "returned radius %.17g <> recomputed cost %.17g" r
           cost
       in
-      let fast_centers, fast_r = Gonzalez.run_points_fast pts ~k in
+      let fast_centers, fast_r = Gonzalez.run_packed (Points.of_array pts) ~k in
       let* () =
         require (fast_centers = centers && fast_r = r)
-          "run_points_fast differs from run_points"
+          "run_packed differs from run_points"
       in
       let opt = Reference.kcenter_opt s ~subset:all ~k in
       requiref
@@ -680,7 +662,7 @@ let lp_flat_vs_reference =
   Fuzz.make ~name:"lp.simplex_flat_vs_reference" ~gen:gen_problem
     ~shrink:shrink_problem ~show:show_problem
     ~prop:(fun p ->
-      match (Simplex.solve p, Simplex.solve_reference p) with
+      match (Simplex.solve p, Reference.simplex_solve p) with
       | Simplex.Infeasible, Simplex.Infeasible
       | Simplex.Unbounded, Simplex.Unbounded ->
           Ok ()
@@ -1351,7 +1333,10 @@ let dynamic_bbd =
       let idarr = Array.of_list ids in
       let static =
         if model = [] then None
-        else Some (Bbd.build (Array.of_list (List.map snd model)))
+        else
+          Some
+            (Bbd.build_packed
+               (Points.of_array (Array.of_list (List.map snd model))))
       in
       let static_report center radius =
         match static with
@@ -1412,79 +1397,6 @@ let dynamic_bbd =
             (Ok ()) (dyn_radii center model))
         (Ok ())
         (dyn_query_points s.dy_dim model))
-
-let dynamic_rtree =
-  Fuzz.make ~name:"dynamic.rtree_vs_static_rebuild" ~gen:gen_dyn
-    ~shrink:shrink_dyn ~show:show_dyn
-    ~prop:(fun s ->
-      let t = Dyn.Range.create ~dim:s.dy_dim () in
-      let model =
-        apply_dyn ~insert:(Dyn.Range.insert t) ~delete:(Dyn.Range.delete t) s
-      in
-      let ids = List.map fst model in
-      let* () =
-        requiref
-          (Dyn.Range.live_ids t = ids)
-          "live_ids %s <> model %s"
-          (ints_str (Dyn.Range.live_ids t))
-          (ints_str ids)
-      in
-      let idarr = Array.of_list ids in
-      let static =
-        if model = [] then None
-        else Some (Rtree.build (Array.of_list (List.map snd model)))
-      in
-      (* Rects: survivor-pair bounding boxes (closed, often degenerate),
-         the unbounded rect, and a guaranteed-empty sliver. *)
-      let rects =
-        let surv = Array.of_list (List.map snd model) in
-        let of_pair a b =
-          Rect.make
-            ~lo:(Array.init s.dy_dim (fun j -> Float.min a.(j) b.(j)))
-            ~hi:(Array.init s.dy_dim (fun j -> Float.max a.(j) b.(j)))
-        in
-        let pairs =
-          match Array.length surv with
-          | 0 -> []
-          | 1 -> [ of_pair surv.(0) surv.(0) ]
-          | n -> [ of_pair surv.(0) surv.(n - 1); of_pair surv.(n / 2) surv.(n - 1) ]
-        in
-        Rect.unbounded s.dy_dim
-        :: Rect.make
-             ~lo:(Array.make s.dy_dim 100.0)
-             ~hi:(Array.make s.dy_dim 101.0)
-        :: pairs
-      in
-      List.fold_left
-        (fun acc rect ->
-          let* () = acc in
-          let reference =
-            List.filter_map
-              (fun (id, p) -> if Rect.contains rect p then Some id else None)
-              model
-          in
-          let got = Dyn.Range.report t rect in
-          let* () =
-            requiref (got = reference) "report: %s <> scan %s" (ints_str got)
-              (ints_str reference)
-          in
-          let static_ids =
-            match static with
-            | None -> []
-            | Some st ->
-                Rtree.report st rect
-                |> List.map (fun l -> idarr.(l))
-                |> List.sort compare
-          in
-          let* () =
-            require (got = static_ids)
-              "report differs from static rebuild"
-          in
-          requiref
-            (Dyn.Range.count t rect = List.length reference)
-            "count %d <> %d" (Dyn.Range.count t rect)
-            (List.length reference))
-        (Ok ()) rects)
 
 (* Incremental GCSO: (a) the first query is bit-identical to a fresh
    [Gcso_general.solve] over the surviving points (the re-solve path
@@ -1615,66 +1527,33 @@ let gen_churn rng =
   { dy_dim = dim; dy_ops = ops }
 
 (* Weight-balanced partial rebuilds under churn: replay one script into
-   a Ball and a Range structure in lockstep and pin (a) the per-level
-   invariant [dead < alpha * live] on both, (b) that both structures —
-   sharing one rebuild policy — report identical op statistics, and
-   (c) bit-identity of reports and of the clean-level counting fast
-   paths against a static rebuild / linear scan of the survivors. *)
+   a Ball structure and pin (a) the per-level invariant
+   [dead < alpha * live], (b) the clean-level counting fast path against
+   the full report, and (c) bit-identity of reports against a static
+   rebuild of the survivors. *)
 let dynamic_partial_rebuild =
   Fuzz.make ~name:"dynamic.partial_rebuild_vs_static" ~gen:gen_churn
     ~shrink:shrink_dyn ~show:show_dyn
     ~prop:(fun s ->
       let ball = Dyn.Ball.create ~dim:s.dy_dim () in
-      let range = Dyn.Range.create ~dim:s.dy_dim () in
       let model =
-        apply_dyn
-          ~insert:(fun p ->
-            let id = Dyn.Ball.insert ball p in
-            let id' = Dyn.Range.insert range p in
-            assert (id = id');
-            id)
-          ~delete:(fun id ->
-            Dyn.Ball.delete ball id;
-            Dyn.Range.delete range id)
+        apply_dyn ~insert:(Dyn.Ball.insert ball) ~delete:(Dyn.Ball.delete ball)
           s
       in
       let ids = List.map fst model in
       let* () =
-        require
-          (Dyn.Ball.live_ids ball = ids && Dyn.Range.live_ids range = ids)
-          "live_ids diverged from the model"
+        require (Dyn.Ball.live_ids ball = ids) "live_ids diverged from the model"
       in
+      let alpha = Dyn.Ball.alpha ball in
       let* () =
-        require
-          (Dyn.Ball.stats ball = Dyn.Range.stats range
-          && Dyn.Ball.level_stats ball = Dyn.Range.level_stats range)
-          "Ball and Range replay one policy but report different stats"
-      in
-      let check_levels name alpha stats =
         List.fold_left
           (fun acc (stored, live) ->
             let* () = acc in
             requiref
               (float_of_int (stored - live) < alpha *. float_of_int live)
-              "%s level dead %d >= alpha (%.2f) * live %d" name
-              (stored - live) alpha live)
-          (Ok ()) stats
-      in
-      let* () =
-        check_levels "ball" (Dyn.Ball.alpha ball) (Dyn.Ball.level_stats ball)
-      in
-      let* () =
-        check_levels "range" (Dyn.Range.alpha range)
-          (Dyn.Range.level_stats range)
-      in
-      let live = List.length model in
-      (* Clean-level counting fast paths agree with full reports. *)
-      let everywhere = Rect.unbounded s.dy_dim in
-      let* () =
-        requiref
-          (Dyn.Range.count range everywhere = live
-          && Dyn.Range.report range everywhere = ids)
-          "unbounded range count/report misses a survivor"
+              "level dead %d >= alpha (%.2f) * live %d" (stored - live) alpha
+              live)
+          (Ok ()) (Dyn.Ball.level_stats ball)
       in
       let origin = Array.make s.dy_dim 0.0 in
       let dmax =
@@ -1693,8 +1572,10 @@ let dynamic_partial_rebuild =
       if model = [] then Ok ()
       else begin
         let idarr = Array.of_list ids in
-        let pts = Array.of_list (List.map snd model) in
-        let st_ball = Bbd.build pts and st_range = Rtree.build pts in
+        let st_ball =
+          Bbd.build_packed
+            (Points.of_array (Array.of_list (List.map snd model)))
+        in
         let radius = dmax /. 2.0 in
         let static_ball =
           Bbd.ball_query st_ball ~center:origin ~radius ~eps:0.0
@@ -1702,30 +1583,9 @@ let dynamic_partial_rebuild =
           |> List.map (fun l -> idarr.(l))
           |> List.sort compare
         in
-        let* () =
-          requiref
-            (Dyn.Ball.ball_report ball ~center:origin ~radius = static_ball)
-            "ball_report r=%.17g differs from static rebuild" radius
-        in
-        let box =
-          let a = pts.(0) and b = pts.(Array.length pts - 1) in
-          Rect.make
-            ~lo:(Array.init s.dy_dim (fun j -> Float.min a.(j) b.(j)))
-            ~hi:(Array.init s.dy_dim (fun j -> Float.max a.(j) b.(j)))
-        in
-        let static_box =
-          Rtree.report st_range box
-          |> List.map (fun l -> idarr.(l))
-          |> List.sort compare
-        in
-        let got = Dyn.Range.report range box in
-        let* () =
-          require (got = static_box)
-            "range report differs from static rebuild"
-        in
-        require
-          (Dyn.Range.count range box = List.length got)
-          "range count differs from its own report"
+        requiref
+          (Dyn.Ball.ball_report ball ~center:origin ~radius = static_ball)
+          "ball_report r=%.17g differs from static rebuild" radius
       end)
 
 (* Op scripts over the incremental GCSO driver extended with rectangle
@@ -2580,7 +2440,6 @@ let all =
     gcso_mwu_tricriteria;
     gcso_batched_oracle;
     dynamic_bbd;
-    dynamic_rtree;
     dynamic_gcso_incremental;
     dynamic_partial_rebuild;
     gcso_rect_updates;

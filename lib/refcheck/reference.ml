@@ -242,6 +242,236 @@ end
 
 let box_complement = Box_complement_list.decompose
 
+(* --- simplex: the row-of-rows tableau --- *)
+
+(* [Cso_lp.Simplex.solve] as it was before its tableau went flat: one
+   float array per row, the same Bland pricing, hence the same pivots in
+   the same order. It publishes the same [lp.simplex.*] counters, the
+   [lp.simplex.pivots_per_solve] histogram and the [simplex.solve] span,
+   so the flat tableau must match it event for event as well as bit for
+   bit. The problem must pass [Simplex.solve]'s validation. *)
+module Simplex_rows = struct
+  module Obs = Cso_obs.Obs
+  open Cso_lp.Simplex
+
+  let c_pivots = Obs.counter "lp.simplex.pivots"
+  let c_solves = Obs.counter "lp.simplex.solves"
+  let h_pivots = Obs.Hist.hist "lp.simplex.pivots_per_solve"
+  let eps = 1e-9
+
+  (* The working tableau. Row layout: [coefficients ... | rhs]. [basis.(i)]
+     is the column currently basic in row [i]. *)
+  type tableau = {
+    mutable rows : float array array;
+    mutable basis : int array;
+    ncols : int;
+  }
+
+  let pivot pivots t obj r c =
+    Obs.incr c_pivots;
+    incr pivots;
+    let piv = t.rows.(r).(c) in
+    let row = t.rows.(r) in
+    for j = 0 to t.ncols do
+      row.(j) <- row.(j) /. piv
+    done;
+    let eliminate target =
+      let f = target.(c) in
+      if abs_float f > 0.0 then
+        for j = 0 to t.ncols do
+          target.(j) <- target.(j) -. (f *. row.(j))
+        done
+    in
+    Array.iteri (fun i tr -> if i <> r then eliminate tr) t.rows;
+    eliminate obj;
+    t.basis.(r) <- c
+
+  (* Reduced-cost row for [cost]: obj.(j) = z_j - c_j; obj.(ncols) = value. *)
+  let objective_row t cost =
+    let obj = Array.make (t.ncols + 1) 0.0 in
+    for j = 0 to t.ncols do
+      let zj = ref 0.0 in
+      Array.iteri (fun i b -> zj := !zj +. (cost.(b) *. t.rows.(i).(j))) t.basis;
+      obj.(j) <- !zj -. (if j < t.ncols then cost.(j) else 0.0)
+    done;
+    obj
+
+  (* Bland's rule: smallest-index entering column, smallest-index
+     tie-break on the leaving variable. *)
+  let optimize pivots t cost allowed =
+    let obj = objective_row t cost in
+    let m = Array.length t.rows in
+    let rec loop () =
+      let entering = ref (-1) in
+      (try
+         for j = 0 to t.ncols - 1 do
+           if allowed.(j) && obj.(j) < -.eps then begin
+             entering := j;
+             raise Exit
+           end
+         done
+       with Exit -> ());
+      if !entering < 0 then `Optimal obj.(t.ncols)
+      else begin
+        let c = !entering in
+        (* Ratio test; Bland tie-break on the leaving basic variable. *)
+        let best_row = ref (-1) and best_ratio = ref infinity in
+        for i = 0 to m - 1 do
+          let a = t.rows.(i).(c) in
+          if a > eps then begin
+            let ratio = t.rows.(i).(t.ncols) /. a in
+            if
+              ratio < !best_ratio -. eps
+              || (ratio < !best_ratio +. eps
+                  && (!best_row < 0 || t.basis.(i) < t.basis.(!best_row)))
+            then begin
+              best_row := i;
+              best_ratio := ratio
+            end
+          end
+        done;
+        if !best_row < 0 then `Unbounded
+        else begin
+          pivot pivots t obj !best_row c;
+          loop ()
+        end
+      end
+    in
+    loop ()
+
+  let solve_shifted pivots p =
+    let n = p.num_vars in
+    let shift = Array.map fst p.bounds in
+    let width = Array.map (fun (lo, hi) -> hi -. lo) p.bounds in
+    (* Rows: user constraints with rhs shifted, then the upper bounds. *)
+    let user_rows =
+      List.map
+        (fun (a, op, b) ->
+          let b' = ref b in
+          for i = 0 to n - 1 do
+            b' := !b' -. (a.(i) *. shift.(i))
+          done;
+          (Array.copy a, op, !b'))
+        p.constraints
+    in
+    let bound_rows =
+      List.init n (fun i ->
+          let a = Array.make n 0.0 in
+          a.(i) <- 1.0;
+          (a, Le, width.(i)))
+    in
+    let rows0 = user_rows @ bound_rows in
+    (* Normalize rhs >= 0. *)
+    let rows0 =
+      List.map
+        (fun (a, op, b) ->
+          if b < 0.0 then
+            ( Array.map (fun x -> -.x) a,
+              (match op with Le -> Ge | Ge -> Le | Eq -> Eq),
+              -.b )
+          else (a, op, b))
+        rows0
+    in
+    let m = List.length rows0 in
+    (* Column layout: structural | slack/surplus | artificial. *)
+    let n_slack =
+      List.fold_left
+        (fun acc (_, op, _) -> match op with Le | Ge -> acc + 1 | Eq -> acc)
+        0 rows0
+    in
+    let n_art =
+      List.fold_left
+        (fun acc (_, op, _) -> match op with Ge | Eq -> acc + 1 | Le -> acc)
+        0 rows0
+    in
+    let ncols = n + n_slack + n_art in
+    let rows = Array.make m [||] in
+    let basis = Array.make m 0 in
+    let is_artificial = Array.make ncols false in
+    let slack_idx = ref n and art_idx = ref (n + n_slack) in
+    List.iteri
+      (fun i (a, op, b) ->
+        let row = Array.make (ncols + 1) 0.0 in
+        Array.blit a 0 row 0 n;
+        row.(ncols) <- b;
+        (match op with
+        | Le ->
+            row.(!slack_idx) <- 1.0;
+            basis.(i) <- !slack_idx;
+            incr slack_idx
+        | Ge ->
+            row.(!slack_idx) <- -1.0;
+            incr slack_idx;
+            row.(!art_idx) <- 1.0;
+            is_artificial.(!art_idx) <- true;
+            basis.(i) <- !art_idx;
+            incr art_idx
+        | Eq ->
+            row.(!art_idx) <- 1.0;
+            is_artificial.(!art_idx) <- true;
+            basis.(i) <- !art_idx;
+            incr art_idx);
+        rows.(i) <- row)
+      rows0;
+    let t = { rows; basis; ncols } in
+    (* Phase 1: maximize -(sum of artificials). *)
+    let phase1_cost =
+      Array.init ncols (fun j -> if is_artificial.(j) then -1.0 else 0.0)
+    in
+    let all_allowed = Array.make ncols true in
+    (match optimize pivots t phase1_cost all_allowed with
+    | `Unbounded -> assert false (* phase-1 objective is bounded by 0 *)
+    | `Optimal v -> if v < -1e-7 then raise Exit);
+    (* Drive artificials out of the basis where possible; redundant rows
+       (all-zero over non-artificial columns) are neutralized in place. *)
+    let m = Array.length t.rows in
+    for i = 0 to m - 1 do
+      if is_artificial.(t.basis.(i)) then begin
+        let found = ref (-1) in
+        (try
+           for j = 0 to ncols - 1 do
+             if (not is_artificial.(j)) && abs_float t.rows.(i).(j) > 1e-7 then begin
+               found := j;
+               raise Exit
+             end
+           done
+         with Exit -> ());
+        if !found >= 0 then begin
+          let dummy = Array.make (t.ncols + 1) 0.0 in
+          pivot pivots t dummy i !found
+        end
+      end
+    done;
+    (* Phase 2. *)
+    let phase2_cost = Array.make ncols 0.0 in
+    Array.blit p.objective 0 phase2_cost 0 n;
+    let allowed = Array.map not is_artificial in
+    match optimize pivots t phase2_cost allowed with
+    | `Unbounded -> Unbounded
+    | `Optimal _ ->
+        let x = Array.make n 0.0 in
+        Array.iteri
+          (fun i b -> if b < n then x.(b) <- t.rows.(i).(t.ncols))
+          t.basis;
+        let solution = Array.init n (fun i -> x.(i) +. shift.(i)) in
+        let value = ref 0.0 in
+        for i = 0 to n - 1 do
+          value := !value +. (p.objective.(i) *. solution.(i))
+        done;
+        Optimal { value = !value; solution }
+
+  let solve p =
+    Obs.incr c_solves;
+    let pivots = ref 0 in
+    Fun.protect
+      ~finally:(fun () -> Obs.Hist.observe h_pivots !pivots)
+      (fun () ->
+        Obs.with_span "simplex.solve" (fun () ->
+            try solve_shifted pivots p with Exit -> Infeasible))
+end
+
+let simplex_solve = Simplex_rows.solve
+
 (* --- k-center: cost and exhaustive optimum --- *)
 
 let kcenter_cost (s : Space.t) ~centers pts =

@@ -6,9 +6,10 @@
     inspection. The optimized substrates ([Bbd_tree], [Range_tree],
     [Gonzalez], [Charikar_outliers], [Simplex], [Yannakakis],
     [Cso_general], ...) are differentially checked against these.
-    {!wspd_candidate_distances}, {!box_complement} and {!any_in_rect}
-    are the exception: the earlier implementation of a substrate
-    rewritten for speed, which the rewrite must match bit for bit. *)
+    {!wspd_candidate_distances}, {!box_complement}, {!simplex_solve}
+    and {!any_in_rect} are the exception: the earlier implementation of
+    a substrate rewritten for speed, which the rewrite must match bit
+    for bit. *)
 
 val subsets_up_to : 'a list -> int -> 'a list list
 (** All subsets of size at most [r] (the enumeration backbone of the
@@ -39,6 +40,14 @@ val box_complement :
 (** [Cso_geom.Box_complement.decompose] as it was before its breakpoint
     arrays and scratch witness, kept verbatim: the rewrite must return
     the same cells in the same order, bit for bit. *)
+
+val simplex_solve : Cso_lp.Simplex.problem -> Cso_lp.Simplex.outcome
+(** [Cso_lp.Simplex.solve] as it was before its tableau went flat: a
+    row-of-rows tableau with the same Bland pricing, publishing the same
+    [lp.simplex.*] counters, [lp.simplex.pivots_per_solve] histogram and
+    [simplex.solve] span. [Simplex.solve] must match it bit for bit and
+    event for event. Expects a problem that passes [Simplex.solve]'s
+    validation. *)
 
 val kcenter_cost :
   Cso_metric.Space.t -> centers:int list -> int list -> float

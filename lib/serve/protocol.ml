@@ -716,6 +716,9 @@ let total mode f_bin f_json v =
 let encode_request mode r = total mode request_to_binary request_to_json r
 let encode_response mode r = total mode response_to_binary response_to_json r
 
+let payload_length mode frame =
+  String.length frame - (match mode with Binary -> 4 | Jsonl -> 1)
+
 let protect f s =
   match f s with
   | v -> Ok v

@@ -91,7 +91,10 @@ type err_kind =
   | Not_prepared  (** {!Balls_all} before {!Prepare}. *)
   | No_solution  (** {!Assign} before any {!Solve}. *)
   | Bad_frame  (** Undecodable payload. *)
-  | Too_large  (** Frame above {!max_frame}; the connection closes. *)
+  | Too_large
+      (** A request frame above {!max_frame} (the connection closes), or
+          a reply that would be (the reply is refused; the connection
+          stays open). *)
   | Orphaned
       (** {!Delete_rect} refused: the message names the rect and a
           witness point that no other rectangle covers. *)
@@ -142,6 +145,11 @@ val encode_request : mode -> request -> string
 val decode_request : mode -> string -> (request, string) result
 val encode_response : mode -> response -> string
 val decode_response : mode -> string -> (response, string) result
+
+val payload_length : mode -> string -> int
+(** The payload size of a frame built by [encode_*] (the frame minus
+    its length prefix or newline): what a {!reader} compares against
+    {!max_frame}. *)
 
 (** {2 Incremental frame extraction}
 

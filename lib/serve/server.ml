@@ -94,6 +94,10 @@ type t = {
 let create ?(config = default_config) registry =
   if config.max_inflight < 1 then invalid_arg "Server.create: max_inflight < 1";
   if config.batch < 1 then invalid_arg "Server.create: batch < 1";
+  (* A write to a peer that has closed would otherwise kill the process
+     with SIGPIPE before [write] could return the EPIPE [flush_conn]
+     handles. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   {
     config;
     registry;
@@ -256,6 +260,24 @@ let read_ready t c =
 
 (* --- executing --- *)
 
+(* The wire frame of [resp], unless its payload would exceed
+   [Protocol.max_frame]: the peer's reader would refuse that frame and
+   poison its connection, so a typed [Too_large] reply goes out in its
+   place. Unlike an oversized request, a refused reply leaves the framing
+   intact, and the connection stays open. *)
+let encode_reply mode resp =
+  let frame = P.encode_response mode resp in
+  let payload = P.payload_length mode frame in
+  if payload <= P.max_frame then (resp, frame)
+  else
+    let resp =
+      P.Error
+        ( P.Too_large,
+          Printf.sprintf "reply of %d bytes exceeds the %d-byte limit" payload
+            P.max_frame )
+    in
+    (resp, P.encode_response mode resp)
+
 let execute t =
   (* Gather at most ONE request per connection (and at most [batch]
      total): requests of a single connection are a session and must
@@ -310,6 +332,7 @@ let execute t =
       (fun i (c, pd) ->
         Obs.incr c_responses;
         let resp, queue_us, exec_us = responses.(i) in
+        let resp, ch_data = encode_reply t.config.mode resp in
         let ch_flight =
           if obs_on then
             Some
@@ -324,8 +347,7 @@ let execute t =
               }
           else None
         in
-        out_append c.out
-          { ch_data = P.encode_response t.config.mode resp; ch_flight };
+        out_append c.out { ch_data; ch_flight };
         match pd.pd_item with
         | Req P.Shutdown -> t.stopping <- true
         | _ -> ())

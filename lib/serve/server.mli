@@ -31,6 +31,20 @@
     position, because responses carry no correlation ids: the i-th reply
     on a connection always answers its i-th frame.
 
+    {2 Replies that cannot be delivered}
+
+    A reply whose payload would exceed {!Protocol.max_frame} (a
+    [Balls_all] over a large instance, say) is not sent: the client's
+    reader would refuse it and poison the connection. The request gets
+    [Error (Too_large, _)] naming the reply's size and the limit
+    instead, and the connection stays open — the refused reply never
+    reached the wire, so the framing is intact.
+
+    {!create} sets the process's SIGPIPE disposition to ignore, so a
+    peer that closes mid-reply costs only its own connection: the write
+    fails with [EPIPE], the rest of its replies are dropped, and the
+    connection is reaped.
+
     {2 Observability}
 
     [serve.requests], [serve.responses], [serve.overloads],
@@ -65,6 +79,8 @@ val default_config : config
 type t
 
 val create : ?config:config -> Registry.t -> t
+(** A server with no listeners or connections yet. Sets SIGPIPE to be
+    ignored for the whole process (see above). *)
 
 val listen_unix : t -> string -> unit
 (** Bind and listen on a Unix-domain socket path (unlinking any stale

@@ -5,7 +5,7 @@
     churn: a [Delete] always evicts the oldest live point. Ids are the
     dense insertion order (the i-th [Insert] creates id [i]), so the
     sequence replays verbatim against any structure that assigns ids
-    that way — {!Cso_geom.Dynamic.Ball}, {!Cso_geom.Dynamic.Range} and
+    that way — {!Cso_geom.Dynamic.Ball} and
     {!Cso_core.Gcso_general.Incremental} — and every [Delete id] targets
     a live id by construction.
 

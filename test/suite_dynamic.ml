@@ -1,14 +1,14 @@
-(* The dynamic (logarithmic-method) trees and the incremental GCSO
-   driver. The contract under test: after ANY insert/delete script, a
-   dynamic tree answers ball/range/count queries bit-identically to a
-   static build over the surviving points — for every pool size, and
-   with observability off (CSO_OBS=0). *)
+(* The dynamic (logarithmic-method) ball tree and the incremental GCSO
+   driver. The contract under test: after ANY insert/delete script, the
+   dynamic tree answers ball/count queries bit-identically to a static
+   build over the surviving points — for every pool size, and with
+   observability off (CSO_OBS=0). *)
 
 module Pool = Cso_parallel.Pool
 module Point = Cso_metric.Point
+module Points = Cso_metric.Points
 module Rect = Cso_geom.Rect
 module Bbd = Cso_geom.Bbd_tree
-module Rtree = Cso_geom.Range_tree
 module Dyn = Cso_geom.Dynamic
 module Obs = Cso_obs.Obs
 module Geo_instance = Cso_core.Geo_instance
@@ -86,7 +86,9 @@ let ball_answers ~dim script =
 let static_ball_answers model =
   let pts = Array.of_list (List.map snd model) in
   let ids = Array.of_list (List.map fst model) in
-  let st = if pts = [||] then None else Some (Bbd.build pts) in
+  let st =
+    if pts = [||] then None else Some (Bbd.build_packed (Points.of_array pts))
+  in
   let report c r =
     match st with
     | None -> []
@@ -131,52 +133,6 @@ let prop_ball_matches_static =
       && all_equal (no_obs :: per_domain)
       && static_ok)
 
-let prop_range_matches_static =
-  QCheck.Test.make ~name:"dynamic range = static rebuild (all pool sizes)"
-    ~count:120 script_arb (fun (dim, script) ->
-      let answers () =
-        let t = Dyn.Range.create ~dim () in
-        let model =
-          replay ~dim
-            ~insert:(Dyn.Range.insert t)
-            ~delete:(Dyn.Range.delete t)
-            script
-        in
-        let rects =
-          [
-            Rect.unbounded dim;
-            Rect.make ~lo:(Array.make dim 1.0) ~hi:(Array.make dim 3.5);
-            Rect.make ~lo:(Array.make dim 9.0) ~hi:(Array.make dim 9.5);
-          ]
-        in
-        (model, List.map (fun r -> (Dyn.Range.report t r, Dyn.Range.count t r)) rects)
-      in
-      let per_domain =
-        List.map (fun nd -> with_domains nd answers) domain_counts
-      in
-      let no_obs = without_obs answers in
-      let model, got = List.hd per_domain in
-      let pts = Array.of_list (List.map snd model) in
-      let ids = Array.of_list (List.map fst model) in
-      let static_report r =
-        if pts = [||] then []
-        else
-          Rtree.report (Rtree.build pts) r
-          |> List.map (fun l -> ids.(l))
-          |> List.sort compare
-      in
-      let rects =
-        [
-          Rect.unbounded dim;
-          Rect.make ~lo:(Array.make dim 1.0) ~hi:(Array.make dim 3.5);
-          Rect.make ~lo:(Array.make dim 9.0) ~hi:(Array.make dim 9.5);
-        ]
-      in
-      all_equal (no_obs :: per_domain)
-      && List.for_all2
-           (fun r (rep, cnt) -> rep = static_report r && cnt = List.length rep)
-           rects got)
-
 (* --- unit tests: structure invariants --- *)
 
 let test_levels_and_stats () =
@@ -216,13 +172,13 @@ let test_levels_and_stats () =
     (Dyn.Ball.live_ids t)
 
 let test_delete_errors () =
-  let t = Dyn.Range.create ~dim:1 () in
-  let id = Dyn.Range.insert t [| 0.0 |] in
-  Dyn.Range.delete t id;
-  Alcotest.(check bool) "mem false after delete" false (Dyn.Range.mem t id);
+  let t = Dyn.Ball.create ~dim:1 () in
+  let id = Dyn.Ball.insert t [| 0.0 |] in
+  Dyn.Ball.delete t id;
+  Alcotest.(check bool) "mem false after delete" false (Dyn.Ball.mem t id);
   List.iter
     (fun bad ->
-      match Dyn.Range.delete t bad with
+      match Dyn.Ball.delete t bad with
       | () -> Alcotest.failf "delete %d should raise" bad
       | exception Invalid_argument _ -> ())
     [ id; 57; -1 ]
@@ -240,40 +196,12 @@ let test_of_points_equals_inserts () =
     (Dyn.Ball.ball_report a ~center:[| 4.0; 1.0 |] ~radius:2.0)
     (Dyn.Ball.ball_report b ~center:[| 4.0; 1.0 |] ~radius:2.0)
 
-(* Satellite of the partial-rebuild PR: counting on a tombstone-free
-   structure must answer from canonical-node counts, materializing no
-   points — the [geom.*.reported_points] counters (moved only by
-   node_points/points_of_node) pin it. Pre-fix, [count] cost one full
-   [report] even with zero tombstones. *)
+(* Counting on a tombstone-free structure must answer from
+   canonical-node counts, materializing no points — the
+   [geom.bbd.reported_points] counter (moved only by [points_of_node])
+   pins it. *)
 let test_clean_count_counters () =
   (* 10 inserts leave levels {8,9} and {0..7}, both tombstone-free. *)
-  let t = Dyn.Range.create ~dim:2 () in
-  for i = 0 to 9 do
-    ignore (Dyn.Range.insert t [| float_of_int i; 0.0 |])
-  done;
-  let rect = Rect.of_intervals [ (0.0, 9.0); (-1.0, 1.0) ] in
-  let d0 = Obs.value_of "geom.rtree.reported_points" in
-  Alcotest.(check int) "count over clean levels" 10 (Dyn.Range.count t rect);
-  let d1 = Obs.value_of "geom.rtree.reported_points" in
-  Alcotest.(check int) "clean count materializes no points" 0 (d1 - d0);
-  Alcotest.(check int) "report agrees" 10
-    (List.length (Dyn.Range.report t rect));
-  let d2 = Obs.value_of "geom.rtree.reported_points" in
-  Alcotest.(check bool) "report does materialize points" true (d2 - d1 >= 10);
-  (* One tombstone dirties the {0..7} level (1 dead < alpha*7 leaves it
-     in place): counting there falls back to filtered reporting and
-     stays exact, while the clean {8,9} level still counts for free. *)
-  Dyn.Range.delete t 0;
-  Alcotest.(check (list (pair int int))) "one dirty level" [ (2, 2); (8, 7) ]
-    (Dyn.Range.level_stats t);
-  let d3 = Obs.value_of "geom.rtree.reported_points" in
-  Alcotest.(check int) "count after delete" 9 (Dyn.Range.count t rect);
-  let d4 = Obs.value_of "geom.rtree.reported_points" in
-  Alcotest.(check bool) "dirty level pays the liveness filter" true
-    (d4 - d3 > 0);
-  Alcotest.(check bool) "dirty level alone, not the whole structure" true
-    (d4 - d3 <= 8);
-  (* Symmetric check for the BBD side. *)
   let b = Dyn.Ball.create ~dim:2 () in
   for i = 0 to 9 do
     ignore (Dyn.Ball.insert b [| float_of_int i; 0.0 |])
@@ -285,7 +213,21 @@ let test_clean_count_counters () =
   let b1 = Obs.value_of "geom.bbd.reported_points" in
   Alcotest.(check int) "clean ball count materializes no points" 0 (b1 - b0);
   Alcotest.(check int) "ball report agrees" 10
-    (List.length (Dyn.Ball.ball_report b ~center ~radius))
+    (List.length (Dyn.Ball.ball_report b ~center ~radius));
+  (* One tombstone dirties the {0..7} level (1 dead < alpha*7 leaves it
+     in place): counting there falls back to filtered reporting and
+     stays exact, while the clean {8,9} level still counts for free. *)
+  Dyn.Ball.delete b 0;
+  Alcotest.(check (list (pair int int))) "one dirty level" [ (2, 2); (8, 7) ]
+    (Dyn.Ball.level_stats b);
+  let b2 = Obs.value_of "geom.bbd.reported_points" in
+  Alcotest.(check int) "ball count after delete" 9
+    (Dyn.Ball.count_in_ball b ~center ~radius);
+  let b3 = Obs.value_of "geom.bbd.reported_points" in
+  Alcotest.(check bool) "dirty level pays the liveness filter" true
+    (b3 - b2 > 0);
+  Alcotest.(check bool) "dirty level alone, not the whole structure" true
+    (b3 - b2 <= 8)
 
 (* --- incremental GCSO --- *)
 
@@ -372,7 +314,6 @@ let test_drift_workload_replay () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_ball_matches_static;
-    QCheck_alcotest.to_alcotest prop_range_matches_static;
     Alcotest.test_case "levels, stats and partial rebuilds" `Quick
       test_levels_and_stats;
     Alcotest.test_case "clean-level counting moves no point counters" `Quick

@@ -2,6 +2,7 @@
 
 open Cso_core
 module Space = Cso_metric.Space
+module Points = Cso_metric.Points
 module Rect = Cso_geom.Rect
 module Bbd = Cso_geom.Bbd_tree
 module Range_tree = Cso_geom.Range_tree
@@ -61,14 +62,14 @@ let test_gcso_duplicate_points () =
 
 let test_bbd_duplicates_sandwich () =
   let pts = Array.append (Array.make 7 [| 1.0; 1.0 |]) (Array.make 5 [| 9.0; 9.0 |]) in
-  let tree = Bbd.build pts in
+  let tree = Bbd.build_packed (Points.of_array pts) in
   let nodes = Bbd.ball_query tree ~center:[| 1.0; 1.0 |] ~radius:2.0 ~eps:0.1 in
   let got = List.concat_map (Bbd.points_of_node tree) nodes in
   Alcotest.(check int) "exactly the duplicate group" 7 (List.length got)
 
 let test_range_tree_1d () =
   let pts = [| [| 5.0 |]; [| 1.0 |]; [| 3.0 |]; [| 3.0 |] |] in
-  let t = Range_tree.build pts in
+  let t = Range_tree.build_packed (Points.of_array pts) in
   let rect = Rect.of_intervals [ (2.0, 4.0) ] in
   Alcotest.(check int) "1d count with duplicates" 2 (Range_tree.count t rect);
   Alcotest.(check (list int)) "1d report" [ 2; 3 ]

@@ -1,6 +1,7 @@
 open Cso_core
 module Planted = Cso_workload.Planted
 module Rect = Cso_geom.Rect
+module Points = Cso_metric.Points
 
 let rng () = Random.State.make [| 321 |]
 
@@ -244,7 +245,7 @@ let test_batched_oracle_overlapping_rects () =
   in
   let rects = Array.append rects [| Rect.unbounded 2 |] in
   let g = Geo_instance.make ~points ~rects ~k:2 ~z:2 in
-  let rt = Cso_geom.Range_tree.build points in
+  let rt = Cso_geom.Range_tree.build_packed (Points.of_array points) in
   let subtree_nodes =
     Array.fold_left
       (fun acc rect ->

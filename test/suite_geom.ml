@@ -1,5 +1,6 @@
 open Cso_geom
 module Point = Cso_metric.Point
+module Points = Cso_metric.Points
 
 let rng = Random.State.make [| 2024 |]
 
@@ -113,7 +114,7 @@ let prop_bbd_sandwich =
     QCheck.(pair (int_range 1 120) (float_range 0.5 80.0))
     (fun (n, radius) ->
       let pts = random_points n 2 in
-      let tree = Bbd_tree.build pts in
+      let tree = Bbd_tree.build_packed (Points.of_array pts) in
       let eps = 0.3 in
       let center = [| Random.State.float rng 100.0; Random.State.float rng 100.0 |] in
       let nodes = Bbd_tree.ball_query tree ~center ~radius ~eps in
@@ -133,7 +134,7 @@ let prop_bbd_counts =
     QCheck.(int_range 1 100)
     (fun n ->
       let pts = random_points n 3 in
-      let tree = Bbd_tree.build pts in
+      let tree = Bbd_tree.build_packed (Points.of_array pts) in
       Bbd_tree.size tree = n
       && Bbd_tree.root_active_count tree = n
       && List.for_all
@@ -142,7 +143,7 @@ let prop_bbd_counts =
 
 let test_bbd_deactivate () =
   let pts = random_points 50 2 in
-  let tree = Bbd_tree.build pts in
+  let tree = Bbd_tree.build_packed (Points.of_array pts) in
   (* Deactivate a ball around the first point; its points disappear from
      active counts and active queries. *)
   let nodes = Bbd_tree.ball_query tree ~center:pts.(0) ~radius:20.0 ~eps:0.1 in
@@ -167,7 +168,7 @@ let test_bbd_deactivate () =
 
 let test_bbd_weights_paths () =
   let pts = random_points 30 2 in
-  let tree = Bbd_tree.build pts in
+  let tree = Bbd_tree.build_packed (Points.of_array pts) in
   (* Put weight sigma_i on the canonical nodes of each point's ball; the
      path-sum at point l must equal sum of sigma_i over balls containing l
      (up to the eps slack of the query). Use eps tiny and well-separated
@@ -175,19 +176,15 @@ let test_bbd_weights_paths () =
   Bbd_tree.reset_weights tree;
   let radius = 30.0 and eps = 1e-9 in
   let sigma = Array.init 30 (fun i -> float_of_int (i + 1)) in
-  Array.iteri
-    (fun i _ ->
-      let nodes = Bbd_tree.ball_query tree ~center:pts.(i) ~radius ~eps in
-      List.iter (fun u -> Bbd_tree.add_weight tree u sigma.(i)) nodes)
-    pts;
+  let rows =
+    Array.map (fun c -> Bbd_tree.ball_query tree ~center:c ~radius ~eps) pts
+  in
+  Bbd_tree.scatter_weights tree (Csr.of_lists rows) sigma;
+  let path_sums = Array.make 30 nan in
+  Bbd_tree.path_weights tree path_sums;
   let ok = ref true in
   for l = 0 to 29 do
-    let path_sum =
-      Bbd_tree.fold_path_to_root tree
-        (Bbd_tree.leaf_of_point tree l)
-        ~init:0.0
-        ~f:(fun acc u -> acc +. Bbd_tree.get_weight tree u)
-    in
+    let path_sum = path_sums.(l) in
     let brute =
       Array.to_list sigma
       |> List.mapi (fun i s ->
@@ -199,27 +196,27 @@ let test_bbd_weights_paths () =
   Alcotest.(check bool) "oracle weight transport" true !ok
 
 (* The batched weight primitives the GCSO oracle runs every MWU round
-   must be the per-node calls they replace, bit for bit: one scatter
-   in row order, one leaf-first path sum per point. *)
+   must be per-node accumulation into a node-indexed array, bit for bit:
+   one scatter in row order, one leaf-first path sum per point. *)
 let prop_bbd_batched_weights =
   QCheck.Test.make ~name:"bbd scatter/path weights = add_weight/get_weight"
     ~count:40
     QCheck.(pair (int_range 1 80) (float_range 1.0 60.0))
     (fun (n, radius) ->
       let pts = random_points n 2 in
-      let tree = Bbd_tree.build pts in
+      let tree = Bbd_tree.build_packed (Points.of_array pts) in
       let rows =
         Array.map (fun c -> Bbd_tree.ball_query tree ~center:c ~radius ~eps:0.2) pts
       in
       let w = Array.init n (fun _ -> Random.State.float rng 1.0 ** 7.0) in
-      Bbd_tree.reset_weights tree;
-      Array.iteri
-        (fun i nodes -> List.iter (fun u -> Bbd_tree.add_weight tree u w.(i)) nodes)
-        rows;
+      let weight = Array.make (Bbd_tree.n_nodes tree) 0.0 in
+      let add_weight u x = weight.(u) <- weight.(u) +. x in
+      let get_weight u = weight.(u) in
+      Array.iteri (fun i nodes -> List.iter (fun u -> add_weight u w.(i)) nodes) rows;
       let per_node =
         Array.init n (fun l ->
             Bbd_tree.fold_path_to_root tree (Bbd_tree.leaf_of_point tree l)
-              ~init:0.0 ~f:(fun acc u -> acc +. Bbd_tree.get_weight tree u))
+              ~init:0.0 ~f:(fun acc u -> acc +. get_weight u))
       in
       Bbd_tree.reset_weights tree;
       Bbd_tree.scatter_weights tree (Csr.of_lists rows) w;
@@ -243,7 +240,7 @@ let prop_range_tree_report =
     QCheck.(pair (int_range 1 100) (int_range 1 3))
     (fun (n, d) ->
       let pts = random_points n d in
-      let t = Range_tree.build pts in
+      let t = Range_tree.build_packed (Points.of_array pts) in
       let rect = random_rect d in
       let got = List.sort compare (Range_tree.report t rect) in
       let want = List.sort compare (Rect.points_inside rect pts) in
@@ -255,7 +252,7 @@ let prop_range_tree_nodes_partition =
     QCheck.(int_range 1 80)
     (fun n ->
       let pts = random_points n 2 in
-      let t = Range_tree.build pts in
+      let t = Range_tree.build_packed (Points.of_array pts) in
       let rect = random_rect 2 in
       let nodes = Range_tree.query_nodes t rect in
       let all = List.concat_map (Range_tree.node_points t) nodes in
@@ -268,7 +265,7 @@ let prop_range_tree_weights =
     QCheck.(int_range 1 60)
     (fun n ->
       let pts = random_points n 2 in
-      let t = Range_tree.build pts in
+      let t = Range_tree.build_packed (Points.of_array pts) in
       let w = Array.init n (fun i -> float_of_int i +. 0.5) in
       Range_tree.set_point_weights t w;
       let rect = random_rect 2 in
@@ -297,7 +294,7 @@ let prop_range_tree_subtree_weights =
     QCheck.(pair (int_range 1 80) (int_range 1 3))
     (fun (n, d) ->
       let pts = random_points n d in
-      let t = Range_tree.build pts in
+      let t = Range_tree.build_packed (Points.of_array pts) in
       let w =
         Array.init n (fun _ ->
             Random.State.float rng 1.0 *. (10.0 ** float_of_int (Random.State.int rng 17 - 8)))
@@ -330,7 +327,7 @@ let prop_range_tree_marks =
     QCheck.(int_range 1 60)
     (fun n ->
       let pts = random_points n 2 in
-      let t = Range_tree.build pts in
+      let t = Range_tree.build_packed (Points.of_array pts) in
       let rects = [ random_rect 2; random_rect 2; random_rect 2 ] in
       Range_tree.reset_marks t;
       List.iter
@@ -349,20 +346,20 @@ let prop_range_tree_weight2_paths =
     QCheck.(int_range 1 60)
     (fun n ->
       let pts = random_points n 2 in
-      let t = Range_tree.build pts in
+      let t = Range_tree.build_packed (Points.of_array pts) in
       let rects = [ random_rect 2; random_rect 2 ] in
-      Range_tree.reset_weight2 t;
+      let weight2 = Array.make (Range_tree.n_nodes t) 0.0 in
       List.iter
         (fun r ->
           List.iter
-            (fun u -> Range_tree.add_weight2 t u 1.0)
+            (fun u -> weight2.(u) <- weight2.(u) +. 1.0)
             (Range_tree.query_nodes t r))
         rects;
       List.for_all
         (fun i ->
           let got =
             Range_tree.fold_point_paths t i ~init:0.0 ~f:(fun acc u ->
-                acc +. Range_tree.node_weight2 t u)
+                acc +. weight2.(u))
           in
           let want =
             List.length (List.filter (fun r -> Rect.contains r pts.(i)) rects)
@@ -403,7 +400,7 @@ let prop_dense_regions_invariant =
     (fun (n, threshold) ->
       let pts = random_points n 2 in
       let set_of = Array.init n (fun i -> i mod 5) in
-      let tree = Bbd_tree.build pts in
+      let tree = Bbd_tree.build_packed (Points.of_array pts) in
       let inner = 8.0 and outer = 12.0 and eps = 0.2 in
       match
         Dense_regions.prune_balls tree ~set_of ~inner ~outer ~eps ~threshold
@@ -444,7 +441,7 @@ let test_dense_regions_max_balls () =
      is dense, and a tiny max_balls must trip. *)
   let pts = Array.init 20 (fun i -> [| float_of_int i *. 0.01; 0.0 |]) in
   let set_of = Array.init 20 Fun.id in
-  let tree = Bbd_tree.build pts in
+  let tree = Bbd_tree.build_packed (Points.of_array pts) in
   Alcotest.(check bool) "exceeds budget" true
     (Dense_regions.prune_balls tree ~set_of ~inner:1.0 ~outer:1.0 ~eps:0.1
        ~threshold:0 ~max_balls:0

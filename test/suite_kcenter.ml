@@ -1,6 +1,7 @@
 open Cso_kcenter
 module Space = Cso_metric.Space
 module Point = Cso_metric.Point
+module Points = Cso_metric.Points
 
 let rng = Random.State.make [| 7 |]
 
@@ -67,7 +68,7 @@ let test_gonzalez_duplicate_early_exit () =
   let centers, radius = Gonzalez.run_points pts ~k:5 in
   Alcotest.(check int) "one center per distinct point" 2 (List.length centers);
   Alcotest.(check (float 0.0)) "radius exactly zero" 0.0 radius;
-  let fast_centers, fast_radius = Gonzalez.run_points_fast pts ~k:5 in
+  let fast_centers, fast_radius = Gonzalez.run_packed (Points.of_array pts) ~k:5 in
   Alcotest.(check int) "fast agrees on center count" 2
     (List.length fast_centers);
   Alcotest.(check (float 0.0)) "fast radius exactly zero" 0.0 fast_radius;
@@ -147,7 +148,7 @@ let prop_gonzalez_fast_identical =
         Array.init n (fun _ ->
             [| Random.State.float rng 100.0; Random.State.float rng 100.0 |])
       in
-      Gonzalez.run_points pts ~k = Gonzalez.run_points_fast pts ~k)
+      Gonzalez.run_points pts ~k = Gonzalez.run_packed (Points.of_array pts) ~k)
 
 let prop_gonzalez_radius_is_cost =
   QCheck.Test.make ~name:"gonzalez reported radius always equals true cost"

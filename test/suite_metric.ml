@@ -139,7 +139,7 @@ let test_float_sort_order_regression () =
        a b)
 
 (* ------------------------------------------------------------------ *)
-(* Tiled block kernel and float32 backing (bit-identity contracts)    *)
+(* Tiled block kernel (bit-identity contract)                         *)
 (* ------------------------------------------------------------------ *)
 
 let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
@@ -189,111 +189,26 @@ let test_l2_sq_block_bit_identity () =
     (Invalid_argument "Points.l2_sq_block: destination shorter than rows * n")
     (fun () -> Points.l2_sq_block c ~lo:0 ~hi:2 (Array.make 7 0.0))
 
-(* The float32 store: quantization happens exactly once (at [of_points],
-   to nearest float32), and the three kernels agree bitwise with each
-   other over the rounded coordinates, with the float64 counter
-   accounting. *)
-let test_f32_kernels_bit_identity () =
-  let module Obs = Cso_obs.Obs in
-  let rng = Random.State.make [| 20113 |] in
-  List.iter
-    (fun (n, d) ->
-      let c = random_store rng ~n ~d in
-      let s = Points.F32.of_points c in
-      Alcotest.(check int) "length" n (Points.F32.length s);
-      Alcotest.(check int) "dim" d (Points.F32.dim s);
-      for i = 0 to n - 1 do
-        for j = 0 to d - 1 do
-          let expected =
-            Int32.float_of_bits (Int32.bits_of_float (Points.coord c i j))
-          in
-          if not (same_bits expected (Points.F32.coord s i j)) then
-            Alcotest.failf "coord (%d, %d) not rounded-to-nearest float32" i j
-        done
-      done;
-      let lo = Random.State.int rng n in
-      let hi = lo + 1 + Random.State.int rng (n - lo) in
-      let rows = hi - lo in
-      let dst = Array.make (rows * n) nan in
-      let (), deltas =
-        Obs.with_delta (fun () -> Points.F32.l2_sq_block s ~lo ~hi dst)
-      in
-      Alcotest.(check (option int))
-        (Printf.sprintf "f32 dist_evals delta (n=%d d=%d)" n d)
-        (Some (rows * n))
-        (List.assoc_opt "metric.dist_evals" deltas);
-      let row = Array.make n nan in
-      for i = lo to hi - 1 do
-        Points.F32.l2_sq_to s i row;
-        for j = 0 to n - 1 do
-          let b = dst.(((i - lo) * n) + j) in
-          if
-            not
-              (same_bits b row.(j)
-              && same_bits b (Points.F32.l2_sq_idx s i j))
-          then
-            Alcotest.failf "F32 kernels disagree at (%d, %d), n=%d d=%d" i j n
-              d
-        done
-      done)
-    [ (1, 1); (9, 2); (33, 3); (64, 4); (900, 2) ]
-
-(* Quantization error contract (points.mli): with
-   [e_k = 2^-24 (|x_ik| + |x_jk|)] the per-coordinate rounding bound,
-   [|d32 - d64| <= sum_k (2 |x_ik - x_jk| e_k + e_k^2)], up to double
-   rounding of the sums themselves. *)
-let prop_f32_error_bound =
-  QCheck.Test.make ~name:"f32 squared distance within the quantization bound"
-    ~count:100
-    QCheck.(pair (int_range 2 40) (int_range 1 6))
-    (fun (n, d) ->
-      let rng = Random.State.make [| n; d; 77 |] in
-      let c = random_store rng ~n ~d in
-      let s = Points.F32.of_points c in
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        let j = (i + 1) mod n in
-        let d64 = Points.l2_sq_idx c i j in
-        let d32 = Points.F32.l2_sq_idx s i j in
-        let bound = ref 0.0 in
-        for k = 0 to d - 1 do
-          let xi = Points.coord c i k and xj = Points.coord c j k in
-          let e = ldexp (abs_float xi +. abs_float xj) (-24) in
-          bound := !bound +. (2.0 *. abs_float (xi -. xj) *. e) +. (e *. e)
-        done;
-        (* Slack for double rounding of the two accumulations. *)
-        let slack = 1e-12 *. (abs_float d64 +. 1.0) in
-        if abs_float (d32 -. d64) > !bound +. slack then ok := false
-      done;
-      !ok)
-
-(* Bit-identity of the tiled kernels on adversarial shapes: random
+(* Bit-identity of the tiled kernel on adversarial shapes: random
    dimensions (unrolled and generic) and ranges straddling tile
    boundaries. *)
 let prop_block_kernels_bit_identical =
   QCheck.Test.make
-    ~name:"l2_sq_block / F32 block bit-identical to per-index kernels"
+    ~name:"l2_sq_block bit-identical to the per-index kernel"
     ~count:60
     QCheck.(pair (int_range 1 80) (int_range 1 6))
     (fun (n, d) ->
       let rng = Random.State.make [| n; d; 13 |] in
       let c = random_store rng ~n ~d in
-      let s = Points.F32.of_points c in
       let lo = Random.State.int rng n in
       let hi = lo + 1 + Random.State.int rng (n - lo) in
-      let rows = hi - lo in
-      let dst = Array.make (rows * n) nan in
-      let dst32 = Array.make (rows * n) nan in
+      let dst = Array.make ((hi - lo) * n) nan in
       Points.l2_sq_block c ~lo ~hi dst;
-      Points.F32.l2_sq_block s ~lo ~hi dst32;
       let ok = ref true in
       for i = lo to hi - 1 do
         for j = 0 to n - 1 do
-          let at = ((i - lo) * n) + j in
-          if not (same_bits dst.(at) (Points.l2_sq_idx c i j)) then
-            ok := false;
-          if not (same_bits dst32.(at) (Points.F32.l2_sq_idx s i j)) then
-            ok := false
+          if not (same_bits dst.(((i - lo) * n) + j) (Points.l2_sq_idx c i j))
+          then ok := false
         done
       done;
       !ok)
@@ -335,9 +250,6 @@ let suite =
       test_float_sort_order_regression;
     Alcotest.test_case "l2_sq_block bit-identity + accounting" `Quick
       test_l2_sq_block_bit_identity;
-    Alcotest.test_case "f32 kernels bit-identity + accounting" `Quick
-      test_f32_kernels_bit_identity;
-    QCheck_alcotest.to_alcotest prop_f32_error_bound;
     QCheck_alcotest.to_alcotest prop_block_kernels_bit_identical;
     QCheck_alcotest.to_alcotest prop_euclidean_is_metric;
     QCheck_alcotest.to_alcotest prop_nearest_center;

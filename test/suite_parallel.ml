@@ -6,6 +6,7 @@
 module Pool = Cso_parallel.Pool
 module Space = Cso_metric.Space
 module Point = Cso_metric.Point
+module Points = Cso_metric.Points
 open Cso_kcenter
 module Mwu = Cso_lp.Mwu
 
@@ -206,7 +207,8 @@ let prop_gonzalez_identical =
       let runs =
         on_all_domain_counts (fun _ ->
             let s = Space.of_points pts in
-            (Gonzalez.run_points pts ~k, Gonzalez.run_points_fast pts ~k,
+            (Gonzalez.run_points pts ~k,
+             Gonzalez.run_packed (Points.of_array pts) ~k,
              Gonzalez.run s ~subset:(Array.init n Fun.id) ~k))
       in
       all_equal runs)
@@ -254,7 +256,7 @@ let prop_balls_all_identical =
       let pts = random_pts n in
       let eps = 0.25 in
       let module Obs = Cso_obs.Obs in
-      let tree = Cso_geom.Bbd_tree.build pts in
+      let tree = Cso_geom.Bbd_tree.build_packed (Points.of_array pts) in
       (* Reference: one boxed-center query per point, sequentially. *)
       let reference =
         Cso_obs.Obs.Hist.with_delta (fun () ->
@@ -276,7 +278,7 @@ let prop_balls_all_identical =
 
 let test_balls_all_obs_disabled () =
   let pts = random_pts 150 in
-  let tree = Cso_geom.Bbd_tree.build pts in
+  let tree = Cso_geom.Bbd_tree.build_packed (Points.of_array pts) in
   let module Obs = Cso_obs.Obs in
   let reference =
     with_domains 2 (fun () ->
@@ -325,11 +327,11 @@ let obs_workload_inputs () =
   (pts, m, gcso)
 
 let run_obs_workload (pts, m, gcso) =
-  let g = Gonzalez.run_points_fast pts ~k:5 in
+  let g = Gonzalez.run_packed (Points.of_array pts) ~k:5 in
   let s = Space.of_points pts in
   let c = Space.cached s in
   let d01 = c.Space.dist 0 1 in
-  let bbd = Bbd.build pts in
+  let bbd = Bbd.build_packed (Points.of_array pts) in
   let bbd_hits =
     List.map
       (fun i ->
@@ -337,7 +339,7 @@ let run_obs_workload (pts, m, gcso) =
           (Bbd.ball_query bbd ~center:pts.(i) ~radius:15.0 ~eps:0.2))
       [ 0; 7; 41; 99 ]
   in
-  let rt = Rtree.build pts in
+  let rt = Rtree.build_packed (Points.of_array pts) in
   let rt_hits =
     List.map
       (fun i ->
@@ -469,7 +471,7 @@ let test_budget_row_byte_stable () =
             (fun n ->
               let _, deltas =
                 Obs.with_delta (fun () ->
-                    ignore (Gonzalez.run_points_fast (pts_of n) ~k:4))
+                    ignore (Gonzalez.run_packed (Points.of_array (pts_of n)) ~k:4))
               in
               let evals =
                 Option.value ~default:0

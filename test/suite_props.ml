@@ -6,6 +6,7 @@
 
 open Cso_geom
 module Point = Cso_metric.Point
+module Points = Cso_metric.Points
 module Mwu = Cso_lp.Mwu
 module Simplex = Cso_lp.Simplex
 module Obs = Cso_obs.Obs
@@ -38,7 +39,7 @@ let prop_bbd_sandwich_general =
     QCheck.(triple (int_range 1 150) (int_range 1 3) (float_range 0.05 1.0))
     (fun (n, d, eps) ->
       let pts = random_points n d in
-      let tree = Bbd_tree.build pts in
+      let tree = Bbd_tree.build_packed (Points.of_array pts) in
       let center = Array.init d (fun _ -> Random.State.float rng 120.0) in
       let radius = Random.State.float rng 90.0 +. 0.5 in
       let (nodes, deltas) =
@@ -87,7 +88,7 @@ let prop_rtree_canonical =
     QCheck.(pair (int_range 1 150) (int_range 1 3))
     (fun (n, d) ->
       let pts = random_points n d in
-      let t = Range_tree.build pts in
+      let t = Range_tree.build_packed (Points.of_array pts) in
       let rect = random_rect d in
       let (nodes, deltas) =
         Obs.with_delta (fun () -> Range_tree.query_nodes t rect)
@@ -146,7 +147,6 @@ let prop_wspd_separation_and_coverage =
 
 (* --- Packed kernels vs Point kernels: bit-identity contract --- *)
 
-module Points = Cso_metric.Points
 
 let bits = Int64.bits_of_float
 
@@ -256,7 +256,7 @@ let prop_simplex_flat_equals_reference =
             Obs.with_delta (fun () -> outcome_bits (solver lp)))
       in
       let flat = run Simplex.solve in
-      let reference = run Simplex.solve_reference in
+      let reference = run Cso_refcheck.Reference.simplex_solve in
       flat = reference
       &&
       let (_, deltas), _ = flat in

@@ -7,6 +7,7 @@ module Fuzz = Cso_refcheck.Fuzz
 module Checks = Cso_refcheck.Checks
 module Reference = Cso_refcheck.Reference
 module Rect = Cso_geom.Rect
+module Points = Cso_metric.Points
 module Range_tree = Cso_geom.Range_tree
 module Geo_instance = Cso_core.Geo_instance
 module Gcso_general = Cso_core.Gcso_general
@@ -95,7 +96,7 @@ let test_registry_clean () =
    tree defaulted to dimension 1 and rejected every other rectangle.
    An empty tree must answer any query with the empty result. *)
 let test_rtree_empty_tree_any_dim () =
-  let t = Range_tree.build [||] in
+  let t = Range_tree.build_packed (Points.of_array [||]) in
   let rect = Rect.of_intervals [ (neg_infinity, infinity); (0.0, 4.0) ] in
   Alcotest.(check (list int)) "query_nodes" [] (Range_tree.query_nodes t rect);
   Alcotest.(check (list int)) "report" [] (Range_tree.report t rect);

@@ -10,6 +10,7 @@
 
 module Pool = Cso_parallel.Pool
 module Point = Cso_metric.Point
+module Points = Cso_metric.Points
 module Rect = Cso_geom.Rect
 module Bbd = Cso_geom.Bbd_tree
 module Obs = Cso_obs.Obs
@@ -280,7 +281,7 @@ let mirror reqs =
           match !static with
           | None -> Alcotest.fail "script sent balls_all before prepare"
           | Some (ids, pts) ->
-              let tree = Bbd.build pts in
+              let tree = Bbd.build_packed (Points.of_array pts) in
               P.Balls
                 (Array.map
                    (fun p ->
@@ -952,6 +953,81 @@ let test_oversize_closes_connection () =
       | P.Stats_reply _ -> ()
       | _ -> Alcotest.fail "other connection must stay usable")
 
+(* An instance of [n] points in the unit square whose [Balls_all] at
+   radius 10 lists every point in every row: a reply of about 8 n^2
+   bytes. *)
+let big_load n =
+  let rng = Random.State.make [| n; 4141 |] in
+  P.Load
+    {
+      name;
+      points =
+        Array.init n (fun _ ->
+            [| Random.State.float rng 1.0; Random.State.float rng 1.0 |]);
+      rects = [| Rect.of_intervals [ (0.0, 1.0); (0.0, 1.0) ] |];
+      k = 2;
+      z = 0;
+      eps = 0.5;
+      rounds = Some 40;
+      drift = 2.0;
+    }
+
+let balls_all_everything = P.Balls_all { name; radius = 10.0; eps = 0.3 }
+
+let step_until srv cond =
+  let rounds = ref 0 in
+  while (not (cond ())) && !rounds < 20_000 do
+    incr rounds;
+    ignore (Server.step ~timeout:0.002 srv)
+  done
+
+(* A client that hangs up in the middle of a large reply costs only its
+   own connection: the server's next write fails with EPIPE instead of
+   killing the process with SIGPIPE, the connection is reaped, and
+   another connection is still answered. *)
+let test_peer_gone_mid_reply () =
+  with_server ~n:1 (fun srv cs ->
+      let good = List.hd cs in
+      let sa, sb = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Server.add_connection srv sa;
+      let gone = { fd = sb; rd = P.reader P.Binary; got = []; eof = false } in
+      h_send P.Binary gone (big_load 1000);
+      h_send P.Binary gone (P.Prepare name);
+      pump srv [ gone ] ~want:[ 2 ];
+      h_send P.Binary gone balls_all_everything;
+      step_until srv (fun () -> readable gone.fd);
+      let buf = Bytes.create 4096 in
+      ignore (Unix.read gone.fd buf 0 (Bytes.length buf));
+      Unix.close gone.fd;
+      step_until srv (fun () -> Server.connections srv = 1);
+      Alcotest.(check int) "closed peer reaped" 1 (Server.connections srv);
+      h_send P.Binary good P.Stats;
+      pump srv cs ~want:[ 1 ];
+      match dec P.Binary (newest good) with
+      | P.Stats_reply _ -> ()
+      | _ -> Alcotest.fail "the other connection must still be answered")
+
+(* A reply above [max_frame] would poison the client's reader; the
+   server refuses it with [Too_large] instead and keeps answering the
+   same connection. *)
+let test_oversized_reply_refused () =
+  with_server ~n:1 (fun srv cs ->
+      let c = List.hd cs in
+      h_send P.Binary c (big_load 1500);
+      h_send P.Binary c (P.Prepare name);
+      h_send P.Binary c balls_all_everything;
+      pump srv cs ~want:[ 3 ];
+      (match dec P.Binary (newest c) with
+      | P.Error (P.Too_large, msg) ->
+          Alcotest.(check bool) "message names the limit" true
+            (contains msg (string_of_int P.max_frame))
+      | _ -> Alcotest.fail "expected a Too_large error");
+      h_send P.Binary c P.Stats;
+      pump srv cs ~want:[ 4 ];
+      match dec P.Binary (newest c) with
+      | P.Stats_reply _ -> ()
+      | _ -> Alcotest.fail "the connection must stay usable")
+
 let test_stats_and_shutdown () =
   with_server ~n:1 (fun srv cs ->
       let c = List.hd cs in
@@ -1201,6 +1277,10 @@ let suite =
       test_reader_oversize_poisons;
     Alcotest.test_case "oversize closes only the offending connection" `Quick
       test_oversize_closes_connection;
+    Alcotest.test_case "peer gone mid-reply costs only its connection"
+      `Quick test_peer_gone_mid_reply;
+    Alcotest.test_case "oversized reply refused, connection kept" `Quick
+      test_oversized_reply_refused;
     Alcotest.test_case "stats and shutdown" `Quick test_stats_and_shutdown;
     Alcotest.test_case "bytes counters match encoded frames" `Quick
       test_bytes_counters;
