@@ -45,8 +45,9 @@ kernels-smoke:
 # Chrome export parses, and re-check the committed budget baseline
 # through the CLI path. A traced relational run makes the same round
 # trip and must keep the oracle.farthest_linf and oracle.outside_witness
-# spans, which the benchmark's table1 attribution reads. Temp artifacts
-# are cleaned up on success.
+# spans, which the benchmark's table1 attribution reads; a traced CSO-LP
+# run must keep the LP row's three layers (cso.lp_build, simplex.solve,
+# cso.lp_round). Temp artifacts are cleaned up on success.
 trace-smoke:
 	dune exec bin/csokit.exe -- trace --run gcso -n 60 --seed 7 \
 		--jsonl trace_smoke.jsonl --chrome trace_smoke_chrome.json
@@ -56,8 +57,15 @@ trace-smoke:
 	dune exec bin/csokit.exe -- trace --in trace_smoke_rel.jsonl \
 		--require-span oracle.farthest_linf \
 		--require-span oracle.outside_witness
+	dune exec bin/csokit.exe -- trace --run cso -n 60 --seed 7 \
+		--jsonl trace_smoke_cso.jsonl
+	dune exec bin/csokit.exe -- trace --in trace_smoke_cso.jsonl \
+		--require-span cso.lp_build \
+		--require-span simplex.solve \
+		--require-span cso.lp_round
 	dune exec bin/csokit.exe -- budgets --series BENCH_budgets_baseline.json
-	rm -f trace_smoke.jsonl trace_smoke_chrome.json trace_smoke_rel.jsonl
+	rm -f trace_smoke.jsonl trace_smoke_chrome.json trace_smoke_rel.jsonl \
+		trace_smoke_cso.jsonl
 
 # Differential fuzzing gate: every optimized substrate against its
 # naive reference oracle / metamorphic invariants (lib/refcheck), 1000

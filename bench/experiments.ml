@@ -2027,9 +2027,12 @@ let tiled_block_sweep c dst passes =
   done;
   !acc
 
-(* Random instances with the exact shape of Cso_general's coverage LP:
-   a center-capacity row (Le k), an outlier-capacity row (Le z) and one
-   Ge-1 coverage row per element, over [0,1] box variables. *)
+(* Random instances with the exact shape of the bounded (LP1) that
+   Cso_general solved before it moved to the packing dual
+   ([Reference.cso_lp1]): a center-capacity row (Le k), an
+   outlier-capacity row (Le z) and one Ge-1 coverage row per element,
+   over [0,1] box variables. Kept as the kernel gate's simplex workload,
+   so its pivot count stays comparable across changes. *)
 let coverage_lp ~n ~m ~k ~z seed =
   let st = Random.State.make [| n; m; seed; 31337 |] in
   let nv = n + m in

@@ -11,40 +11,62 @@ type report = {
   lp_solves : int;
 }
 
-let build_lp ?(cover_mult = 1.0) (t : Instance.t) ~r =
+(* (LP1) at guess [r] is the covering LP
+     sum_{l in B(p_i, r)} x_l + sum_{j in L_i} y_j >= 1   (each i),
+     sum_j y_j <= z,  sum_l x_l <= k,  0 <= x, y <= 1.
+   Dropping the [<= 1] bounds does not change whether it is feasible
+   (clipping a value above 1 down to 1 keeps every row satisfied), and
+   then it is feasible iff [min sum x] over the other rows is at most
+   [k]. That minimum is the optimum of the packing dual built here, by
+   strong duality (DESIGN.md section 2, substitution 1):
+     max sum_i u_i - z w
+     s.t. sum_{i : l in B(p_i, r)} u_i <= 1      (one row per x_l)
+          sum_{i in S_j} u_i - w <= 0           (one row per y_j)
+          u, w >= 0.
+   Its rows are LP1's columns, entry for entry ([Space.ball] from each
+   [p_i] in turn, so an asymmetric distance transposes correctly), and
+   its all-slack basis is feasible: one simplex phase, no artificials.
+   Variables: u_0 .. u_{n-1}, then w. *)
+let dual_lp ~cover_mult (t : Instance.t) ~r =
   let n = Instance.n_elements t and m = Instance.n_sets t in
-  let nv = n + m in
-  let row coeffs = coeffs in
-  let centers_cap =
-    let a = Array.make nv 0.0 in
-    for i = 0 to n - 1 do
-      a.(i) <- 1.0
-    done;
-    (row a, Simplex.Le, float_of_int t.Instance.k)
-  in
-  let outliers_cap =
-    let a = Array.make nv 0.0 in
-    for j = 0 to m - 1 do
-      a.(n + j) <- 1.0
-    done;
-    (row a, Simplex.Le, float_of_int t.Instance.z)
-  in
-  let cover_r = cover_mult *. r in
-  let coverage =
-    List.init n (fun i ->
+  let nv = n + 1 in
+  let x_rows = Array.init n (fun _ -> Array.make nv 0.0) in
+  let y_rows =
+    Array.init m (fun _ ->
         let a = Array.make nv 0.0 in
-        List.iter (fun j -> a.(n + j) <- 1.0) t.Instance.membership.(i);
-        List.iter
-          (fun l -> a.(l) <- 1.0)
-          (Space.ball t.Instance.space ~center:i ~radius:cover_r);
-        (row a, Simplex.Ge, 1.0))
+        a.(n) <- -1.0;
+        a)
   in
+  for i = 0 to n - 1 do
+    List.iter
+      (fun l -> x_rows.(l).(i) <- 1.0)
+      (Space.ball t.Instance.space ~center:i ~radius:(cover_mult *. r));
+    List.iter (fun j -> y_rows.(j).(i) <- 1.0) t.Instance.membership.(i)
+  done;
+  let objective = Array.make nv 1.0 in
+  objective.(n) <- -.float_of_int t.Instance.z;
+  let le b rows = Array.to_list (Array.map (fun a -> (a, Simplex.Le, b)) rows) in
   {
     Simplex.num_vars = nv;
-    objective = Array.make nv 0.0;
-    constraints = centers_cap :: outliers_cap :: coverage;
-    bounds = Simplex.box nv;
+    objective;
+    constraints = le 1.0 x_rows @ le 0.0 y_rows;
+    bounds = Simplex.box ~hi:infinity nv;
   }
+
+(* The residual [Simplex]'s phase 1 allows, so that the verdict agrees
+   with a two-phase solve of (LP1). *)
+let accept_tol = 1e-7
+
+let lp_point ?(cover_mult = 1.0) (t : Instance.t) ~r =
+  let lp = Obs.with_span "cso.lp_build" (fun () -> dual_lp ~cover_mult t ~r) in
+  match Simplex.solve lp with
+  | Simplex.Optimal { value; duals; _ }
+    when value <= float_of_int t.Instance.k +. accept_tol ->
+      (* The dual prices are an optimal (x, y); clipping into [0, 1]
+         keeps it feasible for (LP1) with its bounds (the prices are
+         already >= -1e-9) and changes no rounding decision. *)
+      Some (Array.map (fun v -> Float.min 1.0 (Float.max 0.0 v)) duals)
+  | Simplex.Optimal _ | Simplex.Infeasible | Simplex.Unbounded -> None
 
 (* Rounds a fractional (x, y) solution: threshold the set variables at
    1/(2f), then greedily cover the surviving elements. *)
@@ -72,10 +94,10 @@ let round ?(removal_mult = 2.0) (t : Instance.t) ~r ~sol =
   { Instance.centers = List.rev !centers; outliers = !outliers }
 
 let solve_at ?cover_mult ?removal_mult t ~r =
-  let lp = build_lp ?cover_mult t ~r in
-  match Simplex.feasible_point lp with
+  match lp_point ?cover_mult t ~r with
   | None -> None
-  | Some sol -> Some (round ?removal_mult t ~r ~sol)
+  | Some sol ->
+      Some (Obs.with_span "cso.lp_round" (fun () -> round ?removal_mult t ~r ~sol))
 
 let solve t =
   Obs.with_span "cso.solve" @@ fun () ->

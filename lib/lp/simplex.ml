@@ -21,7 +21,7 @@ type problem = {
 }
 
 type outcome =
-  | Optimal of { value : float; solution : float array }
+  | Optimal of { value : float; solution : float array; duals : float array }
   | Infeasible
   | Unbounded
 
@@ -29,19 +29,29 @@ let eps = 1e-9
 
 let box ?(lo = 0.0) ?(hi = 1.0) n = Array.make n (lo, hi)
 
+(* A nan anywhere would slip through every comparison below and the
+   pivots would return a wrong outcome rather than fail; an infinite
+   coefficient or rhs turns into nan on the first elimination. Only an
+   upper bound may be infinite, and it builds no bound row. *)
 let validate p =
   if Array.length p.objective <> p.num_vars then
     invalid_arg "Simplex: objective length";
   if Array.length p.bounds <> p.num_vars then invalid_arg "Simplex: bounds length";
+  if not (Array.for_all Float.is_finite p.objective) then
+    invalid_arg "Simplex: non-finite objective coefficient";
   Array.iter
     (fun (lo, hi) ->
+      if Float.is_nan lo || Float.is_nan hi then invalid_arg "Simplex: nan bound";
+      if lo = infinity then invalid_arg "Simplex: infinite lower bound";
       if lo < 0.0 then invalid_arg "Simplex: negative lower bound";
-      if lo > hi then invalid_arg "Simplex: lo > hi";
-      if hi = infinity then invalid_arg "Simplex: infinite upper bound")
+      if lo > hi then invalid_arg "Simplex: lo > hi")
     p.bounds;
   List.iter
-    (fun (a, _, _) ->
-      if Array.length a <> p.num_vars then invalid_arg "Simplex: row length")
+    (fun (a, _, b) ->
+      if Array.length a <> p.num_vars then invalid_arg "Simplex: row length";
+      if not (Array.for_all Float.is_finite a) then
+        invalid_arg "Simplex: non-finite constraint coefficient";
+      if not (Float.is_finite b) then invalid_arg "Simplex: non-finite rhs")
     p.constraints
 
 (* The working tableau: the m x (ncols + 1) matrix [coefficients | rhs]
@@ -127,11 +137,14 @@ let objective_row t cost =
 
 (* Primal simplex with Bland's rule (smallest-index entering column,
    smallest-index tie-break on the leaving variable): guarantees
-   termination. We benchmarked Dantzig (most-negative) pricing on the
-   CSO coverage LPs and it was consistently ~2x slower in pivots there
-   — phase-1 feasibility dominates and the first improving column is
-   almost always good — so Bland is also the fast choice here.
-   [allowed.(j)] gates entering columns. *)
+   termination. On the bounded two-phase (LP1) that CSO used to solve,
+   Dantzig (most-negative) pricing took ~2x the pivots of Bland. On the
+   packing dual [Cso_general] solves instead (one phase from the slack
+   basis) the comparison reverses: a Dantzig variant took ~410 pivots
+   per CSO binary search (~12 LPs) against Bland's ~1,140, so the rule
+   is worth revisiting.
+   [allowed.(j)] gates entering columns. Returns the final reduced-cost
+   row, whose last entry is the objective value. *)
 let optimize t cost allowed =
   let obj = objective_row t cost in
   let m = t.m in
@@ -145,7 +158,7 @@ let optimize t cost allowed =
          end
        done
      with Exit -> ());
-    if !entering < 0 then `Optimal obj.(t.ncols)
+    if !entering < 0 then `Optimal obj
     else begin
       let c = !entering in
       (* Ratio test; Bland tie-break on the leaving basic variable. *)
@@ -176,8 +189,8 @@ let optimize t cost allowed =
 let solve_shifted p =
   let n = p.num_vars in
   let shift = Array.map fst p.bounds in
-  let width = Array.map (fun (lo, hi) -> hi -. lo) p.bounds in
-  (* Rows: user constraints with rhs shifted, then the upper bounds. *)
+  (* Rows: user constraints with rhs shifted, then the finite upper
+     bounds. *)
   let user_rows =
     List.map
       (fun (a, op, b) ->
@@ -189,13 +202,21 @@ let solve_shifted p =
       p.constraints
   in
   let bound_rows =
-    List.init n (fun i ->
-        let a = Array.make n 0.0 in
-        a.(i) <- 1.0;
-        (a, Le, width.(i)))
+    List.filter_map
+      (fun i ->
+        let lo, hi = p.bounds.(i) in
+        if hi = infinity then None
+        else begin
+          let a = Array.make n 0.0 in
+          a.(i) <- 1.0;
+          Some (a, Le, hi -. lo)
+        end)
+      (List.init n Fun.id)
   in
   let rows0 = user_rows @ bound_rows in
-  (* Normalize rhs >= 0. *)
+  (* Normalize rhs >= 0; [negated.(i)] records which rows flipped, so
+     their duals can be flipped back. *)
+  let negated = Array.of_list (List.map (fun (_, _, b) -> b < 0.0) rows0) in
   let rows0 =
     List.map
       (fun (a, op, b) ->
@@ -223,6 +244,11 @@ let solve_shifted p =
   let tab = Array.make (m * stride) 0.0 in
   let basis = Array.make m 0 in
   let is_artificial = Array.make ncols false in
+  (* [price_col.(i)] is the column whose final reduced cost is row [i]'s
+     dual price, negated when [price_sign.(i) < 0]: the slack of a Le
+     row, the surplus of a Ge row (which enters as [-1]), and the
+     artificial of an Eq row (phase 2 prices artificials at 0). *)
+  let price_col = Array.make m 0 and price_sign = Array.make m 1.0 in
   let slack_idx = ref n and art_idx = ref (n + n_slack) in
   List.iteri
     (fun i (a, op, b) ->
@@ -233,9 +259,12 @@ let solve_shifted p =
       | Le ->
           tab.(off + !slack_idx) <- 1.0;
           basis.(i) <- !slack_idx;
+          price_col.(i) <- !slack_idx;
           incr slack_idx
       | Ge ->
           tab.(off + !slack_idx) <- -1.0;
+          price_col.(i) <- !slack_idx;
+          price_sign.(i) <- -1.0;
           incr slack_idx;
           tab.(off + !art_idx) <- 1.0;
           is_artificial.(!art_idx) <- true;
@@ -245,6 +274,7 @@ let solve_shifted p =
           tab.(off + !art_idx) <- 1.0;
           is_artificial.(!art_idx) <- true;
           basis.(i) <- !art_idx;
+          price_col.(i) <- !art_idx;
           incr art_idx)
     rows0;
   let t = { tab; basis; ncols; m; stride } in
@@ -255,7 +285,7 @@ let solve_shifted p =
   let all_allowed = Array.make ncols true in
   (match optimize t phase1_cost all_allowed with
   | `Unbounded -> assert false (* phase-1 objective is bounded by 0 *)
-  | `Optimal v -> if v < -1e-7 then raise Exit);
+  | `Optimal obj -> if obj.(ncols) < -1e-7 then raise Exit);
   (* Drive artificials out of the basis where possible; redundant rows
      (all-zero over non-artificial columns) are neutralized in place. *)
   for i = 0 to m - 1 do
@@ -283,7 +313,7 @@ let solve_shifted p =
   let allowed = Array.map not is_artificial in
   match optimize t phase2_cost allowed with
   | `Unbounded -> Unbounded
-  | `Optimal _ ->
+  | `Optimal obj ->
       let x = Array.make n 0.0 in
       Array.iteri
         (fun i b -> if b < n then x.(b) <- tab.((i * stride) + ncols))
@@ -293,7 +323,13 @@ let solve_shifted p =
       for i = 0 to n - 1 do
         value := !value +. (p.objective.(i) *. solution.(i))
       done;
-      Optimal { value = !value; solution }
+      (* User rows come first in [rows0]; bound rows get no dual. *)
+      let duals =
+        Array.init (List.length p.constraints) (fun i ->
+            let d = price_sign.(i) *. obj.(price_col.(i)) in
+            if negated.(i) then -.d else d)
+      in
+      Optimal { value = !value; solution; duals }
 
 let solve p =
   validate p;

@@ -6,8 +6,10 @@
     simplex provides. Bland's rule guarantees termination.
 
     Problems are stated over variables [x_0 .. x_{n-1}] with individual
-    bounds [lo_i <= x_i <= hi_i] (both finite, [lo_i >= 0]) and linear
-    constraints [a . x OP b]. The objective is maximized. *)
+    bounds [lo_i <= x_i <= hi_i] and linear constraints [a . x OP b].
+    [lo_i] is finite and [>= 0]; [hi_i] may be [infinity], and such a
+    variable gets no bound row. Objective, coefficients and right-hand
+    sides are finite. The objective is maximized. *)
 
 type op = Le | Ge | Eq
 
@@ -19,13 +21,23 @@ type problem = {
 }
 
 type outcome =
-  | Optimal of { value : float; solution : float array }
+  | Optimal of { value : float; solution : float array; duals : float array }
+      (** [duals.(i)] is the price of [constraints]' [i]-th row in the
+          final basis, read from its reduced cost; bound rows get none.
+          Its sign is the feasible one for a maximization: [>= 0] for
+          [Le], [<= 0] for [Ge], either for [Eq], each up to the [1e-9]
+          pricing tolerance. When every bound is [[0, infinity)] (no
+          bound rows, no shift) the duals certify optimality:
+          [A^T duals >= objective] up to that tolerance and
+          [b . duals = value], both up to rounding. *)
   | Infeasible
   | Unbounded
 
 val solve : problem -> outcome
-(** Solves the problem. Raises [Invalid_argument] on malformed input
-    (wrong lengths, negative lower bounds, [lo > hi]).
+(** Solves the problem. Raises [Invalid_argument] on malformed input:
+    wrong lengths; a nan anywhere; a non-finite objective coefficient,
+    constraint coefficient or right-hand side; a negative or infinite
+    lower bound; [lo > hi].
 
     The working tableau is one flat row-major [float array] (stride
     [ncols + 1]); see DESIGN.md section 3e. Outcomes, pivot sequences

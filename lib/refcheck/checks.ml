@@ -25,6 +25,7 @@ module Set_cover = Cso_setcover.Set_cover
 module Instance = Cso_core.Instance
 module Exact = Cso_core.Exact
 module Cso_general = Cso_core.Cso_general
+module Kmedian = Cso_core.Kmedian
 module Gcso_general = Cso_core.Gcso_general
 module Geo_instance = Cso_core.Geo_instance
 module Rel = Cso_relational
@@ -616,7 +617,13 @@ let kcenter_charikar =
 (* lp.*                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let gen_problem rng =
+(* Two branches: upper bounds drawn from 1..5, or every variable in
+   [0, +inf), where no bound row is built and the duals alone certify
+   an optimum. [~unbounded] forces the branch. *)
+let gen_problem ?unbounded rng =
+  let unbounded =
+    match unbounded with Some u -> u | None -> Random.State.bool rng
+  in
   let nv = int_in rng 1 4 and nc = int_in rng 0 5 in
   let row () = Array.init nv (fun _ -> float_of_int (int_in rng (-3) 3)) in
   {
@@ -631,7 +638,9 @@ let gen_problem rng =
             | _ -> Simplex.Eq
           in
           (row (), op, float_of_int (int_in rng (-6) 6)));
-    bounds = Array.init nv (fun _ -> (0.0, float_of_int (int_in rng 1 5)));
+    bounds =
+      Array.init nv (fun _ ->
+          (0.0, if unbounded then infinity else float_of_int (int_in rng 1 5)));
   }
 
 let shrink_problem (p : Simplex.problem) =
@@ -662,6 +671,7 @@ let lp_flat_vs_reference =
   Fuzz.make ~name:"lp.simplex_flat_vs_reference" ~gen:gen_problem
     ~shrink:shrink_problem ~show:show_problem
     ~prop:(fun p ->
+      let bits a = Array.map Int64.bits_of_float a in
       match (Simplex.solve p, Reference.simplex_solve p) with
       | Simplex.Infeasible, Simplex.Infeasible
       | Simplex.Unbounded, Simplex.Unbounded ->
@@ -674,8 +684,12 @@ let lp_flat_vs_reference =
                  (Int64.bits_of_float o2.value))
               "flat value %.17g <> reference value %.17g" o1.value o2.value
           in
-          require (o1.solution = o2.solution)
-            "flat solution differs from reference solution"
+          let* () =
+            require (o1.solution = o2.solution)
+              "flat solution differs from reference solution"
+          in
+          require (bits o1.duals = bits o2.duals)
+            "flat duals differ from reference duals"
       | a, b ->
           let str = function
             | Simplex.Optimal { value; _ } -> Printf.sprintf "Optimal %g" value
@@ -693,7 +707,7 @@ let lp_optimal_feasible =
       | Simplex.Infeasible ->
           require (not feasible) "solve Infeasible but feasible_point = Some"
       | Simplex.Unbounded -> require feasible "Unbounded but no feasible point"
-      | Simplex.Optimal { value; solution = x } ->
+      | Simplex.Optimal { value; solution = x; _ } ->
           let* () = require feasible "Optimal but feasible_point = None" in
           let* () =
             require
@@ -718,6 +732,53 @@ let lp_optimal_feasible =
             (abs_float (dot p.Simplex.objective -. value) <= 1e-6)
             "objective %.17g <> reported value %.17g" (dot p.Simplex.objective)
             value)
+
+(* Weak duality made exact: over [0, +inf) bounds the solution and the
+   duals are a primal-dual pair with equal objectives, so each is
+   optimal. The problem is a max, hence Le prices are >= 0 and Ge
+   prices <= 0, up to the 1e-9 pricing tolerance. *)
+let lp_duals_certify =
+  Fuzz.make ~name:"lp.simplex_duals_certify"
+    ~gen:(fun rng -> gen_problem ~unbounded:true rng)
+    ~shrink:shrink_problem ~show:show_problem
+    ~prop:(fun p ->
+      match Simplex.solve p with
+      | Simplex.Infeasible | Simplex.Unbounded -> Ok ()
+      | Simplex.Optimal { value; duals = y; _ } ->
+          let rows = Array.of_list p.Simplex.constraints in
+          let sum f = Array.fold_left ( +. ) 0.0 (Array.mapi f rows) in
+          let ys =
+            String.concat " " (Array.to_list (Array.map (Printf.sprintf "%g") y))
+          in
+          let* () =
+            requiref (Array.length y = Array.length rows) "%d duals for %d rows"
+              (Array.length y) (Array.length rows)
+          in
+          let* () =
+            requiref
+              (Array.for_all Fun.id
+                 (Array.mapi
+                    (fun i (_, op, _) ->
+                      match op with
+                      | Simplex.Le -> y.(i) >= -1e-9
+                      | Simplex.Ge -> y.(i) <= 1e-9
+                      | Simplex.Eq -> true)
+                    rows))
+              "duals [%s]: a Le price < 0 or a Ge price > 0" ys
+          in
+          let* () =
+            requiref
+              (List.for_all
+                 (fun v ->
+                   sum (fun i (a, _, _) -> a.(v) *. y.(i))
+                   >= p.Simplex.objective.(v) -. 1e-6)
+                 (List.init p.Simplex.num_vars Fun.id))
+              "duals [%s]: A^T y < c" ys
+          in
+          let bty = sum (fun i (_, _, b) -> b *. y.(i)) in
+          requiref
+            (abs_float (bty -. value) <= 1e-6)
+            "duals [%s]: b.y = %.17g <> value %.17g" ys bty value)
 
 type mwu_inst = { m_a : float array array; m_b : float array }
 
@@ -1028,6 +1089,89 @@ let cso_lp_tricriteria =
       requiref
         (cost <= (2.0 *. opt) +. 1e-9)
         "cost %.17g > 2*opt = %.17g" cost (2.0 *. opt))
+
+(* The packing dual's verdict is (LP1)'s, and its point is one of
+   (LP1)'s, at every guess the binary search could probe and at both
+   ball multipliers the solvers use. *)
+let cso_lp_dual_vs_primal =
+  Fuzz.make ~name:"cso.lp_dual_vs_primal" ~gen:gen_cso ~shrink:shrink_cso
+    ~show:show_cso
+    ~prop:(fun c ->
+      let t = mk_cso c in
+      let probe (cover_mult, r) =
+        let lp1 = Reference.cso_lp1 ~cover_mult t ~r in
+        let feasible = Simplex.feasible_point lp1 <> None in
+        match Cso_general.lp_point ~cover_mult t ~r with
+        | None ->
+            requiref (not feasible)
+              "r=%.17g cover_mult=%g: dual rejects a feasible (LP1)" r cover_mult
+        | Some x ->
+            let* () =
+              requiref feasible
+                "r=%.17g cover_mult=%g: dual accepts an infeasible (LP1)" r
+                cover_mult
+            in
+            let dot a = Array.fold_left ( +. ) 0.0 (Array.map2 ( *. ) a x) in
+            let excess =
+              List.map
+                (fun (a, op, b) ->
+                  match op with
+                  | Simplex.Le -> dot a -. b
+                  | Simplex.Ge -> b -. dot a
+                  | Simplex.Eq -> abs_float (dot a -. b))
+                lp1.Simplex.constraints
+              @ Array.to_list
+                  (Array.map2
+                     (fun (lo, hi) v -> Float.max (lo -. v) (v -. hi))
+                     lp1.Simplex.bounds x)
+            in
+            let worst = List.fold_left Float.max neg_infinity excess in
+            requiref (worst <= 1e-9)
+              "r=%.17g cover_mult=%g: point violates (LP1) by %.17g" r
+              cover_mult worst
+      in
+      Array.to_list (Space.pairwise_distances t.Instance.space)
+      |> List.concat_map (fun r -> [ (1.0, r); (10.0, r) ])
+      |> List.fold_left (fun acc p -> Result.bind acc (fun () -> probe p)) (Ok ()))
+
+(* [Kmedian]'s three tools bracket one another: its LP relaxation is a
+   lower bound on the exhaustive optimum, which is at most the local
+   search's cost. The LP is solved with a real objective, so this also
+   pins [Simplex.solve]'s optimum, not only its feasibility. *)
+let cso_kmedian_bounds =
+  Fuzz.make ~name:"cso.kmedian_bounds_vs_exact"
+    ~gen:(fun rng -> gen_cso ~n_max:6 rng)
+    ~shrink:shrink_cso ~show:show_cso
+    ~prop:(fun c ->
+      let t = mk_cso c in
+      let check (objective, name) =
+        match
+          (Kmedian.lp_lower_bound ~objective t, Kmedian.exact ~objective t)
+        with
+        | None, _ -> Error (name ^ ": lp_lower_bound refused a tiny instance")
+        | _, None -> Error (name ^ ": exact hit its work limit on a tiny instance")
+        | Some lb, Some (sol, opt) ->
+            let* () =
+              require (Instance.is_valid t sol) (name ^ ": exact solution invalid")
+            in
+            let* () =
+              requiref (lb <= opt +. 1e-6) "%s: LP lower bound %.17g > exact %.17g"
+                name lb opt
+            in
+            let ls = Kmedian.local_search ~objective t in
+            let* () =
+              requiref
+                (Instance.is_valid t ls
+                && List.length ls.Instance.centers <= c.c_k
+                && List.length ls.Instance.outliers <= c.c_z)
+                "%s: local search returned an invalid or over-budget solution" name
+            in
+            let ls_cost = Kmedian.cost ~objective t ls in
+            requiref (opt <= ls_cost) "%s: exact %.17g > local search %.17g" name
+              opt ls_cost
+      in
+      let* () = check (Kmedian.Median, "median") in
+      check (Kmedian.Means, "means"))
 
 let cso_budget_monotone =
   Fuzz.make ~name:"cso.outlier_budget_monotone"
@@ -2431,12 +2575,15 @@ let all =
     kcenter_charikar;
     lp_flat_vs_reference;
     lp_optimal_feasible;
+    lp_duals_certify;
     lp_mwu_vs_simplex;
     setcover_greedy;
     setcover_exact;
     cso_exact;
     cso_lp_tricriteria;
+    cso_lp_dual_vs_primal;
     cso_budget_monotone;
+    cso_kmedian_bounds;
     gcso_mwu_tricriteria;
     gcso_batched_oracle;
     dynamic_bbd;

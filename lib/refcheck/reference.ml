@@ -249,7 +249,8 @@ let box_complement = Box_complement_list.decompose
    the same order. It publishes the same [lp.simplex.*] counters, the
    [lp.simplex.pivots_per_solve] histogram and the [simplex.solve] span,
    so the flat tableau must match it event for event as well as bit for
-   bit. The problem must pass [Simplex.solve]'s validation. *)
+   bit, duals included. Like it, it builds no bound row for an infinite
+   upper bound. The problem must pass [Simplex.solve]'s validation. *)
 module Simplex_rows = struct
   module Obs = Cso_obs.Obs
   open Cso_lp.Simplex
@@ -311,7 +312,7 @@ module Simplex_rows = struct
            end
          done
        with Exit -> ());
-      if !entering < 0 then `Optimal obj.(t.ncols)
+      if !entering < 0 then `Optimal obj
       else begin
         let c = !entering in
         (* Ratio test; Bland tie-break on the leaving basic variable. *)
@@ -342,8 +343,8 @@ module Simplex_rows = struct
   let solve_shifted pivots p =
     let n = p.num_vars in
     let shift = Array.map fst p.bounds in
-    let width = Array.map (fun (lo, hi) -> hi -. lo) p.bounds in
-    (* Rows: user constraints with rhs shifted, then the upper bounds. *)
+    (* Rows: user constraints with rhs shifted, then the finite upper
+       bounds. *)
     let user_rows =
       List.map
         (fun (a, op, b) ->
@@ -355,12 +356,18 @@ module Simplex_rows = struct
         p.constraints
     in
     let bound_rows =
-      List.init n (fun i ->
-          let a = Array.make n 0.0 in
-          a.(i) <- 1.0;
-          (a, Le, width.(i)))
+      List.concat
+        (List.init n (fun i ->
+             let lo, hi = p.bounds.(i) in
+             if hi = infinity then []
+             else begin
+               let a = Array.make n 0.0 in
+               a.(i) <- 1.0;
+               [ (a, Le, hi -. lo) ]
+             end))
     in
     let rows0 = user_rows @ bound_rows in
+    let negated = Array.of_list (List.map (fun (_, _, b) -> b < 0.0) rows0) in
     (* Normalize rhs >= 0. *)
     let rows0 =
       List.map
@@ -388,6 +395,10 @@ module Simplex_rows = struct
     let rows = Array.make m [||] in
     let basis = Array.make m 0 in
     let is_artificial = Array.make ncols false in
+    (* Row [i]'s dual price is the final reduced cost of its slack
+       (Le), minus that of its surplus (Ge), or that of its artificial
+       (Eq): [sign.(i) *. obj.(price_col.(i))]. *)
+    let price_col = Array.make m 0 and sign = Array.make m 1.0 in
     let slack_idx = ref n and art_idx = ref (n + n_slack) in
     List.iteri
       (fun i (a, op, b) ->
@@ -398,9 +409,12 @@ module Simplex_rows = struct
         | Le ->
             row.(!slack_idx) <- 1.0;
             basis.(i) <- !slack_idx;
+            price_col.(i) <- !slack_idx;
             incr slack_idx
         | Ge ->
             row.(!slack_idx) <- -1.0;
+            price_col.(i) <- !slack_idx;
+            sign.(i) <- -1.0;
             incr slack_idx;
             row.(!art_idx) <- 1.0;
             is_artificial.(!art_idx) <- true;
@@ -410,6 +424,7 @@ module Simplex_rows = struct
             row.(!art_idx) <- 1.0;
             is_artificial.(!art_idx) <- true;
             basis.(i) <- !art_idx;
+            price_col.(i) <- !art_idx;
             incr art_idx);
         rows.(i) <- row)
       rows0;
@@ -421,7 +436,7 @@ module Simplex_rows = struct
     let all_allowed = Array.make ncols true in
     (match optimize pivots t phase1_cost all_allowed with
     | `Unbounded -> assert false (* phase-1 objective is bounded by 0 *)
-    | `Optimal v -> if v < -1e-7 then raise Exit);
+    | `Optimal obj -> if obj.(t.ncols) < -1e-7 then raise Exit);
     (* Drive artificials out of the basis where possible; redundant rows
        (all-zero over non-artificial columns) are neutralized in place. *)
     let m = Array.length t.rows in
@@ -448,7 +463,7 @@ module Simplex_rows = struct
     let allowed = Array.map not is_artificial in
     match optimize pivots t phase2_cost allowed with
     | `Unbounded -> Unbounded
-    | `Optimal _ ->
+    | `Optimal obj ->
         let x = Array.make n 0.0 in
         Array.iteri
           (fun i b -> if b < n then x.(b) <- t.rows.(i).(t.ncols))
@@ -458,7 +473,14 @@ module Simplex_rows = struct
         for i = 0 to n - 1 do
           value := !value +. (p.objective.(i) *. solution.(i))
         done;
-        Optimal { value = !value; solution }
+        (* User rows come first; a row negated to make its rhs >= 0
+           has its price negated back. *)
+        let duals =
+          Array.init (List.length p.constraints) (fun i ->
+              let d = sign.(i) *. obj.(price_col.(i)) in
+              if negated.(i) then -.d else d)
+        in
+        Optimal { value = !value; solution; duals }
 
   let solve p =
     Obs.incr c_solves;
@@ -515,6 +537,42 @@ let cso_opt (t : Instance.t) =
           (subsets_up_to survivors t.Instance.k))
     infinity
     (subsets_up_to (indices m) t.Instance.z)
+
+(* (LP1) of Section 2.2 as [Cso_general] solved it before it moved to the
+   packing dual: the center budget, the outlier budget, one Ge-1
+   coverage row per element, all over the [0,1] box. *)
+let cso_lp1 ?(cover_mult = 1.0) (t : Instance.t) ~r =
+  let n = Instance.n_elements t and m = Instance.n_sets t in
+  let nv = n + m in
+  let centers_cap =
+    let a = Array.make nv 0.0 in
+    for i = 0 to n - 1 do
+      a.(i) <- 1.0
+    done;
+    (a, Cso_lp.Simplex.Le, float_of_int t.Instance.k)
+  in
+  let outliers_cap =
+    let a = Array.make nv 0.0 in
+    for j = 0 to m - 1 do
+      a.(n + j) <- 1.0
+    done;
+    (a, Cso_lp.Simplex.Le, float_of_int t.Instance.z)
+  in
+  let coverage =
+    List.init n (fun i ->
+        let a = Array.make nv 0.0 in
+        List.iter (fun j -> a.(n + j) <- 1.0) t.Instance.membership.(i);
+        List.iter
+          (fun l -> a.(l) <- 1.0)
+          (Space.ball t.Instance.space ~center:i ~radius:(cover_mult *. r));
+        (a, Cso_lp.Simplex.Ge, 1.0))
+  in
+  {
+    Cso_lp.Simplex.num_vars = nv;
+    objective = Array.make nv 0.0;
+    constraints = centers_cap :: outliers_cap :: coverage;
+    bounds = Cso_lp.Simplex.box nv;
+  }
 
 (* --- set cover: naive greedy and brute-force optimum --- *)
 

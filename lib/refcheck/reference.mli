@@ -9,7 +9,8 @@
     {!wspd_candidate_distances}, {!box_complement}, {!simplex_solve}
     and {!any_in_rect} are the exception: the earlier implementation of
     a substrate rewritten for speed, which the rewrite must match bit
-    for bit. *)
+    for bit. {!cso_lp1} is the LP a solver stopped building, kept so
+    that its replacement can be checked against it. *)
 
 val subsets_up_to : 'a list -> int -> 'a list list
 (** All subsets of size at most [r] (the enumeration backbone of the
@@ -65,6 +66,15 @@ val cso_opt : Cso_core.Instance.t -> float
 (** The exact CSO optimum [rho*_{k,z}] by enumerating every outlier-set
     family of size [<= z] and every center set of size [<= k] among the
     survivors. Independent of {!Cso_core.Exact} (which it cross-checks). *)
+
+val cso_lp1 : ?cover_mult:float -> Cso_core.Instance.t -> r:float ->
+  Cso_lp.Simplex.problem
+(** (LP1) of Section 2.2 at guess [r], as [Cso_core.Cso_general] built
+    it before it solved the packing dual: variables [x_0 .. x_{n-1}],
+    [y_0 .. y_{m-1}] in [[0, 1]]; rows [sum x <= k], [sum y <= z] and,
+    per element [i], [sum_{l in B(p_i, cover_mult * r)} x_l +
+    sum_{j in L_i} y_j >= 1]. [Cso_general.lp_point] must agree with
+    its feasibility and return one of its feasible points. *)
 
 val greedy_cover : Cso_setcover.Set_cover.t -> int list
 (** Classic greedy set cover with per-step gain recomputation. *)

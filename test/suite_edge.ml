@@ -86,7 +86,7 @@ let test_simplex_fixed_variable () =
     }
   in
   match Simplex.solve p with
-  | Simplex.Optimal { value; solution } ->
+  | Simplex.Optimal { value; solution; _ } ->
       Alcotest.(check (float 1e-6)) "x fixed" 0.5 solution.(0);
       Alcotest.(check (float 1e-6)) "value" 1.0 value
   | _ -> Alcotest.fail "expected optimum"

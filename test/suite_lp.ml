@@ -18,7 +18,7 @@ let test_simplex_known_optimum () =
     }
   in
   match Simplex.solve p with
-  | Simplex.Optimal { value; solution } ->
+  | Simplex.Optimal { value; solution; _ } ->
       Alcotest.(check (float 1e-6)) "value" 12.0 value;
       Alcotest.(check (float 1e-6)) "x" 4.0 solution.(0);
       Alcotest.(check (float 1e-6)) "y" 0.0 solution.(1)
@@ -61,7 +61,7 @@ let test_simplex_equality () =
     }
   in
   match Simplex.solve p with
-  | Simplex.Optimal { value; solution } ->
+  | Simplex.Optimal { value; solution; _ } ->
       Alcotest.(check (float 1e-6)) "value" 1.0 value;
       Alcotest.(check (float 1e-6)) "sum" 1.0 (solution.(0) +. solution.(1))
   | _ -> Alcotest.fail "expected optimum"
@@ -94,6 +94,80 @@ let test_simplex_validation () =
     (Invalid_argument "Simplex: negative lower bound") (fun () ->
       ignore (Simplex.solve bad))
 
+(* A nan fails every comparison, so an unvalidated one comes back as a
+   wrong outcome rather than an error: Unbounded for a nan lower bound,
+   Optimal x = 1 for x <= nan, Optimal for nan * x >= 0.5, Optimal nan
+   for a nan objective. *)
+let test_simplex_rejects_nan () =
+  let p =
+    {
+      Simplex.num_vars = 1;
+      objective = [| 1.0 |];
+      constraints = [ ([| 1.0 |], Simplex.Le, 5.0) ];
+      bounds = [| (0.0, 1.0) |];
+    }
+  in
+  let rejects name p =
+    match Simplex.solve p with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
+  rejects "nan lower bound" { p with bounds = [| (nan, 1.0) |] };
+  rejects "nan upper bound" { p with bounds = [| (0.0, nan) |] };
+  rejects "nan rhs" { p with constraints = [ ([| 1.0 |], Simplex.Le, nan) ] };
+  rejects "nan coefficient"
+    { p with constraints = [ ([| nan |], Simplex.Ge, 0.5) ] };
+  rejects "nan objective" { p with objective = [| nan |] };
+  rejects "infinite lower bound" { p with bounds = [| (infinity, infinity) |] };
+  rejects "infinite rhs"
+    { p with constraints = [ ([| 1.0 |], Simplex.Le, infinity) ] }
+
+(* [hi = infinity] builds no bound row, and over [0, +inf) the duals are
+   the textbook ones, with the sign of a row whose rhs the solver negated
+   restored. *)
+let test_simplex_infinite_upper_bound () =
+  let nonneg n = Simplex.box ~hi:infinity n in
+  let p =
+    {
+      Simplex.num_vars = 2;
+      objective = [| 1.0; 1.0 |];
+      constraints =
+        [
+          ([| 1.0; 2.0 |], Simplex.Le, 4.0);
+          ([| 3.0; 1.0 |], Simplex.Le, 6.0);
+        ];
+      bounds = nonneg 2;
+    }
+  in
+  (match Simplex.solve p with
+  | Simplex.Optimal { value; solution; duals } ->
+      Alcotest.(check (float 1e-9)) "value" 2.8 value;
+      Alcotest.(check (float 1e-9)) "x" 1.6 solution.(0);
+      Alcotest.(check (float 1e-9)) "y" 1.2 solution.(1);
+      Alcotest.(check (array (float 1e-9))) "duals" [| 0.4; 0.2 |] duals
+  | _ -> Alcotest.fail "expected optimum");
+  (* max c x s.t. a x OP b, x >= 0. *)
+  let one c a op b =
+    {
+      Simplex.num_vars = 1;
+      objective = [| c |];
+      constraints = [ ([| a |], op, b) ];
+      bounds = nonneg 1;
+    }
+  in
+  (match Simplex.solve (one (-1.0) 1.0 Simplex.Ge 2.0) with
+  | Simplex.Optimal { value; duals; _ } ->
+      Alcotest.(check (float 1e-9)) "x >= 2: value" (-2.0) value;
+      Alcotest.(check (array (float 1e-9))) "x >= 2: Ge dual" [| -1.0 |] duals
+  | _ -> Alcotest.fail "x >= 2: expected optimum");
+  (match Simplex.solve (one (-1.0) (-1.0) Simplex.Le (-2.0)) with
+  | Simplex.Optimal { value; duals; _ } ->
+      Alcotest.(check (float 1e-9)) "-x <= -2: value" (-2.0) value;
+      Alcotest.(check (array (float 1e-9))) "-x <= -2: Le dual" [| 1.0 |] duals
+  | _ -> Alcotest.fail "-x <= -2: expected optimum");
+  Alcotest.(check bool) "max x s.t. x >= 1 is unbounded" true
+    (Simplex.solve (one 1.0 1.0 Simplex.Ge 1.0) = Simplex.Unbounded)
+
 (* Random LPs: whatever the solver returns as Optimal must actually be
    feasible and consistent. *)
 let prop_simplex_solutions_feasible =
@@ -123,7 +197,7 @@ let prop_simplex_solutions_feasible =
       in
       match Simplex.solve p with
       | Simplex.Infeasible | Simplex.Unbounded -> true
-      | Simplex.Optimal { value; solution } ->
+      | Simplex.Optimal { value; solution; _ } ->
           let tol = 1e-6 in
           Array.for_all (fun x -> x >= -.tol && x <= 1.0 +. tol) solution
           && List.for_all
@@ -410,6 +484,9 @@ let suite =
     Alcotest.test_case "simplex equality" `Quick test_simplex_equality;
     Alcotest.test_case "simplex lower bounds" `Quick test_simplex_lower_bounds;
     Alcotest.test_case "simplex validation" `Quick test_simplex_validation;
+    Alcotest.test_case "simplex rejects nan" `Quick test_simplex_rejects_nan;
+    Alcotest.test_case "simplex infinite upper bound" `Quick
+      test_simplex_infinite_upper_bound;
     QCheck_alcotest.to_alcotest prop_simplex_solutions_feasible;
     QCheck_alcotest.to_alcotest prop_simplex_matches_grid;
     Alcotest.test_case "mwu feasible toy" `Quick test_mwu_feasible_toy;

@@ -215,14 +215,15 @@ let prop_row_kernel_bit_identical =
 
 (* --- Flat simplex tableau vs the reference implementation --- *)
 
-(* Random small LPs over shifted boxes with all three constraint ops.
-   The flat solver must agree with the kept row-of-rows reference not
-   just on outcomes but on the exact pivot count and per-solve pivot
+(* Random small LPs over shifted boxes, a quarter of the variables
+   unbounded above, with all three constraint ops. The flat solver must
+   agree with the kept row-of-rows reference not just on outcomes
+   (duals included) but on the exact pivot count and per-solve pivot
    histogram: the two are the same algorithm in different memory
    layouts. *)
 let outcome_bits = function
-  | Simplex.Optimal { value; solution } ->
-      `Optimal (bits value, Array.map bits solution)
+  | Simplex.Optimal { value; solution; duals } ->
+      `Optimal (bits value, Array.map bits solution, Array.map bits duals)
   | Simplex.Infeasible -> `Infeasible
   | Simplex.Unbounded -> `Unbounded
 
@@ -245,7 +246,8 @@ let prop_simplex_flat_equals_reference =
       let bounds =
         Array.init nv (fun _ ->
             let lo = Random.State.float rng 0.5 in
-            (lo, lo +. Random.State.float rng 1.0))
+            let width = Random.State.float rng 1.0 in
+            (lo, if Random.State.int rng 4 = 0 then infinity else lo +. width))
       in
       let objective =
         Array.init nv (fun _ -> float_of_int (Random.State.int rng 9 - 4))
