@@ -34,9 +34,9 @@ bench:
 bench-smoke:
 	dune exec bench/main.exe -- smoke_parallel smoke_counters smoke_budgets smoke_kernels smoke_dynamic
 
-# Compute-kernel gate on its own: boxed vs packed vs tiled distance
-# kernels, bit-identity of every variant, exact eval-counter totals vs
-# BENCH_kernels_baseline.json, and the packed/tiled not-slower gates.
+# Compute-kernel gate on its own: boxed vs packed distance kernels
+# (per-index and row), bit-identity of every variant, exact eval-counter
+# totals vs BENCH_kernels_baseline.json, and the packed not-slower gates.
 kernels-smoke:
 	dune exec bench/main.exe -- smoke_kernels
 

@@ -1968,65 +1968,6 @@ let packed_row_sweep c dst passes =
   done;
   !acc
 
-(* Block sweeps: [kernel_block_rows] consecutive query rows per pass
-   against the whole store ([rows * n] distances in the block layout of
-   [l2_sq_block]). All variants produce the SAME block in [dst] — the
-   boxed and row-kernel baselines can only express it as per-row work
-   (the row kernel additionally needs a scratch row + blit, since
-   [l2_sq_to] always writes at offset 0): the store streams through
-   cache once per row, while the tiled kernel reuses each loaded j-tile
-   for every row of the block and writes each element exactly once.
-   All three fold the same rotating block element into the checksum so
-   full results feed the bit-identity check. [rows] and [rows * n]
-   stay powers of two (sizes are). *)
-let kernel_block_rows = 16
-
-let kernel_block_geometry n =
-  let rows = min kernel_block_rows n in
-  (rows, max 1 (kernel_eval_target / (rows * n)))
-
-let boxed_block_sweep pts dst passes =
-  let n = Array.length pts in
-  let rows = fst (kernel_block_geometry n) in
-  let acc = ref 0.0 in
-  for p = 0 to passes - 1 do
-    let lo = min ((p * 131) land (n - 1)) (n - rows) in
-    for r = 0 to rows - 1 do
-      let pi = pts.(lo + r) in
-      for j = 0 to n - 1 do
-        dst.((r * n) + j) <- Point.l2_sq pi pts.(j)
-      done
-    done;
-    acc := !acc +. dst.((p * 17) land ((rows * n) - 1))
-  done;
-  !acc
-
-let rowloop_block_sweep c dst passes =
-  let n = Points.length c in
-  let rows = fst (kernel_block_geometry n) in
-  let scratch = Array.make n 0.0 in
-  let acc = ref 0.0 in
-  for p = 0 to passes - 1 do
-    let lo = min ((p * 131) land (n - 1)) (n - rows) in
-    for r = 0 to rows - 1 do
-      Points.l2_sq_to c (lo + r) scratch;
-      Array.blit scratch 0 dst (r * n) n
-    done;
-    acc := !acc +. dst.((p * 17) land ((rows * n) - 1))
-  done;
-  !acc
-
-let tiled_block_sweep c dst passes =
-  let n = Points.length c in
-  let rows = fst (kernel_block_geometry n) in
-  let acc = ref 0.0 in
-  for p = 0 to passes - 1 do
-    let lo = min ((p * 131) land (n - 1)) (n - rows) in
-    Points.l2_sq_block c ~lo ~hi:(lo + rows) dst;
-    acc := !acc +. dst.((p * 17) land ((rows * n) - 1))
-  done;
-  !acc
-
 (* Random instances with the exact shape of the bounded (LP1) that
    Cso_general solved before it moved to the packing dual
    ([Reference.cso_lp1]): a center-capacity row (Le k), an
@@ -2203,88 +2144,7 @@ let run_kernel_checks ~label ~sizes ~balls_n ~reps ~json_path () =
              n d trp trb);
       record "l2_sq_row" size "boxed" trb 1.0;
       record "l2_sq_row" size "packed" trp
-        (if trp > 0.0 then trb /. trp else 1.0);
-      (* Tiled block kernel: [rows] query rows per pass. Boxed per-call
-         loop and packed row-kernel loop are the baselines; the tiled
-         kernel must be bit-identical to both and, at n >= 4096, not
-         slower than either (the j-tile reuse is pure win once the
-         store spills L1). *)
-      let rows_b, passes_b = kernel_block_geometry n in
-      let block_boxed = Array.make (rows_b * n) 0.0 in
-      let block_rowbuf = Array.make (rows_b * n) 0.0 in
-      let block_tiled = Array.make (rows_b * n) 0.0 in
-      let cbb, dbb =
-        with_obs_enabled (fun () ->
-            Obs.with_delta (fun () -> boxed_block_sweep pts block_boxed passes_b))
-      in
-      let cbr, dbr =
-        with_obs_enabled (fun () ->
-            Obs.with_delta (fun () ->
-                rowloop_block_sweep c block_rowbuf passes_b))
-      in
-      let cbt, dbt =
-        with_obs_enabled (fun () ->
-            Obs.with_delta (fun () -> tiled_block_sweep c block_tiled passes_b))
-      in
-      if
-        Int64.bits_of_float cbb <> Int64.bits_of_float cbt
-        || Int64.bits_of_float cbr <> Int64.bits_of_float cbt
-        || not
-             (Array.for_all2
-                (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
-                block_boxed block_tiled)
-        || not
-             (Array.for_all2
-                (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
-                block_rowbuf block_tiled)
-      then
-        failwith
-          (Printf.sprintf
-             "kernel check: tiled l2_sq_block diverged from the row sweeps \
-              at n=%d d=%d"
-             n d);
-      if dbb <> dbr || dbb <> dbt then
-        failwith
-          (Printf.sprintf
-             "kernel check: block-kernel counter deltas diverged at n=%d d=%d"
-             n d);
-      let block_evals = pick dbt "metric.dist_evals" in
-      if block_evals <> passes_b * rows_b * n then
-        failwith
-          (Printf.sprintf
-             "kernel check: expected %d block dist evals at n=%d d=%d, \
-              counted %d"
-             (passes_b * rows_b * n) n d block_evals);
-      counts :=
-        (Printf.sprintf "kernels.block_evals.n%d_d%d" n d, block_evals)
-        :: !counts;
-      let t =
-        with_obs_disabled (fun () ->
-            interleaved_best reps
-              [
-                (fun () -> ignore (boxed_block_sweep pts block_boxed passes_b));
-                (fun () -> ignore (rowloop_block_sweep c block_rowbuf passes_b));
-                (fun () -> ignore (tiled_block_sweep c block_tiled passes_b));
-              ])
-      in
-      let tbb = t.(0) and tbr = t.(1) and tbt = t.(2) in
-      if n >= 4096 && tbt > tbb then
-        failwith
-          (Printf.sprintf
-             "kernel check: tiled block kernel SLOWER than boxed at n=%d \
-              d=%d (%.6fs vs %.6fs)"
-             n d tbt tbb);
-      if n >= 4096 && tbt > tbr *. 1.25 then
-        failwith
-          (Printf.sprintf
-             "kernel check: tiled block kernel fell >25%% behind the \
-              row-kernel loop at n=%d d=%d (%.6fs vs %.6fs)"
-             n d tbt tbr);
-      record "l2_sq_block" size "boxed" tbb 1.0;
-      record "l2_sq_block" size "rows" tbr
-        (if tbr > 0.0 then tbb /. tbr else 1.0);
-      record "l2_sq_block" size "tiled" tbt
-        (if tbt > 0.0 then tbb /. tbt else 1.0))
+        (if trp > 0.0 then trb /. trp else 1.0))
     sizes;
   (* --- batched BBD ball sweep: the one pooled kernel here, so results,
      counters and histograms must agree across domain counts {1,2} --- *)

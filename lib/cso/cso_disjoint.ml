@@ -1,4 +1,5 @@
 module Space = Cso_metric.Space
+module Guess = Cso_metric.Guess
 module Gonzalez = Cso_kcenter.Gonzalez
 
 type report = {
@@ -234,27 +235,24 @@ let solve t =
     if km < n then center_lattice t
     else Space.pairwise_distances t.Instance.space
   in
-  let lo = ref 0 and hi = ref (Array.length dists - 1) in
-  let best = ref None in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    match solve_at t ~r:dists.(mid) with
-    | Solved sol ->
-        Log.debug (fun m ->
-            m "cso-coreset: r=%g solved (|C|=%d |H|=%d)" dists.(mid)
-              (List.length sol.Instance.centers)
-              (List.length sol.Instance.outliers));
-        best := Some (sol, dists.(mid));
-        hi := mid - 1
-    | Skip ->
-        Log.debug (fun m -> m "cso-coreset: r=%g skipped" dists.(mid));
-        lo := mid + 1
-  done;
-  match !best with
-  | Some (solution, radius) ->
+  let best =
+    Guess.lowest (Array.length dists) (fun mid ->
+        match solve_at t ~r:dists.(mid) with
+        | Solved sol ->
+            Log.debug (fun m ->
+                m "cso-coreset: r=%g solved (|C|=%d |H|=%d)" dists.(mid)
+                  (List.length sol.Instance.centers)
+                  (List.length sol.Instance.outliers));
+            Some sol
+        | Skip ->
+            Log.debug (fun m -> m "cso-coreset: r=%g skipped" dists.(mid));
+            None)
+  in
+  match best with
+  | Some (mid, solution) ->
+      let radius = dists.(mid) in
       (* Re-derive the final coreset sizes for reporting. *)
-      let h0, kept = per_set_centers t ~r:radius in
-      ignore h0;
+      let _, kept = per_set_centers t ~r:radius in
       let n_elems = List.fold_left (fun acc (_, cs) -> acc + List.length cs) 0 kept in
       {
         solution;

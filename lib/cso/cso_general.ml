@@ -1,4 +1,5 @@
 module Space = Cso_metric.Space
+module Guess = Cso_metric.Guess
 module Simplex = Cso_lp.Simplex
 module Obs = Cso_obs.Obs
 
@@ -105,26 +106,24 @@ let solve t =
   let t = if Instance.n_elements t <= 2048 then Instance.with_cached_space t else t in
   let dists = Space.pairwise_distances t.Instance.space in
   let lp_solves = ref 0 in
-  let lo = ref 0 and hi = ref (Array.length dists - 1) in
-  let best = ref None in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    incr lp_solves;
-    Obs.incr c_lp_solves;
-    match solve_at t ~r:dists.(mid) with
-    | Some sol ->
-        Log.debug (fun m ->
-            m "cso-lp: r=%g feasible (|C|=%d |H|=%d)" dists.(mid)
-              (List.length sol.Instance.centers)
-              (List.length sol.Instance.outliers));
-        best := Some (sol, dists.(mid));
-        hi := mid - 1
-    | None ->
-        Log.debug (fun m -> m "cso-lp: r=%g infeasible" dists.(mid));
-        lo := mid + 1
-  done;
-  match !best with
-  | Some (solution, radius) -> { solution; radius; lp_solves = !lp_solves }
+  let best =
+    Guess.lowest (Array.length dists) (fun mid ->
+        incr lp_solves;
+        Obs.incr c_lp_solves;
+        match solve_at t ~r:dists.(mid) with
+        | Some sol ->
+            Log.debug (fun m ->
+                m "cso-lp: r=%g feasible (|C|=%d |H|=%d)" dists.(mid)
+                  (List.length sol.Instance.centers)
+                  (List.length sol.Instance.outliers));
+            Some sol
+        | None ->
+            Log.debug (fun m -> m "cso-lp: r=%g infeasible" dists.(mid));
+            None)
+  in
+  match best with
+  | Some (mid, solution) ->
+      { solution; radius = dists.(mid); lp_solves = !lp_solves }
   | None ->
       (* Unreachable: the largest pairwise distance is always feasible. *)
       assert false

@@ -1,4 +1,5 @@
 module Points = Cso_metric.Points
+module Guess = Cso_metric.Guess
 module Rect = Cso_geom.Rect
 module Bbd = Cso_geom.Bbd_tree
 module Range_tree = Cso_geom.Range_tree
@@ -163,18 +164,12 @@ let solve ?(eps = 0.3) ?rounds (g : Geo_instance.t) =
     if len = 0 then [| 0.0 |]
     else Array.append gamma [| 4.0 *. gamma.(len - 1) |]
   in
-  let lo = ref 0 and hi = ref (Array.length gamma - 1) in
-  let best = ref None in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    match solve_at ~eps ?rounds g rtree ~r:gamma.(mid) with
-    | Some (sol, core_n) ->
-        best := Some (sol, gamma.(mid), core_n);
-        hi := mid - 1
-    | None -> lo := mid + 1
-  done;
-  match !best with
-  | Some (solution, radius, coreset_points) ->
+  match
+    Guess.lowest (Array.length gamma) (fun mid ->
+        solve_at ~eps ?rounds g rtree ~r:gamma.(mid))
+  with
+  | Some (mid, (solution, coreset_points)) ->
+      let radius = gamma.(mid) in
       let h0, _ = per_rect_centers g rtree ~r:radius in
       { solution; radius; coreset_points; forced_outliers = List.length h0 }
   | None -> assert false (* the appended top guess always succeeds *)

@@ -1,4 +1,5 @@
 module Point = Cso_metric.Point
+module Guess = Cso_metric.Guess
 module Bbd = Cso_geom.Bbd_tree
 module Range_tree = Cso_geom.Range_tree
 module Wspd = Cso_geom.Wspd
@@ -471,12 +472,10 @@ let solve ?(eps = 0.3) ?rounds ?candidates ?warm_weights ?on_weights g =
           ~eps:eps_c
   in
   let guesses = ref 0 in
-  let lo = ref 0 and hi = ref (Array.length gamma - 1) in
-  let best = ref None in
   (* [on_weights] reports the final MWU weight vector of the accepted
      (smallest feasible) guess, not every round of every guess: track
      the last per-round snapshot and stash it whenever a guess is
-     accepted as the current best. *)
+     accepted, since each accepted guess lies below the one before. *)
   let latest_weights = ref None in
   let best_weights = ref None in
   let inner_on_weights =
@@ -484,34 +483,33 @@ let solve ?(eps = 0.3) ?rounds ?candidates ?warm_weights ?on_weights g =
     | None -> None
     | Some _ -> Some (fun w -> latest_weights := Some w)
   in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    incr guesses;
-    Obs.incr c_guesses;
-    latest_weights := None;
-    match
-      Obs.with_span "gcso.guess" (fun () ->
-          solve_at ~eps:eps_c ~rounds:rounds_per_guess ?warm_weights
-            ?on_weights:inner_on_weights p ~r:gamma.(mid))
-    with
-    | Some sol ->
-        Log.debug (fun m ->
-            m "gcso-mwu: r=%g feasible (|C|=%d |R|=%d)" gamma.(mid)
-              (List.length sol.Instance.centers)
-              (List.length sol.Instance.outliers));
-        best := Some (sol, gamma.(mid));
-        best_weights := !latest_weights;
-        hi := mid - 1
-    | None ->
-        Log.debug (fun m -> m "gcso-mwu: r=%g infeasible" gamma.(mid));
-        lo := mid + 1
-  done;
+  let best =
+    Guess.lowest (Array.length gamma) (fun mid ->
+        incr guesses;
+        Obs.incr c_guesses;
+        latest_weights := None;
+        match
+          Obs.with_span "gcso.guess" (fun () ->
+              solve_at ~eps:eps_c ~rounds:rounds_per_guess ?warm_weights
+                ?on_weights:inner_on_weights p ~r:gamma.(mid))
+        with
+        | Some sol ->
+            Log.debug (fun m ->
+                m "gcso-mwu: r=%g feasible (|C|=%d |R|=%d)" gamma.(mid)
+                  (List.length sol.Instance.centers)
+                  (List.length sol.Instance.outliers));
+            best_weights := !latest_weights;
+            Some sol
+        | None ->
+            Log.debug (fun m -> m "gcso-mwu: r=%g infeasible" gamma.(mid));
+            None)
+  in
   (match (on_weights, !best_weights) with
   | Some f, Some w -> f w
   | _ -> ());
-  match !best with
-  | Some (solution, radius) ->
-      { solution; radius; rounds_per_guess; guesses = !guesses }
+  match best with
+  | Some (mid, solution) ->
+      { solution; radius = gamma.(mid); rounds_per_guess; guesses = !guesses }
   | None ->
       (* The largest WSPD distance exceeds half the diameter, where the
          oracle is always feasible; unreachable for non-empty inputs. *)

@@ -67,7 +67,3 @@ let is_valid t sol =
 
 let cost t sol =
   Space.cost t.space ~centers:sol.centers (surviving t sol.outliers)
-
-let centers_blowup t sol =
-  ( float_of_int (List.length sol.centers) /. float_of_int t.k,
-    float_of_int (List.length sol.outliers) /. float_of_int (max t.z 1) )

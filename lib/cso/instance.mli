@@ -45,12 +45,8 @@ val surviving : t -> int list -> int list
 val is_valid : t -> solution -> bool
 (** Centers within range, distinct sets, no center covered by a chosen
     outlier set. Does {e not} check the cardinality bounds — tri-criteria
-    solutions exceed [k] and [z] by design; see [centers_blowup]. *)
+    solutions exceed [k] and [z] by design. *)
 
 val cost : t -> solution -> float
 (** [rho(C, P \ U H)]; [0.] when everything is outliered, [infinity] when
     survivors exist but there are no centers. *)
-
-val centers_blowup : t -> solution -> float * float
-(** [(|C| / k, |H| / z)] — the mu_1 and mu_2 of a tri-criteria solution
-    ([|H| / max z 1] to stay finite). *)

@@ -1,4 +1,5 @@
 module Point = Cso_metric.Point
+module Guess = Cso_metric.Guess
 module Rect = Cso_geom.Rect
 module Box_complement = Cso_geom.Box_complement
 module Rel = Cso_relational
@@ -79,20 +80,15 @@ let solve ?rng ?iters inst tree ~k ~z =
     let s1, r_s1 = Oracles.rel_cluster i1 tree ~k in
     if s1 <> [] then begin
       (* Binary search the smallest valid radius guess. *)
-      let lo = ref 0 and hi = ref (Array.length cand - 1) in
-      let iter_best = ref None in
-      while !lo <= !hi do
-        let mid = (!lo + !hi) / 2 in
-        let r_hat = r_s1 +. (sqrt (float_of_int d) *. cand.(mid)) in
-        match drain h inst ~i2 ~centers:s1 ~r_hat ~z with
-        | Some t' ->
-            iter_best := Some (t', r_hat);
-            hi := mid - 1
-        | None -> lo := mid + 1
-      done;
-      match !iter_best with
+      match
+        Guess.lowest (Array.length cand) (fun mid ->
+            let r_hat = r_s1 +. (sqrt (float_of_int d) *. cand.(mid)) in
+            Option.map
+              (fun t' -> (t', r_hat))
+              (drain h inst ~i2 ~centers:s1 ~r_hat ~z))
+      with
       | None -> ()
-      | Some (t', r_hat) ->
+      | Some (_, (t', r_hat)) ->
           incr successes;
           Log.debug (fun m ->
               m "rcto: valid partition, r_hat=%g |T'|=%d" r_hat

@@ -1,4 +1,5 @@
 module Point = Cso_metric.Point
+module Guess = Cso_metric.Guess
 module Rel = Cso_relational
 module Oracles = Cso_relational.Oracles
 module Obs = Cso_obs.Obs
@@ -98,17 +99,7 @@ let solve ?(eps = 0.3) ?rounds ?(dirty_rel = 0) inst tree ~k ~z =
               Array.length points )
     end
   in
-  let lo = ref 0 and hi = ref (Array.length cand - 1) in
-  let best = ref None in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    match attempt cand.(mid) with
-    | Some sol ->
-        best := Some (sol, cand.(mid));
-        hi := mid - 1
-    | None -> lo := mid + 1
-  done;
-  match !best with
+  match Guess.lowest (Array.length cand) (fun mid -> attempt cand.(mid)) with
   | None ->
       (* Empty join: nothing to cluster. *)
       {
@@ -118,7 +109,8 @@ let solve ?(eps = 0.3) ?rounds ?(dirty_rel = 0) inst tree ~k ~z =
         cost_upper = 0.0;
         coreset_size = 0;
       }
-  | Some ((centers, outlier_tuples, coreset_size), radius) ->
+  | Some (mid, (centers, outlier_tuples, coreset_size)) ->
+      let radius = cand.(mid) in
       (* Certify the output cost relationally: the L_inf covering radius
          of Q(I \ T) from the centers, times sqrt d. *)
       let reduced =

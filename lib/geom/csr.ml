@@ -52,17 +52,3 @@ let transpose t ~cols =
   { offsets; ids }
 
 let rows t = Array.length t.offsets - 1
-let entries t = Array.length t.ids
-let row_length t i = t.offsets.(i + 1) - t.offsets.(i)
-
-let iter_row t i f =
-  for e = t.offsets.(i) to t.offsets.(i + 1) - 1 do
-    f (Array.unsafe_get t.ids e)
-  done
-
-let fold_row t i ~init ~f =
-  let acc = ref init in
-  for e = t.offsets.(i) to t.offsets.(i + 1) - 1 do
-    acc := f !acc (Array.unsafe_get t.ids e)
-  done;
-  !acc

@@ -26,12 +26,3 @@ val transpose : t -> cols:int -> t
     when an element of [t] lies outside [0 .. cols - 1]. *)
 
 val rows : t -> int
-val entries : t -> int
-
-val row_length : t -> int -> int
-
-val iter_row : t -> int -> (int -> unit) -> unit
-(** [iter_row t i f] applies [f] to row [i]'s elements in order. *)
-
-val fold_row : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
-(** Left fold over row [i] in element order. *)

@@ -1,4 +1,5 @@
 module Points = Cso_metric.Points
+module Guess = Cso_metric.Guess
 module Bbd = Cso_geom.Bbd_tree
 module Wspd = Cso_geom.Wspd
 
@@ -45,21 +46,14 @@ let run_on_all ?(eps = 0.25) pts ~k ~budget =
     let coords = Points.of_array pts in
     let tree = Bbd.build_packed coords in
     let gamma = Wspd.candidate_distances_packed ~eps coords in
-    let lo = ref 0 and hi = ref (Array.length gamma - 1) in
-    let best = ref None in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let r = gamma.(mid) in
-      let centers, remaining = greedy_pass tree ~k ~r ~eps in
-      if remaining <= budget then begin
-        best := Some (centers, r, remaining);
-        hi := mid - 1
-      end
-      else lo := mid + 1
-    done;
+    let best =
+      Guess.lowest (Array.length gamma) (fun mid ->
+          let centers, remaining = greedy_pass tree ~k ~r:gamma.(mid) ~eps in
+          if remaining <= budget then Some (centers, remaining) else None)
+    in
     let centers, r, remaining =
-      match !best with
-      | Some v -> v
+      match best with
+      | Some (mid, (centers, remaining)) -> (centers, gamma.(mid), remaining)
       | None ->
           (* Defensive: retry at the largest guess. *)
           let r = gamma.(Array.length gamma - 1) in

@@ -1,4 +1,5 @@
 module Space = Cso_metric.Space
+module Guess = Cso_metric.Guess
 module Obs = Cso_obs.Obs
 
 (* Candidate disks scored (k per radius guess times n candidates) and
@@ -69,22 +70,14 @@ let run s ~k ~z =
   if k <= 0 then invalid_arg "Charikar_outliers.run: k <= 0";
   if z < 0 then invalid_arg "Charikar_outliers.run: z < 0";
   let dists = Space.pairwise_distances s in
-  (* Binary search for the smallest feasible radius guess. *)
-  let lo = ref 0 and hi = ref (Array.length dists - 1) in
-  let best = ref None in
-  (* Ensure the largest distance works (it always does: one disk of
-     radius max covers everything). *)
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    Obs.incr c_guesses;
-    match run_with_radius s ~k ~z ~r:dists.(mid) with
-    | Some res ->
-        best := Some res;
-        hi := mid - 1
-    | None -> lo := mid + 1
-  done;
-  match !best with
-  | Some res -> res
+  (* Binary search for the smallest feasible radius guess; the largest
+     distance always works (one disk of radius max covers everything). *)
+  match
+    Guess.lowest (Array.length dists) (fun mid ->
+        Obs.incr c_guesses;
+        run_with_radius s ~k ~z ~r:dists.(mid))
+  with
+  | Some (_, res) -> res
   | None ->
       (* Unreachable for non-empty spaces; handle the empty space. *)
       { centers = []; outliers = []; radius = 0.0 }

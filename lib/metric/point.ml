@@ -59,38 +59,6 @@ let linf p q =
   done;
   !acc
 
-let l1 p q =
-  check_dims "l1" p q;
-  Cso_obs.Obs.incr c_dist;
-  let acc = ref 0.0 in
-  for i = 0 to Array.length p - 1 do
-    acc := !acc +. abs_float (p.(i) -. q.(i))
-  done;
-  !acc
-
-let add p q =
-  check_dims "add" p q;
-  Array.init (Array.length p) (fun i -> p.(i) +. q.(i))
-
-let sub p q =
-  check_dims "sub" p q;
-  Array.init (Array.length p) (fun i -> p.(i) -. q.(i))
-
-let scale a p = Array.map (fun x -> a *. x) p
-
-let centroid pts =
-  if Array.length pts = 0 then invalid_arg "Point.centroid: empty array";
-  let d = dim pts.(0) in
-  let sum = Array.make d 0.0 in
-  Array.iter
-    (fun p ->
-      for i = 0 to d - 1 do
-        sum.(i) <- sum.(i) +. p.(i)
-      done)
-    pts;
-  let n = float_of_int (Array.length pts) in
-  Array.map (fun x -> x /. n) sum
-
 let pp fmt p =
   Format.fprintf fmt "(%a)"
     (Format.pp_print_list

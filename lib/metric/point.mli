@@ -27,17 +27,6 @@ val l2_sq : t -> t -> float
 val linf : t -> t -> float
 (** Chebyshev ([L_inf]) distance. *)
 
-val l1 : t -> t -> float
-(** Manhattan distance. *)
-
-val add : t -> t -> t
-val sub : t -> t -> t
-val scale : float -> t -> t
-
-val centroid : t array -> t
-(** [centroid pts] is the coordinate-wise mean. Raises [Invalid_argument]
-    on an empty array. *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints as [(x1, x2, ...)]. *)
 

@@ -43,8 +43,6 @@ let get t i =
   check_i "get" t i;
   Array.sub t.data (i * t.dim) t.dim
 
-let to_array t = Array.init t.n (fun i -> Array.sub t.data (i * t.dim) t.dim)
-
 let coord t i j = t.data.((i * t.dim) + j)
 
 let blit_point t i dst =
@@ -60,13 +58,12 @@ let check_ij name t i j =
          j t.n)
 
 (* The kernels below mirror the [Point] loops operation for operation:
-   same accumulation order, same strict comparisons, one
-   [metric.dist_evals] increment per call — so their results and counter
-   deltas are bit-identical to the boxed path, which is what lets the
-   PR 2–3 counter/budget baselines keep gating. The d = 2/3/4 cases are
-   unrolled (no loop counter, no redundant bounds checks); squares and
-   absolute values are never -0., so dropping the leading [0. +.] of the
-   accumulator loop preserves bit-identity. *)
+   same accumulation order, one [metric.dist_evals] increment per call —
+   so their results and counter deltas are bit-identical to the boxed
+   path, which is what lets the counter and budget baselines keep
+   gating. The d = 2/3/4 cases are unrolled (no loop counter, no
+   redundant bounds checks); squares are never -0., so dropping the
+   leading [0. +.] of the accumulator loop preserves bit-identity. *)
 
 let l2_sq_idx t i j =
   check_ij "l2_sq_idx" t i j;
@@ -180,205 +177,3 @@ let l2_sq_to t i dst =
         done;
         Array.unsafe_set dst j !acc
       done
-
-(* Cache-tiled block kernel: squared distances from every query point in
-   [lo, hi) to every point of the store, written row-major into [dst]
-   (row [i - lo] holds point [i]'s distances). The store is swept in
-   j-tiles sized to stay resident in L1 ([tile_floats] floats per tile),
-   and each loaded tile is reused for all [hi - lo] query rows — the
-   memory traffic per distance drops by the block height compared to
-   [l2_sq_to] row by row. Each element is the same fused expression as
-   [l2_sq_idx] (loads commute; hoisting the query coordinates changes
-   nothing), so every written float is bit-identical to the row kernel
-   and the per-index loop, and the counter delta is one event per
-   element — the same accounting as [(hi - lo)] row calls. *)
-let tile_floats = 2048 (* 16 KB of doubles: half a typical 32 KB L1d *)
-
-let l2_sq_block t ~lo ~hi dst =
-  if lo < 0 || hi > t.n || lo > hi then
-    invalid_arg
-      (Printf.sprintf "Points.l2_sq_block: bad row range [%d, %d) (n = %d)"
-         lo hi t.n);
-  let rows = hi - lo in
-  if rows > 0 then begin
-    if Array.length dst < rows * t.n then
-      invalid_arg "Points.l2_sq_block: destination shorter than rows * n";
-    Obs.add c_dist (rows * t.n);
-    let data = t.data and d = t.dim and n = t.n in
-    let tile = max 1 (tile_floats / max 1 d) in
-    let jt = ref 0 in
-    while !jt < n do
-      let j_hi = min n (!jt + tile) in
-      (match d with
-      | 2 ->
-          for i = lo to hi - 1 do
-            let oi = i * 2 in
-            let x0 = Array.unsafe_get data oi
-            and x1 = Array.unsafe_get data (oi + 1) in
-            let base = ((i - lo) * n) in
-            for j = !jt to j_hi - 1 do
-              let o = j * 2 in
-              let d0 = x0 -. Array.unsafe_get data o in
-              let d1 = x1 -. Array.unsafe_get data (o + 1) in
-              Array.unsafe_set dst (base + j) ((d0 *. d0) +. (d1 *. d1))
-            done
-          done
-      | 3 ->
-          for i = lo to hi - 1 do
-            let oi = i * 3 in
-            let x0 = Array.unsafe_get data oi
-            and x1 = Array.unsafe_get data (oi + 1)
-            and x2 = Array.unsafe_get data (oi + 2) in
-            let base = ((i - lo) * n) in
-            for j = !jt to j_hi - 1 do
-              let o = j * 3 in
-              let d0 = x0 -. Array.unsafe_get data o in
-              let d1 = x1 -. Array.unsafe_get data (o + 1) in
-              let d2 = x2 -. Array.unsafe_get data (o + 2) in
-              Array.unsafe_set dst (base + j)
-                ((d0 *. d0) +. (d1 *. d1) +. (d2 *. d2))
-            done
-          done
-      | 4 ->
-          for i = lo to hi - 1 do
-            let oi = i * 4 in
-            let x0 = Array.unsafe_get data oi
-            and x1 = Array.unsafe_get data (oi + 1)
-            and x2 = Array.unsafe_get data (oi + 2)
-            and x3 = Array.unsafe_get data (oi + 3) in
-            let base = ((i - lo) * n) in
-            for j = !jt to j_hi - 1 do
-              let o = j * 4 in
-              let d0 = x0 -. Array.unsafe_get data o in
-              let d1 = x1 -. Array.unsafe_get data (o + 1) in
-              let d2 = x2 -. Array.unsafe_get data (o + 2) in
-              let d3 = x3 -. Array.unsafe_get data (o + 3) in
-              Array.unsafe_set dst (base + j)
-                ((d0 *. d0) +. (d1 *. d1) +. (d2 *. d2) +. (d3 *. d3))
-            done
-          done
-      | _ ->
-          for i = lo to hi - 1 do
-            let oi = i * d in
-            let base = ((i - lo) * n) in
-            for j = !jt to j_hi - 1 do
-              let oj = j * d in
-              let acc = ref 0.0 in
-              for k = 0 to d - 1 do
-                let dk =
-                  Array.unsafe_get data (oi + k)
-                  -. Array.unsafe_get data (oj + k)
-                in
-                acc := !acc +. (dk *. dk)
-              done;
-              Array.unsafe_set dst (base + j) !acc
-            done
-          done);
-      jt := j_hi
-    done
-  end
-
-let linf_idx t i j =
-  check_ij "linf_idx" t i j;
-  Obs.incr c_dist;
-  let data = t.data and d = t.dim in
-  let oi = i * d and oj = j * d in
-  match d with
-  | 2 ->
-      let a0 = abs_float (Array.unsafe_get data oi -. Array.unsafe_get data oj) in
-      let a1 =
-        abs_float
-          (Array.unsafe_get data (oi + 1) -. Array.unsafe_get data (oj + 1))
-      in
-      let m = if a0 > 0.0 then a0 else 0.0 in
-      if a1 > m then a1 else m
-  | 3 ->
-      let a0 = abs_float (Array.unsafe_get data oi -. Array.unsafe_get data oj) in
-      let a1 =
-        abs_float
-          (Array.unsafe_get data (oi + 1) -. Array.unsafe_get data (oj + 1))
-      in
-      let a2 =
-        abs_float
-          (Array.unsafe_get data (oi + 2) -. Array.unsafe_get data (oj + 2))
-      in
-      let m = if a0 > 0.0 then a0 else 0.0 in
-      let m = if a1 > m then a1 else m in
-      if a2 > m then a2 else m
-  | 4 ->
-      let a0 = abs_float (Array.unsafe_get data oi -. Array.unsafe_get data oj) in
-      let a1 =
-        abs_float
-          (Array.unsafe_get data (oi + 1) -. Array.unsafe_get data (oj + 1))
-      in
-      let a2 =
-        abs_float
-          (Array.unsafe_get data (oi + 2) -. Array.unsafe_get data (oj + 2))
-      in
-      let a3 =
-        abs_float
-          (Array.unsafe_get data (oi + 3) -. Array.unsafe_get data (oj + 3))
-      in
-      let m = if a0 > 0.0 then a0 else 0.0 in
-      let m = if a1 > m then a1 else m in
-      let m = if a2 > m then a2 else m in
-      if a3 > m then a3 else m
-  | _ ->
-      let acc = ref 0.0 in
-      for k = 0 to d - 1 do
-        let ak =
-          abs_float
-            (Array.unsafe_get data (oi + k) -. Array.unsafe_get data (oj + k))
-        in
-        if ak > !acc then acc := ak
-      done;
-      !acc
-
-let l1_idx t i j =
-  check_ij "l1_idx" t i j;
-  Obs.incr c_dist;
-  let data = t.data and d = t.dim in
-  let oi = i * d and oj = j * d in
-  match d with
-  | 2 ->
-      let a0 = abs_float (Array.unsafe_get data oi -. Array.unsafe_get data oj) in
-      let a1 =
-        abs_float
-          (Array.unsafe_get data (oi + 1) -. Array.unsafe_get data (oj + 1))
-      in
-      a0 +. a1
-  | 3 ->
-      let a0 = abs_float (Array.unsafe_get data oi -. Array.unsafe_get data oj) in
-      let a1 =
-        abs_float
-          (Array.unsafe_get data (oi + 1) -. Array.unsafe_get data (oj + 1))
-      in
-      let a2 =
-        abs_float
-          (Array.unsafe_get data (oi + 2) -. Array.unsafe_get data (oj + 2))
-      in
-      a0 +. a1 +. a2
-  | 4 ->
-      let a0 = abs_float (Array.unsafe_get data oi -. Array.unsafe_get data oj) in
-      let a1 =
-        abs_float
-          (Array.unsafe_get data (oi + 1) -. Array.unsafe_get data (oj + 1))
-      in
-      let a2 =
-        abs_float
-          (Array.unsafe_get data (oi + 2) -. Array.unsafe_get data (oj + 2))
-      in
-      let a3 =
-        abs_float
-          (Array.unsafe_get data (oi + 3) -. Array.unsafe_get data (oj + 3))
-      in
-      a0 +. a1 +. a2 +. a3
-  | _ ->
-      let acc = ref 0.0 in
-      for k = 0 to d - 1 do
-        acc :=
-          !acc
-          +. abs_float
-               (Array.unsafe_get data (oi + k) -. Array.unsafe_get data (oj + k))
-      done;
-      !acc

@@ -42,9 +42,6 @@ val coord : t -> int -> int -> float
 val get : t -> int -> Point.t
 (** [get t i] is a fresh boxed copy of point [i]. *)
 
-val to_array : t -> Point.t array
-(** Fresh boxed copies of all points (inverse of {!of_array}). *)
-
 val blit_point : t -> int -> float array -> unit
 (** [blit_point t i dst] copies point [i] into [dst.(0 .. dim-1)].
     Raises [Invalid_argument] if [dst] is shorter than [dim]. *)
@@ -60,12 +57,6 @@ val l2_sq_idx : t -> int -> int -> float
 val l2_idx : t -> int -> int -> float
 (** Euclidean distance. *)
 
-val linf_idx : t -> int -> int -> float
-(** Chebyshev ([L_inf]) distance. *)
-
-val l1_idx : t -> int -> int -> float
-(** Manhattan distance. *)
-
 val l2_sq_to : t -> int -> float array -> unit
 (** [l2_sq_to t i dst] writes into [dst.(j)] the squared Euclidean
     distance from point [i] to point [j], for every [j < length t], in
@@ -75,15 +66,3 @@ val l2_sq_to : t -> int -> float array -> unit
     per-index loop; only the per-call overhead is amortized. Raises
     [Invalid_argument] if [i] is out of range or [dst] is shorter than
     [length t]. *)
-
-val l2_sq_block : t -> lo:int -> hi:int -> float array -> unit
-(** [l2_sq_block t ~lo ~hi dst] writes into [dst.((i - lo) * length t + j)]
-    the squared Euclidean distance from point [i] to point [j], for every
-    [lo <= i < hi] and [j < length t]. Cache-tiled: the store is swept in
-    L1-resident j-tiles and each loaded tile is reused for all [hi - lo]
-    query rows, so the memory traffic per distance is [1 / (hi - lo)] of
-    running {!l2_sq_to} row by row — the win on stores that spill the
-    cache. Every written float is {e bit-identical} to
-    [l2_sq_idx t i j], and the call counts [(hi - lo) * length t]
-    [metric.dist_evals] events — the same delta as the row kernel.
-    Raises [Invalid_argument] on a bad row range or a too-short [dst]. *)

@@ -17,14 +17,8 @@ let create ~size ~dist =
   if size < 0 then invalid_arg "Space.create: negative size";
   { size; dist = instrument dist }
 
-let of_points ?(dist = Point.l2) pts =
-  { size = Array.length pts; dist = instrument (fun i j -> dist pts.(i) pts.(j)) }
-
-let of_packed ?dist pts =
-  let dist = match dist with Some d -> d | None -> Points.l2_idx in
-  (* The index kernel is partially applied once here; probing the space
-     afterwards allocates nothing. *)
-  { size = Points.length pts; dist = instrument (dist pts) }
+let of_points pts =
+  { size = Array.length pts; dist = instrument (fun i j -> Point.l2 pts.(i) pts.(j)) }
 
 let of_matrix m =
   let n = Array.length m in

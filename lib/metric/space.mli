@@ -22,16 +22,9 @@ val create : size:int -> dist:(int -> int -> float) -> t
     be safe to call in parallel — pure functions of [(i, j)], matrix
     lookups and point-array distances all qualify. *)
 
-val of_points : ?dist:(Point.t -> Point.t -> float) -> Point.t array -> t
-(** Euclidean space over points (default distance {!Point.l2}).
-    Distances are computed on demand, not cached. *)
-
-val of_packed : ?dist:(Points.t -> int -> int -> float) -> Points.t -> t
-(** Euclidean space over a packed point store (default distance
-    {!Points.l2_idx}). Probe-for-probe identical to
-    [of_points (Points.to_array pts)] — same floats, same counters — but
-    each probe runs the cache-resident index kernel and allocates
-    nothing. *)
+val of_points : Point.t array -> t
+(** Euclidean space over points ({!Point.l2}). Distances are computed on
+    demand, not cached. *)
 
 val of_matrix : float array array -> t
 (** Space given by an explicit (symmetric) distance matrix.

@@ -154,38 +154,30 @@ let metric_cached =
             (Printf.sprintf "cached dist(%d,%d)=%.17g <> direct %.17g" i j
                (c.Space.dist i j) (s.Space.dist i j)))
 
-(* The tiled packed kernel against the per-index reference (points.mli
-   contract): [l2_sq_block] matches [l2_sq_idx] bitwise. *)
+(* The packed row kernel against the per-index reference (points.mli
+   contract): [l2_sq_to] matches [l2_sq_idx] bitwise. *)
 let metric_packed_kernels =
-  let module Points = Cso_metric.Points in
   Fuzz.make ~name:"metric.packed_kernels_vs_idx"
     ~gen:(fun rng ->
       let pts = gen_points rng ~n_min:1 ~n_max:14 ~d_max:5 in
-      let n = Array.length pts in
-      let lo = Random.State.int rng n in
-      (pts, lo, lo + 1 + Random.State.int rng (n - lo)))
-    ~shrink:(fun (pts, _, _) ->
-      List.filter_map
-        (fun p ->
-          if Array.length p >= 1 then Some (p, 0, Array.length p) else None)
+      (pts, Random.State.int rng (Array.length pts)))
+    ~shrink:(fun (pts, i) ->
+      List.map
+        (fun p -> (p, min i (Array.length p - 1)))
         (drop_each ~keep:1 pts @ round_pts pts))
-    ~show:(fun (pts, lo, hi) ->
-      Printf.sprintf "rows [%d, %d) of %s" lo hi (pts_str pts))
-    ~prop:(fun (pts, lo, hi) ->
+    ~show:(fun (pts, i) -> Printf.sprintf "row %d of %s" i (pts_str pts))
+    ~prop:(fun (pts, i) ->
       let c = Points.of_array pts in
       let n = Array.length pts in
-      let dst = Array.make ((hi - lo) * n) nan in
-      Points.l2_sq_block c ~lo ~hi dst;
+      let dst = Array.make n nan in
+      Points.l2_sq_to c i dst;
       let bits = Int64.bits_of_float in
       let bad = ref (Ok ()) in
-      for i = lo to hi - 1 do
-        for j = 0 to n - 1 do
-          let at = ((i - lo) * n) + j in
-          if bits dst.(at) <> bits (Points.l2_sq_idx c i j) then
-            bad :=
-              requiref false "l2_sq_block(%d,%d)=%.17g <> l2_sq_idx %.17g" i j
-                dst.(at) (Points.l2_sq_idx c i j)
-        done
+      for j = 0 to n - 1 do
+        if bits dst.(j) <> bits (Points.l2_sq_idx c i j) then
+          bad :=
+            requiref false "l2_sq_to(%d,%d)=%.17g <> l2_sq_idx %.17g" i j
+              dst.(j) (Points.l2_sq_idx c i j)
       done;
       !bad)
 
@@ -2235,6 +2227,48 @@ let rel_hypertree =
           require (enum = naive)
             "decomposed join differs from nested-loop join of the original")
 
+(* [Rcto.solve] splits the instance with a coin flip per tuple, and
+   Theorem 4.4 assumes each tuple lands on exactly one side: the
+   predicate must run once per tuple, its [true] tuples forming the
+   first half and the rest the second, both in the original order. The
+   coins come from a seed drawn with the instance, so a failure
+   replays. *)
+let rel_partition =
+  Fuzz.make ~name:"relational.partition_exact"
+    ~gen:(fun rng ->
+      let r = gen_rel rng in
+      (r, Random.State.bits rng))
+    ~shrink:(fun (r, seed) -> List.map (fun r -> (r, seed)) (shrink_rel r))
+    ~show:(fun (r, seed) -> Printf.sprintf "%s coins=%d" (show_rel r) seed)
+    ~prop:(fun (r, seed) ->
+      let inst = rel_instance r in
+      let coins = Random.State.make [| seed |] in
+      let coin_log = ref [] in
+      let i1, i2 =
+        Rel.Instance.partition inst (fun rel tup ->
+            let b = Random.State.bool coins in
+            coin_log := (b, (rel, tup)) :: !coin_log;
+            b)
+      in
+      let drawn = List.rev !coin_log in
+      let pick b =
+        List.filter_map (fun (c, x) -> if c = b then Some x else None)
+      in
+      let tuples t =
+        List.concat
+          (List.mapi
+             (fun rel ts ->
+               List.map (fun tup -> (rel, tup)) (Array.to_list ts))
+             (Array.to_list t.Rel.Instance.tuples))
+      in
+      requiref
+        (List.map snd drawn = tuples inst
+        && pick true drawn = tuples i1
+        && pick false drawn = tuples i2)
+        "%d coins for %d tuples, halves of %d and %d" (List.length drawn)
+        (Rel.Instance.size inst) (Rel.Instance.size i1)
+        (Rel.Instance.size i2))
+
 (* The prepared rectangle oracle against the filtered copy and
    Yannakakis pass it replaced ([Reference.any_in_rect]), probe after
    probe on one handle: the same point bit for bit, or both [None], and
@@ -2596,6 +2630,7 @@ let all =
     rel_sample;
     rel_hypertree;
     rel_any_in_rect;
+    rel_partition;
     serve_protocol_roundtrip;
     serve_protocol_malformed;
   ]

@@ -89,9 +89,15 @@ let remove t victims =
       not (List.exists (fun (j, u) -> j = i && u = tup) victims))
 
 let partition t pred =
-  let i1 = filter t pred in
-  let i2 = filter t (fun i tup -> not (pred i tup)) in
-  (i1, i2)
+  let halves =
+    Array.mapi
+      (fun i rel -> List.partition (pred i) (Array.to_list rel))
+      t.tuples
+  in
+  let half pick =
+    { t with tuples = Array.map (fun h -> Array.of_list (pick h)) halves }
+  in
+  (half fst, half snd)
 
 let all_tuples t =
   let acc = ref [] in

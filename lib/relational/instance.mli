@@ -49,7 +49,9 @@ val remove : t -> (int * float array) list -> t
 
 val partition : t -> (int -> float array -> bool) -> t * t
 (** [(i1, i2)]: tuples satisfying the predicate go to [i1], the rest to
-    [i2]. Both keep the full schema (relations may become empty). *)
+    [i2]. The predicate runs once per tuple, relation by relation in
+    tuple order, so a random predicate still sends each tuple to exactly
+    one half. Both keep the full schema (relations may become empty). *)
 
 val all_tuples : t -> (int * float array) list
 (** Every tuple tagged with its relation id. *)

@@ -1,4 +1,5 @@
 module Point = Cso_metric.Point
+module Guess = Cso_metric.Guess
 module Rect = Cso_geom.Rect
 module Box_complement = Cso_geom.Box_complement
 module Obs = Cso_obs.Obs
@@ -239,23 +240,14 @@ let outside_witness h ~centers ~r =
 let farthest_linf h ~centers ~cand =
   if centers = [] then invalid_arg "Oracles.farthest_linf: no centers";
   Obs.with_span "oracle.farthest_linf" @@ fun () ->
-  let len = Array.length cand in
   (* Binary search the largest index [i] such that some result lies
      strictly beyond radius (cand.(i) + cand.(i+1)) / 2; the farthest
      distance is then cand.(i+1), attained by the witness. *)
-  let lo = ref 0 and hi = ref (len - 2) in
-  let best = ref None in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let r = (cand.(mid) +. cand.(mid + 1)) /. 2.0 in
-    match outside_witness h ~centers ~r with
-    | Some w ->
-        best := Some (w, cand.(mid + 1));
-        lo := mid + 1
-    | None -> hi := mid - 1
-  done;
-  match !best with
-  | Some (w, delta) -> (Some w, delta)
+  match
+    Guess.highest (Array.length cand - 1) (fun mid ->
+        outside_witness h ~centers ~r:((cand.(mid) +. cand.(mid + 1)) /. 2.0))
+  with
+  | Some (mid, w) -> (Some w, cand.(mid + 1))
   | None -> (None, 0.0)
 
 let rel_cluster inst tree ~k =

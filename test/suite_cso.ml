@@ -264,6 +264,91 @@ let test_hardness_round_trip () =
       Alcotest.(check bool) "cover size bounded" true
         (List.length cover <= (2 * 2 * z') + 2)
 
+(* Identity pin for the radius searches no other digest covers: a digest
+   over everything [Cso_general.solve], [Cso_disjoint.solve],
+   [Gcso_disjoint.solve], [Charikar_outliers.run], [Bbd_outliers.run]
+   and [Rcro.solve] can show on three seeds each — solution indices,
+   radius bits, LP-solve and coreset counts, and every counter delta.
+   The expected digest comes from the hand-written binary search each
+   solver carried before they shared [Cso_metric.Guess], so a search
+   that probes one guess differently fails here. *)
+let solver_identity_digest = "4c55265442cd5ecf8faaf7c79b0b0160"
+
+let fingerprint_solvers buf =
+  let module Planted = Cso_workload.Planted in
+  let module Rgen = Cso_workload.Relational_gen in
+  let module Charikar = Cso_kcenter.Charikar_outliers in
+  let module Bbd_outliers = Cso_kcenter.Bbd_outliers in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let bits x = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
+  let run name seed f =
+    let line, deltas = Cso_obs.Obs.with_delta f in
+    Printf.bprintf buf "%s seed=%d %s\n" name seed line;
+    List.iter (fun (c, v) -> Printf.bprintf buf "%s=%d\n" c v) deltas
+  in
+  let sol (s : Instance.solution) radius =
+    Printf.sprintf "centers=%s;outliers=%s;radius=%s" (ints s.Instance.centers)
+      (ints s.Instance.outliers) (bits radius)
+  in
+  List.iter
+    (fun seed ->
+      let st salt = Random.State.make [| seed; salt |] in
+      let w = Planted.cso (st 0x5c01) ~n:60 ~m:8 ~k:3 ~z:2 in
+      run "cso_general" seed (fun () ->
+          let r = Cso_general.solve w.Planted.instance in
+          Printf.sprintf "%s;lp_solves=%d"
+            (sol r.Cso_general.solution r.Cso_general.radius)
+            r.Cso_general.lp_solves);
+      let w = Planted.cso (st 0x5c02) ~n:120 ~m:10 ~k:3 ~z:2 in
+      run "cso_disjoint" seed (fun () ->
+          let r = Cso_disjoint.solve w.Planted.instance in
+          Printf.sprintf "%s;coreset=%d/%d"
+            (sol r.Cso_disjoint.solution r.Cso_disjoint.radius)
+            r.Cso_disjoint.coreset_elements r.Cso_disjoint.coreset_sets);
+      let w = Planted.gcso_disjoint (st 0x5c03) ~n:60 ~m:8 ~k:2 ~z:2 in
+      run "gcso_disjoint" seed (fun () ->
+          let r = Gcso_disjoint.solve ~eps:0.3 ~rounds:60 w.Planted.geo in
+          Printf.sprintf "%s;coreset=%d;forced=%d"
+            (sol r.Gcso_disjoint.solution r.Gcso_disjoint.radius)
+            r.Gcso_disjoint.coreset_points r.Gcso_disjoint.forced_outliers);
+      let w = Planted.cso (st 0x5c04) ~n:60 ~m:8 ~k:3 ~z:2 in
+      run "charikar" seed (fun () ->
+          let r = Charikar.run (Space.of_points w.Planted.points) ~k:3 ~z:4 in
+          Printf.sprintf "centers=%s;outliers=%s;radius=%s"
+            (ints r.Charikar.centers) (ints r.Charikar.outliers)
+            (bits r.Charikar.radius));
+      let w = Planted.cso (st 0x5c05) ~n:150 ~m:10 ~k:3 ~z:2 in
+      run "bbd_outliers" seed (fun () ->
+          let r =
+            Bbd_outliers.run ~rng:(st 0x5c06) w.Planted.points ~k:3 ~z:6
+          in
+          Printf.sprintf "centers=%s;radius=%s;sample=%d/%d"
+            (ints r.Bbd_outliers.centers) (bits r.Bbd_outliers.radius)
+            r.Bbd_outliers.sample_size r.Bbd_outliers.sample_outliers);
+      let w = Rgen.rcro (st 0x5c07) ~n1:60 ~n2:20 ~k:2 ~z:3 in
+      run "rcro" seed (fun () ->
+          let r =
+            Rcro.solve ~rng:(st 0x5c08) ~eps:0.25 w.Rgen.instance w.Rgen.tree
+              ~k:2 ~z:3
+          in
+          Printf.sprintf "centers=%s;threshold=%s;join=%d;sample=%d/%d"
+            (String.concat "|"
+               (List.map
+                  (fun c -> String.concat "," (List.map bits (Array.to_list c)))
+                  r.Rcro.centers))
+            (bits r.Rcro.threshold) r.Rcro.join_size r.Rcro.sample_size
+            r.Rcro.sample_outliers))
+    [ 1; 2; 3 ]
+
+let test_solver_identity_digest () =
+  let was = Cso_obs.Obs.enabled () in
+  Cso_obs.Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Cso_obs.Obs.set_enabled was) @@ fun () ->
+  let buf = Buffer.create 16384 in
+  fingerprint_solvers buf;
+  Alcotest.(check string) "solver digest" solver_identity_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     Alcotest.test_case "instance accessors" `Quick test_instance_accessors;
@@ -293,4 +378,6 @@ let suite =
     Alcotest.test_case "hardness reduction structure" `Quick
       test_hardness_reduction_structure;
     Alcotest.test_case "hardness round trip" `Slow test_hardness_round_trip;
+    Alcotest.test_case "solver identity digest" `Slow
+      test_solver_identity_digest;
   ]

@@ -6,8 +6,7 @@ let test_point_distances () =
   let p = Point.make [ 0.0; 0.0 ] and q = Point.make [ 3.0; 4.0 ] in
   Alcotest.(check bool) "l2" true (feq (Point.l2 p q) 5.0);
   Alcotest.(check bool) "l2_sq" true (feq (Point.l2_sq p q) 25.0);
-  Alcotest.(check bool) "linf" true (feq (Point.linf p q) 4.0);
-  Alcotest.(check bool) "l1" true (feq (Point.l1 p q) 7.0)
+  Alcotest.(check bool) "linf" true (feq (Point.linf p q) 4.0)
 
 let test_point_mismatch () =
   Alcotest.check_raises "dim mismatch"
@@ -15,13 +14,13 @@ let test_point_mismatch () =
       ignore (Point.l2 [| 0.0; 0.0 |] [| 1.0; 2.0; 3.0 |]))
 
 let test_point_ops () =
-  let p = [| 1.0; 2.0 |] and q = [| 3.0; 5.0 |] in
-  Alcotest.(check bool) "add" true (Point.equal (Point.add p q) [| 4.0; 7.0 |]);
-  Alcotest.(check bool) "sub" true (Point.equal (Point.sub q p) [| 2.0; 3.0 |]);
-  Alcotest.(check bool) "scale" true
-    (Point.equal (Point.scale 2.0 p) [| 2.0; 4.0 |]);
-  Alcotest.(check bool) "centroid" true
-    (Point.equal (Point.centroid [| p; q |]) [| 2.0; 3.5 |])
+  let p = Point.make [ 1.0; 2.0 ] in
+  Alcotest.(check int) "dim" 2 (Point.dim p);
+  Alcotest.(check bool) "equal" true (Point.equal p [| 1.0; 2.0 |]);
+  Alcotest.(check bool) "unequal coordinate" false
+    (Point.equal p [| 1.0; 3.0 |]);
+  Alcotest.(check bool) "unequal dimension" false (Point.equal p [| 1.0 |]);
+  Alcotest.(check string) "to_string" "(1, 2)" (Point.to_string p)
 
 let test_space_cost () =
   let pts = [| [| 0.0 |]; [| 1.0 |]; [| 5.0 |]; [| 6.0 |] |] in
@@ -78,8 +77,6 @@ let test_points_store () =
   Alcotest.(check int) "dim" 2 (Points.dim c);
   Alcotest.(check bool) "coord" true (Points.coord c 1 0 = 3.0);
   Alcotest.(check bool) "get copies" true (Point.equal (Points.get c 2) pts.(2));
-  Alcotest.(check bool) "to_array round-trips" true
-    (Array.for_all2 Point.equal (Points.to_array c) pts);
   let dst = Array.make 2 0.0 in
   Points.blit_point c 1 dst;
   Alcotest.(check bool) "blit_point" true (Point.equal dst pts.(1));
@@ -139,79 +136,47 @@ let test_float_sort_order_regression () =
        a b)
 
 (* ------------------------------------------------------------------ *)
-(* Tiled block kernel (bit-identity contract)                         *)
+(* Radius search                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+(* The hand-written loop every solver ran before [Guess], transcribed:
+   an accepted probe moves the bracket down when [down], up otherwise.
+   Returns the probed indices in order and the last accepted one. *)
+let reference_search ~down n accept =
+  let lo = ref 0 and hi = ref (n - 1) in
+  let seen = ref [] and best = ref None in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    seen := mid :: !seen;
+    if accept mid then best := Some mid;
+    if accept mid = down then hi := mid - 1 else lo := mid + 1
+  done;
+  (List.rev !seen, !best)
 
-let random_store rng ~n ~d =
-  Points.of_array
-    (Array.init n (fun _ ->
-         Array.init d (fun _ -> Random.State.float rng 100.0 -. 50.0)))
-
-(* [l2_sq_block] must write the exact bits of [l2_sq_to] / [l2_sq_idx]
-   and charge the same [metric.dist_evals] delta as the row kernel. *)
-let test_l2_sq_block_bit_identity () =
-  let module Obs = Cso_obs.Obs in
-  let rng = Random.State.make [| 90125 |] in
-  List.iter
-    (fun (n, d) ->
-      let c = random_store rng ~n ~d in
-      let lo = Random.State.int rng n in
-      let hi = lo + 1 + Random.State.int rng (n - lo) in
-      let rows = hi - lo in
-      let dst = Array.make (rows * n) nan in
-      let (), deltas =
-        Obs.with_delta (fun () -> Points.l2_sq_block c ~lo ~hi dst)
-      in
-      Alcotest.(check (option int))
-        (Printf.sprintf "dist_evals delta (n=%d d=%d)" n d)
-        (Some (rows * n))
-        (List.assoc_opt "metric.dist_evals" deltas);
-      let row = Array.make n nan in
-      for i = lo to hi - 1 do
-        Points.l2_sq_to c i row;
-        for j = 0 to n - 1 do
-          let b = dst.(((i - lo) * n) + j) in
-          if not (same_bits b row.(j) && same_bits b (Points.l2_sq_idx c i j))
-          then
-            Alcotest.failf "l2_sq_block (%d, %d) at n=%d d=%d: %h <> %h" i j n
-              d b row.(j)
-        done
-      done)
-    (* Small, tile-straddling (tile = 2048/d) and every unrolled dim. *)
-    [ (1, 1); (7, 2); (40, 3); (64, 4); (700, 3); (1100, 2) ];
-  let c = random_store rng ~n:4 ~d:2 in
-  Alcotest.check_raises "bad row range"
-    (Invalid_argument "Points.l2_sq_block: bad row range [3, 2) (n = 4)")
-    (fun () -> Points.l2_sq_block c ~lo:3 ~hi:2 (Array.make 16 0.0));
-  Alcotest.check_raises "short destination"
-    (Invalid_argument "Points.l2_sq_block: destination shorter than rows * n")
-    (fun () -> Points.l2_sq_block c ~lo:0 ~hi:2 (Array.make 7 0.0))
-
-(* Bit-identity of the tiled kernel on adversarial shapes: random
-   dimensions (unrolled and generic) and ranges straddling tile
-   boundaries. *)
-let prop_block_kernels_bit_identical =
+let prop_guess_matches_loop =
   QCheck.Test.make
-    ~name:"l2_sq_block bit-identical to the per-index kernel"
-    ~count:60
-    QCheck.(pair (int_range 1 80) (int_range 1 6))
-    (fun (n, d) ->
-      let rng = Random.State.make [| n; d; 13 |] in
-      let c = random_store rng ~n ~d in
-      let lo = Random.State.int rng n in
-      let hi = lo + 1 + Random.State.int rng (n - lo) in
-      let dst = Array.make ((hi - lo) * n) nan in
-      Points.l2_sq_block c ~lo ~hi dst;
-      let ok = ref true in
-      for i = lo to hi - 1 do
-        for j = 0 to n - 1 do
-          if not (same_bits dst.(((i - lo) * n) + j) (Points.l2_sq_idx c i j))
-          then ok := false
-        done
-      done;
-      !ok)
+    ~name:"Guess finds the boundary, probing the loop's midpoints" ~count:60
+    QCheck.(int_range 0 300)
+    (fun n ->
+      let agrees ~down search accept expected =
+        let seen = ref [] in
+        let found =
+          search n (fun i ->
+              seen := i :: !seen;
+              if accept i then Some (-i) else None)
+        in
+        found = Option.map (fun i -> (i, -i)) expected
+        && (List.rev !seen, expected) = reference_search ~down n accept
+      in
+      List.for_all
+        (fun t ->
+          agrees ~down:true Guess.lowest
+            (fun i -> i >= t)
+            (if t < n then Some t else None)
+          && agrees ~down:false Guess.highest
+               (fun i -> i < t)
+               (if t > 0 then Some (t - 1) else None))
+        (List.init (n + 1) Fun.id))
 
 let prop_euclidean_is_metric =
   QCheck.Test.make ~name:"random euclidean space satisfies metric axioms"
@@ -248,9 +213,7 @@ let suite =
       test_point_compare_regression;
     Alcotest.test_case "float sort order regression" `Quick
       test_float_sort_order_regression;
-    Alcotest.test_case "l2_sq_block bit-identity + accounting" `Quick
-      test_l2_sq_block_bit_identity;
-    QCheck_alcotest.to_alcotest prop_block_kernels_bit_identical;
+    QCheck_alcotest.to_alcotest prop_guess_matches_loop;
     QCheck_alcotest.to_alcotest prop_euclidean_is_metric;
     QCheck_alcotest.to_alcotest prop_nearest_center;
   ]
