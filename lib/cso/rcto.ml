@@ -1,7 +1,6 @@
 module Point = Cso_metric.Point
 module Guess = Cso_metric.Guess
 module Rect = Cso_geom.Rect
-module Box_complement = Cso_geom.Box_complement
 module Rel = Cso_relational
 module Oracles = Cso_relational.Oracles
 module Yannakakis = Cso_relational.Yannakakis
@@ -27,7 +26,6 @@ let provenance inst q =
    when a drained result was not fully in I_2 or more than [z] results
    had to be drained. *)
 let drain h inst ~i2 ~centers ~r_hat ~z =
-  let d = Rel.Schema.dims inst.Rel.Instance.schema in
   let cubes =
     List.map (fun p -> Rect.cube ~center:p ~side:(2.0 *. r_hat)) centers
   in
@@ -50,7 +48,7 @@ let drain h inst ~i2 ~centers ~r_hat ~z =
     None
   in
   try
-    ignore (Box_complement.find_map cubes d drain_cell);
+    ignore (Oracles.find_outside h cubes drain_cell);
     Some (List.sort_uniq compare !t')
   with Invalid -> None
 
@@ -101,14 +99,27 @@ let solve ?rng ?iters inst tree ~k ~z =
   match !best with
   | None -> None
   | Some (s1, outlier_tuples, r_hat) ->
-      (* Representatives: one surviving join result per center cube. *)
+      (* Representatives: one surviving join result per center cube.
+         Overlapping cubes can return the same result. Its first
+         occurrence stands for all of them: it lies in each of their
+         cubes, so whatever those cubes hold is within 2 r_hat of it. *)
       Oracles.restore h;
       Oracles.remove h outlier_tuples;
+      let same p q =
+        Array.for_all2
+          (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+          p q
+      in
       let centers =
-        List.filter_map
-          (fun p ->
-            Oracles.any_in_rect h (Rect.cube ~center:p ~side:(2.0 *. r_hat)))
-          s1
+        List.fold_left
+          (fun acc p ->
+            match
+              Oracles.any_in_rect h (Rect.cube ~center:p ~side:(2.0 *. r_hat))
+            with
+            | Some q when not (List.exists (same q) acc) -> q :: acc
+            | _ -> acc)
+          [] s1
+        |> List.rev
       in
       Some
         { centers; outlier_tuples; radius = r_hat; iterations = iters;

@@ -14,8 +14,9 @@ let witness lo hi =
 
 (* The cells come in the order [decompose] has always listed them:
    the reverse of the lexicographic enumeration of grid intervals, dim 0
-   outermost, so every dimension walks its intervals downwards. *)
-let find_map ?domain boxes d f =
+   outermost, so every dimension walks its intervals downwards. [keep]
+   sees each prefix once, right after its last interval is fixed. *)
+let find_map ?domain ?(keep = fun _ _ -> true) boxes d f =
   let domain = match domain with Some r -> r | None -> Rect.unbounded d in
   (* Per-dimension grid breakpoints: all box faces clipped to the domain,
      plus the domain bounds. The lists are tiny; [List.sort_uniq] picks
@@ -50,7 +51,9 @@ let find_map ?domain boxes d f =
           lo.(j) <- bp.(i);
           hi.(j) <- bp.(i + 1);
           w.(j) <- witness bp.(i) bp.(i + 1);
-          match go (j + 1) with None -> each (i - 1) | found -> found
+          match if keep j cell then go (j + 1) else None with
+          | None -> each (i - 1)
+          | found -> found
         end
       in
       each (Array.length bp - 2)

@@ -13,12 +13,19 @@ val decompose : ?domain:Rect.t -> Rect.t list -> int -> Rect.t list
     every returned cell's interior is disjoint from every box's interior.
     Cells are closed rectangles, so cell boundaries may touch boxes. *)
 
-val find_map : ?domain:Rect.t -> Rect.t list -> int ->
-  (Rect.t -> 'a option) -> 'a option
-(** [find_map ?domain boxes d f] applies [f] to the cells of
+val find_map : ?domain:Rect.t -> ?keep:(int -> Rect.t -> bool) ->
+  Rect.t list -> int -> (Rect.t -> 'a option) -> 'a option
+(** [find_map ?domain ?keep boxes d f] applies [f] to the cells of
     [decompose ?domain boxes d], in its order, and returns the first
     [Some], without building the list. [f] receives one scratch cell
-    that the next cell overwrites: copy it to keep it. *)
+    that the next cell overwrites: copy it to keep it.
+
+    The cells are the leaves of a walk that fixes dimension 0's interval
+    first. Right after fixing dimension [j]'s interval, the walk calls
+    [keep j cell], where [cell] is the scratch cell, valid on dimensions
+    [0 .. j] only. On [false] it skips every cell below that prefix.
+    [keep] is called once per prefix the walk reaches; by default it
+    keeps everything. *)
 
 val cover_test : Rect.t list -> Cso_metric.Point.t -> bool
 (** [cover_test boxes p] is true iff [p] lies in some box (closed). *)

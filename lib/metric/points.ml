@@ -39,10 +39,6 @@ let check_i name t i =
     invalid_arg
       (Printf.sprintf "Points.%s: index %d out of bounds (n = %d)" name i t.n)
 
-let get t i =
-  check_i "get" t i;
-  Array.sub t.data (i * t.dim) t.dim
-
 let coord t i j = t.data.((i * t.dim) + j)
 
 let blit_point t i dst =

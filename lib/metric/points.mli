@@ -39,9 +39,6 @@ val coord : t -> int -> int -> float
 (** [coord t i j] is coordinate [j] of point [i] (bounds-checked by the
     array access). *)
 
-val get : t -> int -> Point.t
-(** [get t i] is a fresh boxed copy of point [i]. *)
-
 val blit_point : t -> int -> float array -> unit
 (** [blit_point t i dst] copies point [i] into [dst.(0 .. dim-1)].
     Raises [Invalid_argument] if [dst] is shorter than [dim]. *)

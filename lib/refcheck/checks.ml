@@ -414,11 +414,17 @@ let geom_wspd_lattice =
    ([Reference.box_complement]): the same cells in the same order, bit
    for bit, whole or cut short by [find_map]. Faces mix grid and uniform
    values, -0. beside 0., and the infinities; boxes may be flat, nested
-   or repeated, and a third of the instances clip to a domain. *)
+   or repeated, and a third of the instances clip to a domain. A
+   [keep] seeded by [bx_keep] accepts a prefix of intervals as a hash
+   of its bits decides; [find_map ~keep] must visit exactly the
+   reference cells whose every prefix it accepts, and call it once on
+   each prefix it reaches, with the scratch cell's first dimensions
+   equal to the reference cell's. *)
 type boxes_inst = {
   bx_d : int;
   bx_boxes : Rect.t list;
   bx_domain : Rect.t option;
+  bx_keep : int;
 }
 
 let box_face rng =
@@ -447,7 +453,8 @@ let gen_boxes rng =
   let domain =
     if Random.State.int rng 3 = 0 then Some (gen_box rng d) else None
   in
-  { bx_d = d; bx_boxes = boxes; bx_domain = domain }
+  { bx_d = d; bx_boxes = boxes; bx_domain = domain;
+    bx_keep = Random.State.bits rng }
 
 let rect_str (r : Rect.t) =
   String.concat "x"
@@ -463,9 +470,10 @@ let geom_box_complement =
           { b with bx_boxes = List.filteri (fun j _ -> j <> i) b.bx_boxes })
       @ if b.bx_domain = None then [] else [ { b with bx_domain = None } ])
     ~show:(fun b ->
-      Printf.sprintf "d=%d domain=%s boxes=%s" b.bx_d
+      Printf.sprintf "d=%d domain=%s boxes=%s keep=%d" b.bx_d
         (match b.bx_domain with Some r -> rect_str r | None -> "none")
-        (String.concat " " (List.map rect_str b.bx_boxes)))
+        (String.concat " " (List.map rect_str b.bx_boxes))
+        b.bx_keep)
     ~prop:(fun b ->
       let bits (r : Rect.t) =
         (Array.map Int64.bits_of_float r.Rect.lo,
@@ -476,10 +484,10 @@ let geom_box_complement =
           (Cso_geom.Box_complement.decompose ?domain:b.bx_domain b.bx_boxes
              b.bx_d)
       in
-      let reference =
-        List.map bits
-          (Reference.box_complement ?domain:b.bx_domain b.bx_boxes b.bx_d)
+      let reference_cells =
+        Reference.box_complement ?domain:b.bx_domain b.bx_boxes b.bx_d
       in
+      let reference = List.map bits reference_cells in
       let rec first i = function
         | x :: xs, y :: ys -> if x = y then first (i + 1) (xs, ys) else i
         | _ -> i
@@ -499,10 +507,60 @@ let geom_box_complement =
             incr seen;
             if !seen > stop then Some (bits c) else None)
       in
-      requiref
-        (found = List.nth_opt reference stop)
-        "find_map stopped at cell %d of %d on a different cell" stop
-        (List.length reference))
+      let* () =
+        requiref
+          (found = List.nth_opt reference stop)
+          "find_map stopped at cell %d of %d on a different cell" stop
+          (List.length reference)
+      in
+      let prefix j (r : Rect.t) =
+        let lo, hi = bits r in
+        (j, Array.sub lo 0 (j + 1), Array.sub hi 0 (j + 1))
+      in
+      let keeps (j, lo, hi) =
+        let key =
+          String.concat ","
+            (List.map (Printf.sprintf "%Lx")
+               (Array.to_list lo @ Array.to_list hi))
+        in
+        Hashtbl.seeded_hash b.bx_keep (j, key) land 3 <> 0
+      in
+      let calls = ref [] and visited = ref [] in
+      ignore
+        (Cso_geom.Box_complement.find_map ?domain:b.bx_domain
+           ~keep:(fun j c ->
+             let p = prefix j c in
+             calls := p :: !calls;
+             keeps p)
+           b.bx_boxes b.bx_d
+           (fun c ->
+             visited := bits c :: !visited;
+             None));
+      let calls = List.rev !calls and visited = List.rev !visited in
+      (* Prefix [j] of a cell is reached when [keep] accepts every
+         shorter one. *)
+      let reached c j =
+        List.for_all (fun i -> keeps (prefix i c)) (List.init j Fun.id)
+      in
+      let kept = List.filter (fun c -> reached c b.bx_d) reference_cells in
+      let* () =
+        requiref (visited = List.map bits kept)
+          "find_map ~keep visited %d cells, the reference's accepted %d"
+          (List.length visited) (List.length kept)
+      in
+      let* () =
+        requiref
+          (List.length (List.sort_uniq compare calls) = List.length calls)
+          "keep called twice on one prefix (%d calls)" (List.length calls)
+      in
+      require
+        (List.for_all
+           (fun c ->
+             List.for_all
+               (fun j -> (not (reached c j)) || List.mem (prefix j c) calls)
+               (List.init b.bx_d Fun.id))
+           reference_cells)
+        "keep never saw a reached prefix of a reference cell")
 
 (* ------------------------------------------------------------------ *)
 (* kcenter.*                                                          *)
@@ -2377,6 +2435,141 @@ let rel_any_in_rect =
                 (rect_str rect))
         (Ok ()) p.pr_ops)
 
+(* The pruned complement walk ([Oracles.find_outside]) against the
+   unpruned [Box_complement.find_map] over [Reference.any_in_rect]: the
+   first hit of [outside_witness] bit for bit, and the whole hit
+   sequence of a drain that removes each hit's provenance, the pruned
+   side from its handle and the unpruned side from an
+   [Instance.remove]d copy. Values mix -0. with 0. and take the
+   infinities; cube centers come from the same values and the half-side
+   from {0, 0.5, 1, 1.5}, so tuples sit on cell faces and cubes can be
+   flat. Some tuples are masked before the walk. *)
+type walk_inst = {
+  wk_rel : rel_inst;
+  wk_mask : (int * float array) list;
+  wk_centers : float array list;
+  wk_r : float;
+}
+
+let walk_value rng =
+  match Random.State.int rng 8 with
+  | 0 -> neg_infinity
+  | 1 -> infinity
+  | _ -> probe_value rng
+
+let gen_walk rng =
+  let si = Random.State.int rng n_acyclic in
+  let schema = schemas.(si) in
+  let d = Rel.Schema.dims schema in
+  let tuples =
+    List.init (Rel.Schema.n_relations schema) (fun rel ->
+        let arity = Array.length (Rel.Schema.rel_attrs schema rel) in
+        List.init (int_in rng 0 5) (fun _ ->
+            Array.init arity (fun _ -> walk_value rng)))
+  in
+  let mask =
+    List.concat
+      (List.init (int_in rng 0 2) (fun _ ->
+           let rel = Random.State.int rng (List.length tuples) in
+           match List.nth tuples rel with
+           | [] -> []
+           | ts ->
+               [ (rel, List.nth ts (Random.State.int rng (List.length ts))) ]))
+  in
+  {
+    wk_rel = { r_schema = si; r_tuples = tuples };
+    wk_mask = mask;
+    wk_centers =
+      List.init (int_in rng 0 3) (fun _ ->
+          Array.init d (fun _ -> walk_value rng));
+    wk_r = [| 0.0; 0.5; 1.0; 1.5 |].(Random.State.int rng 4);
+  }
+
+let rel_outside_walk =
+  Fuzz.make ~name:"relational.outside_walk_vs_reference" ~gen:gen_walk
+    ~shrink:(fun w ->
+      List.map (fun r -> { w with wk_rel = r }) (shrink_rel w.wk_rel)
+      @ List.init (List.length w.wk_mask) (fun i ->
+            { w with wk_mask = List.filteri (fun j _ -> j <> i) w.wk_mask })
+      @ List.init (List.length w.wk_centers) (fun i ->
+            {
+              w with
+              wk_centers = List.filteri (fun j _ -> j <> i) w.wk_centers;
+            }))
+    ~show:(fun w ->
+      Printf.sprintf "%s mask: %s centers: %s r=%g" (show_rel w.wk_rel)
+        (String.concat "; "
+           (List.map
+              (fun (rel, tup) -> Printf.sprintf "%d:%s" rel (pt_str tup))
+              w.wk_mask))
+        (String.concat "; " (List.map pt_str w.wk_centers))
+        w.wk_r)
+    ~prop:(fun w ->
+      let schema = schemas.(w.wk_rel.r_schema) in
+      let d = Rel.Schema.dims schema in
+      let inst = rel_instance w.wk_rel in
+      let jt = Rel.Join_tree.build_exn schema in
+      let h = Rel.Oracles.prepare inst jt in
+      Rel.Oracles.remove h w.wk_mask;
+      let masked = Rel.Instance.remove inst w.wk_mask in
+      let cubes =
+        List.map
+          (fun c -> Rect.cube ~center:c ~side:(2.0 *. w.wk_r))
+          w.wk_centers
+      in
+      let bits = List.map (Array.map Int64.bits_of_float) in
+      let show = function
+        | [] -> "none"
+        | qs -> String.concat " " (List.map pt_str qs)
+      in
+      let got =
+        Option.to_list
+          (Rel.Oracles.outside_witness h ~centers:w.wk_centers ~r:w.wk_r)
+      in
+      let want =
+        Option.to_list
+          (Cso_geom.Box_complement.find_map cubes d
+             (Reference.any_in_rect masked jt))
+      in
+      let* () =
+        requiref (bits got = bits want) "witness %s vs reference %s" (show got)
+          (show want)
+      in
+      let provenance q =
+        List.init (Rel.Schema.n_relations schema) (fun i ->
+            (i, Rel.Instance.project_result inst ~rel:i q))
+      in
+      (* Drain every cell as [Rcto.drain] does, recording the hits. *)
+      let drain walk any remove =
+        let hits = ref [] in
+        ignore
+          (walk (fun cell ->
+               let rec loop () =
+                 match any cell with
+                 | None -> None
+                 | Some q ->
+                     hits := q :: !hits;
+                     remove (provenance q);
+                     loop ()
+               in
+               loop ()));
+        List.rev !hits
+      in
+      let got =
+        drain
+          (Rel.Oracles.find_outside h cubes)
+          (Rel.Oracles.any_in_rect h) (Rel.Oracles.remove h)
+      in
+      let cur = ref masked in
+      let want =
+        drain
+          (Cso_geom.Box_complement.find_map cubes d)
+          (fun cell -> Reference.any_in_rect !cur jt cell)
+          (fun victims -> cur := Rel.Instance.remove !cur victims)
+      in
+      requiref (bits got = bits want) "drained %s vs reference %s" (show got)
+        (show want))
+
 (* ------------------------------------------------------------------ *)
 (* serve.*                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -2630,6 +2823,7 @@ let all =
     rel_sample;
     rel_hypertree;
     rel_any_in_rect;
+    rel_outside_walk;
     rel_partition;
     serve_protocol_roundtrip;
     serve_protocol_malformed;

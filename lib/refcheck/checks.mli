@@ -20,8 +20,8 @@
     - [relational.*] — Yannakakis count / enumerate / any / sample,
       semijoin reduction and hypertree decomposition vs the nested-loop
       join; the prepared rectangle oracle vs a filtered copy and a
-      Yannakakis pass; a partition that sends each tuple to exactly one
-      half. *)
+      Yannakakis pass; the pruned complement walk vs the unpruned one;
+      a partition that sends each tuple to exactly one half. *)
 
 val all : Fuzz.t list
 (** Every registered check, in substrate order. *)

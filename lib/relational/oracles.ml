@@ -37,6 +37,9 @@ type prepared = {
   preorder : int array; (* the order [Yannakakis] writes a result in *)
   kids : int array array;
   attrs : int array array;
+  owners : (int * int) array array;
+      (* [owners.(a)]: each relation [i] with attribute [a], paired with
+         the number of its attributes [<= a] *)
   up_key : int array array; (* [up_key.(c).(j)]: key of tuple j of c *)
   down_key : int array array;
       (* [down_key.(c).(j)]: key of tuple j of [parent c] on edge c, or -1 *)
@@ -88,6 +91,14 @@ let prepare (inst : Instance.t) (tree : Join_tree.t) =
     Array.iter visit kids.(i)
   in
   visit tree.Join_tree.root;
+  let attrs = Array.init g (Schema.rel_attrs schema) in
+  let owners = Array.make (Schema.dims schema) [] in
+  for i = g - 1 downto 0 do
+    (* Schema attributes are sorted, so those [<= a] come first. *)
+    Array.iteri
+      (fun pos a -> owners.(a) <- (i, pos + 1) :: owners.(a))
+      attrs.(i)
+  done;
   {
     inst;
     root = tree.Join_tree.root;
@@ -95,7 +106,8 @@ let prepare (inst : Instance.t) (tree : Join_tree.t) =
     order = tree.Join_tree.order;
     preorder = Array.of_list (List.rev !preorder);
     kids;
-    attrs = Array.init g (Schema.rel_attrs schema);
+    attrs;
+    owners = Array.map Array.of_list owners;
     up_key;
     down_key;
     best;
@@ -116,18 +128,20 @@ let remove h victims =
 let restore h =
   Array.iter (fun a -> Array.fill a 0 (Array.length a) false) h.hidden
 
-(* [Instance.filter_rect]'s closed-interval test, same comparisons; the
-   annotations make them float compares, not polymorphic ones. *)
-let in_rect attrs (tup : float array) (lo : float array) (hi : float array) =
-  let n = Array.length attrs in
-  let rec go pos =
-    pos >= n
-    ||
-    let a = attrs.(pos) in
-    let v = tup.(pos) in
-    (not (v < lo.(a) || v > hi.(a))) && go (pos + 1)
-  in
-  go 0
+(* [Instance.filter_rect]'s closed-interval test on a tuple's
+   attributes [pos .. n - 1], same comparisons; the annotations make
+   them float compares, not polymorphic ones. Top-level recursion
+   allocates no closure per tuple. *)
+let rec in_rect_from pos n attrs (tup : float array) (lo : float array)
+    (hi : float array) =
+  pos >= n
+  ||
+  let a = attrs.(pos) in
+  let v = tup.(pos) in
+  (not (v < lo.(a) || v > hi.(a))) && in_rect_from (pos + 1) n attrs tup lo hi
+
+let in_rect attrs tup lo hi =
+  in_rect_from 0 (Array.length attrs) attrs tup lo hi
 
 (* Every child edge of relation [i] has an alive tuple with tuple [j]'s
    key. *)
@@ -227,15 +241,45 @@ let candidate_linf_distances (inst : Instance.t) =
     per_attr;
   Array.of_list (List.sort_uniq Float.compare !acc)
 
+(* Some tuple from index [j] on is unhidden and passes [in_rect] on its
+   first [n] attributes. *)
+let rec any_visible j tuples hidden attrs n lo hi =
+  j < Array.length tuples
+  && ((not hidden.(j)) && in_rect_from 0 n attrs tuples.(j) lo hi
+     || any_visible (j + 1) tuples hidden attrs n lo hi)
+
+(* The complement walk's [keep] (DESIGN.md §3l): with dimensions
+   [0 .. a] of [cell] fixed, every relation with attribute [a] still
+   has an unhidden tuple whose attributes [<= a] lie in the cell, by
+   [in_rect]'s comparisons. A join result in any cell below projects
+   onto such a tuple of every relation, and hiding more tuples only
+   shrinks the join, so below a [false] every [any_in_rect] answers
+   [None]. *)
+let populated h a (cell : Rect.t) =
+  let owners = h.owners.(a) in
+  let ok = ref true and x = ref 0 in
+  while !ok && !x < Array.length owners do
+    let i, n = owners.(!x) in
+    ok :=
+      any_visible 0 h.inst.Instance.tuples.(i) h.hidden.(i) h.attrs.(i) n
+        cell.Rect.lo cell.Rect.hi;
+    incr x
+  done;
+  !ok
+
+let find_outside h cubes f =
+  Box_complement.find_map ~keep:(populated h) cubes
+    (Schema.dims h.inst.Instance.schema)
+    f
+
 (* A join result strictly outside every L_inf ball of radius [r] around
    the centers, if one exists. [r] must not be a realizable coordinate
    difference so that no result lies exactly on a cube boundary. *)
 let outside_witness h ~centers ~r =
   Obs.with_span "oracle.outside_witness" @@ fun () ->
   Obs.incr c_witness;
-  let d = Schema.dims h.inst.Instance.schema in
   let cubes = List.map (fun c -> Rect.cube ~center:c ~side:(2.0 *. r)) centers in
-  Box_complement.find_map cubes d (any_in_rect h)
+  find_outside h cubes (any_in_rect h)
 
 let farthest_linf h ~centers ~cand =
   if centers = [] then invalid_arg "Oracles.farthest_linf: no centers";

@@ -11,6 +11,9 @@
       implementation, DESIGN.md substitution 5);
     - [candidate_linf_distances]: the binary-search lattice replacing the
       l-th smallest L_inf distance primitive of [4] (substitution 4);
+    - [find_outside] / [outside_witness]: the walk over the complement
+      cells of a set of cubes, skipping cells that some relation cannot
+      populate;
     - [farthest_linf]: exact farthest join result (in L_inf) from a
       center set, via complement-of-boxes decomposition. *)
 
@@ -46,6 +49,26 @@ val remove : prepared -> (int * float array) list -> unit
 
 val restore : prepared -> unit
 (** Undoes every {!remove} on the handle. *)
+
+val find_outside : prepared -> Cso_geom.Rect.t list ->
+  (Cso_geom.Rect.t -> 'a option) -> 'a option
+(** [find_outside h cubes f] is [Box_complement.find_map cubes d f]
+    ([d] the schema's dimension), except that it skips cells where
+    {!any_in_rect} on [h] must answer [None]. The walk's [keep] asks,
+    per fixed prefix of intervals, that every relation with the
+    prefix's last attribute has a tuple {!remove} has not taken out
+    whose attributes up to that one lie in the prefix's closed
+    intervals. So [f] sees every cell that holds a join result, in the
+    same order, as long as [f] only {!remove}s (never {!restore}s)
+    during the walk. The keep scans are uncounted. *)
+
+val outside_witness : prepared -> centers:Cso_metric.Point.t list ->
+  r:float -> Cso_metric.Point.t option
+(** The first {!any_in_rect} hit over the {!find_outside} cells of the
+    L_inf cubes of half-side [r] around [centers]: a join result outside
+    every cube's interior, or [None] when there is none. Counts one
+    [relational.oracle.outside_witness] and runs in the
+    [oracle.outside_witness] span. *)
 
 val candidate_linf_distances : Instance.t -> float array
 (** Sorted deduplicated candidates (0. included) containing every

@@ -76,13 +76,9 @@ let test_points_store () =
   Alcotest.(check int) "length" 3 (Points.length c);
   Alcotest.(check int) "dim" 2 (Points.dim c);
   Alcotest.(check bool) "coord" true (Points.coord c 1 0 = 3.0);
-  Alcotest.(check bool) "get copies" true (Point.equal (Points.get c 2) pts.(2));
   let dst = Array.make 2 0.0 in
   Points.blit_point c 1 dst;
   Alcotest.(check bool) "blit_point" true (Point.equal dst pts.(1));
-  (* Mutating a [get] copy must not touch the store. *)
-  (Points.get c 0).(0) <- 99.0;
-  Alcotest.(check bool) "get is a copy" true (Points.coord c 0 0 = 1.0);
   Alcotest.(check int) "empty store" 0 (Points.length (Points.of_array [||]));
   Alcotest.check_raises "ragged input rejected"
     (Invalid_argument

@@ -183,29 +183,61 @@ let test_rcro_empty_join () =
   Alcotest.(check (list (array (float 0.0)))) "no centers" []
     (List.map (fun p -> p) r.Rcro.centers)
 
-(* Identity pin for the relational solvers: a digest over everything an
-   [Rcto.solve] (n1=14, n2=8, k=2, z=2, 100 iterations) and an
-   [Rcto1.solve] (n1=60, n2=20, k=2, z=2, eps=0.3, 120 rounds) can show,
-   three seeds each — center and outlier-tuple bits, radius and
-   [cost_upper] bits, iteration / success / coreset counts, and the
-   delta of every [relational.oracle.*] counter. The expected digest
-   comes from the oracles that filter a copy of the instance and run
-   Yannakakis on it per call, so a faster oracle that moves one bit or
-   one oracle count fails here. It was re-recorded when
-   [Instance.partition] began drawing its predicate once per tuple,
-   which moves [Rcto]'s coin flips and no [Rcto1] line. *)
-let relational_identity_digest = "cf9d82b77ec201db8cb35390f4c232ad"
+(* Overlapping center cubes can hand back one join result twice; the
+   report lists it once. The digest's seed-3 instance below has both
+   cubes return the same result. *)
+let test_rcto_distinct_centers () =
+  let bits p = Array.map Int64.bits_of_float p in
+  List.iter
+    (fun seed ->
+      let w =
+        Rgen.rcto (Random.State.make [| seed; 0x4c70 |]) ~n1:14 ~n2:8 ~k:2 ~z:2
+      in
+      match
+        Rcto.solve ~rng:(Random.State.make [| seed |]) ~iters:100
+          w.Rgen.instance w.Rgen.tree ~k:2 ~z:2
+      with
+      | None -> Alcotest.failf "seed %d: no valid partition" seed
+      | Some r ->
+          let cs = List.map bits r.Rcto.centers in
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d: at least one center" seed)
+            true (cs <> []);
+          Alcotest.(check int)
+            (Printf.sprintf "seed %d: no repeated center" seed)
+            (List.length cs)
+            (List.length (List.sort_uniq compare cs)))
+    [ 1; 2; 3 ]
 
-let fingerprint_relational buf =
+(* Identity pins for the relational solvers, over an [Rcto.solve]
+   (n1=14, n2=8, k=2, z=2, 100 iterations) and an [Rcto1.solve] (n1=60,
+   n2=20, k=2, z=2, eps=0.3, 120 rounds), three seeds each. The output
+   digest hashes everything a solve can show: center and outlier-tuple
+   bits, radius and [cost_upper] bits, iteration / success / coreset
+   counts. The count digest hashes the delta of every
+   [relational.oracle.*] counter. Kept apart, a change that only saves
+   oracle calls re-records the count digest and leaves the outputs
+   pinned. They split one digest, first recorded on the oracles that
+   filter a copy of the instance and run Yannakakis on it per call, and
+   re-recorded when [Instance.partition] began drawing its predicate
+   once per tuple. Since the split, the output digest was re-recorded
+   when [Rcto] began dropping repeated representatives, and the count
+   digest when the complement walk began skipping cells that no
+   relation can populate (DESIGN.md §3l). *)
+let relational_output_digest = "11299753703033f03624f51f2b23d027"
+let relational_count_digest = "bfaea980c6c376111925b2323314cf0c"
+
+let fingerprint_relational out counts =
   let floats buf a =
     Array.iter (fun x -> Printf.bprintf buf "%Lx," (Int64.bits_of_float x)) a;
     Buffer.add_char buf ';'
   in
-  let oracle_deltas buf deltas =
+  let oracle_deltas header deltas =
+    Buffer.add_string counts header;
     List.iter
       (fun (c, v) ->
         if String.starts_with ~prefix:"relational.oracle." c then
-          Printf.bprintf buf "%s=%d\n" c v)
+          Printf.bprintf counts "%s=%d\n" c v)
       deltas
   in
   List.iter
@@ -218,21 +250,22 @@ let fingerprint_relational buf =
             Rcto.solve ~rng:(Random.State.make [| seed |]) ~iters:100
               w.Rgen.instance w.Rgen.tree ~k:2 ~z:2)
       in
-      Printf.bprintf buf "rcto seed=%d\n" seed;
+      let header = Printf.sprintf "rcto seed=%d\n" seed in
+      Buffer.add_string out header;
       (match r with
-      | None -> Buffer.add_string buf "none\n"
+      | None -> Buffer.add_string out "none\n"
       | Some r ->
-          List.iter (floats buf) r.Rcto.centers;
-          Buffer.add_char buf '\n';
+          List.iter (floats out) r.Rcto.centers;
+          Buffer.add_char out '\n';
           List.iter
             (fun (rel, tup) ->
-              Printf.bprintf buf "%d:" rel;
-              floats buf tup)
+              Printf.bprintf out "%d:" rel;
+              floats out tup)
             r.Rcto.outlier_tuples;
-          Printf.bprintf buf "\nradius=%Lx;iterations=%d;successes=%d\n"
+          Printf.bprintf out "\nradius=%Lx;iterations=%d;successes=%d\n"
             (Int64.bits_of_float r.Rcto.radius)
             r.Rcto.iterations r.Rcto.successes);
-      oracle_deltas buf deltas)
+      oracle_deltas header deltas)
     [ 1; 2; 3 ];
   List.iter
     (fun seed ->
@@ -245,31 +278,44 @@ let fingerprint_relational buf =
             Rcto1.solve ~eps:0.3 ~rounds:120 w.Rgen.instance w.Rgen.tree ~k:2
               ~z:2)
       in
-      Printf.bprintf buf "rcto1 seed=%d\n" seed;
-      List.iter (floats buf) r.Rcto1.centers;
-      Buffer.add_char buf '\n';
-      List.iter (floats buf) r.Rcto1.outlier_tuples;
-      Printf.bprintf buf "\nradius=%Lx;cost_upper=%Lx;coreset=%d\n"
+      let header = Printf.sprintf "rcto1 seed=%d\n" seed in
+      Buffer.add_string out header;
+      List.iter (floats out) r.Rcto1.centers;
+      Buffer.add_char out '\n';
+      List.iter (floats out) r.Rcto1.outlier_tuples;
+      Printf.bprintf out "\nradius=%Lx;cost_upper=%Lx;coreset=%d\n"
         (Int64.bits_of_float r.Rcto1.radius)
         (Int64.bits_of_float r.Rcto1.cost_upper)
         r.Rcto1.coreset_size;
-      oracle_deltas buf deltas)
+      oracle_deltas header deltas)
     [ 1; 2; 3 ]
 
-let test_relational_identity_digest () =
-  let was = Obs.enabled () in
-  Obs.set_enabled true;
-  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
-  let buf = Buffer.create 16384 in
-  fingerprint_relational buf;
-  Alcotest.(check string) "relational solve digest" relational_identity_digest
-    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+(* Both digests come from one run of the six solves. *)
+let relational_digests =
+  lazy
+    (let was = Obs.enabled () in
+     Obs.set_enabled true;
+     Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+     let out = Buffer.create 16384 and counts = Buffer.create 1024 in
+     fingerprint_relational out counts;
+     let hex b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+     (hex out, hex counts))
+
+let test_relational_output_digest () =
+  Alcotest.(check string) "relational solve output digest"
+    relational_output_digest (fst (Lazy.force relational_digests))
+
+let test_relational_count_digest () =
+  Alcotest.(check string) "relational oracle count digest"
+    relational_count_digest (snd (Lazy.force relational_digests))
 
 let suite =
   [
     Alcotest.test_case "rcto1 planted" `Slow test_rcto1_planted;
     Alcotest.test_case "rcto1 z=0" `Slow test_rcto1_no_outliers_needed;
     Alcotest.test_case "rcto planted" `Slow test_rcto_planted;
+    Alcotest.test_case "rcto centers are distinct results" `Slow
+      test_rcto_distinct_centers;
     Alcotest.test_case "rcro planted" `Slow test_rcro_planted;
     Alcotest.test_case "star join (g=3)" `Slow test_star_join_g3;
     Alcotest.test_case "rcro sampling path" `Slow test_rcro_sampling_path;
@@ -277,5 +323,7 @@ let suite =
       test_gcso_disjoint_at_scale;
     Alcotest.test_case "rcro empty join" `Quick test_rcro_empty_join;
     Alcotest.test_case "relational solve identity digest" `Slow
-      test_relational_identity_digest;
+      test_relational_output_digest;
+    Alcotest.test_case "relational oracle count digest" `Slow
+      test_relational_count_digest;
   ]
