@@ -47,7 +47,11 @@ kernels-smoke:
 # trip and must keep the oracle.farthest_linf and oracle.outside_witness
 # spans, which the benchmark's table1 attribution reads; a traced CSO-LP
 # run must keep the LP row's three layers (cso.lp_build, simplex.solve,
-# cso.lp_round). Temp artifacts are cleaned up on success.
+# cso.lp_round); a traced run of both coreset rows must keep their
+# once-per-solve phase 1 (cso_disjoint.cores, gcso_disjoint.cores), the
+# geometric row's lattice (gcso_disjoint.lattice) and one span per
+# guess (cso_disjoint.guess, gcso_disjoint.guess). Temp artifacts are
+# cleaned up on success.
 trace-smoke:
 	dune exec bin/csokit.exe -- trace --run gcso -n 60 --seed 7 \
 		--jsonl trace_smoke.jsonl --chrome trace_smoke_chrome.json
@@ -63,9 +67,17 @@ trace-smoke:
 		--require-span cso.lp_build \
 		--require-span simplex.solve \
 		--require-span cso.lp_round
+	dune exec bin/csokit.exe -- trace --run coreset -n 60 --seed 7 \
+		--jsonl trace_smoke_coreset.jsonl
+	dune exec bin/csokit.exe -- trace --in trace_smoke_coreset.jsonl \
+		--require-span cso_disjoint.cores \
+		--require-span cso_disjoint.guess \
+		--require-span gcso_disjoint.cores \
+		--require-span gcso_disjoint.lattice \
+		--require-span gcso_disjoint.guess
 	dune exec bin/csokit.exe -- budgets --series BENCH_budgets_baseline.json
 	rm -f trace_smoke.jsonl trace_smoke_chrome.json trace_smoke_rel.jsonl \
-		trace_smoke_cso.jsonl
+		trace_smoke_cso.jsonl trace_smoke_coreset.jsonl
 
 # Differential fuzzing gate: every optimized substrate against its
 # naive reference oracle / metamorphic invariants (lib/refcheck), 1000

@@ -238,6 +238,13 @@ let trace_workload kind n k z seed =
   | `Cso ->
       let w = Cso_workload.Planted.cso rng ~n ~m:(4 * max 1 z) ~k ~z in
       ignore (Cso_core.Cso_general.solve w.Cso_workload.Planted.instance)
+  | `Coreset ->
+      (* Both coreset rows, on disjoint sets and disjoint rectangles. *)
+      let m = 4 * max 1 z in
+      let w = Cso_workload.Planted.cso rng ~n ~m ~k ~z in
+      ignore (Cso_core.Cso_disjoint.solve w.Cso_workload.Planted.instance);
+      let w = Cso_workload.Planted.gcso_disjoint rng ~n ~m ~k ~z in
+      ignore (Cso_core.Gcso_disjoint.solve ~rounds:60 w.Cso_workload.Planted.geo)
   | `Relational ->
       let w =
         Cso_workload.Relational_gen.rcto1 rng ~n1:n ~n2:(max 4 (n / 3)) ~k ~z
@@ -539,7 +546,12 @@ let trace_cmd =
       value
       & opt
           (enum
-             [ ("gcso", `Gcso); ("cso", `Cso); ("relational", `Relational) ])
+             [
+               ("gcso", `Gcso);
+               ("cso", `Cso);
+               ("coreset", `Coreset);
+               ("relational", `Relational);
+             ])
           `Gcso
       & info [ "run" ] ~doc:"Planted workload to run with tracing enabled.")
   in

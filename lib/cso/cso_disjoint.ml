@@ -1,6 +1,7 @@
 module Space = Cso_metric.Space
 module Guess = Cso_metric.Guess
 module Gonzalez = Cso_kcenter.Gonzalez
+module Obs = Cso_obs.Obs
 
 type report = {
   solution : Instance.solution;
@@ -13,16 +14,24 @@ type attempt =
   | Solved of Instance.solution
   | Skip
 
-(* Phase 1: per-set Gonzalez. Returns the forced outliers H_0 and, for
-   every surviving set, its 2r-separated center elements. *)
-let per_set_centers (t : Instance.t) ~r =
+(* Phase 1's radius-independent half, once per solve: every set's
+   Gonzalez centers and covering radius, indexed like [t.sets]. *)
+let cores (t : Instance.t) =
+  Array.map
+    (fun elements ->
+      Gonzalez.run t.Instance.space ~subset:(Array.of_list elements)
+        ~k:t.Instance.k)
+    t.Instance.sets
+
+(* Phase 1's radius-dependent half. Returns the forced outliers H_0 (sets
+   whose covering radius exceeds 2r) and, for every surviving set, its
+   2r-separated center elements. *)
+let per_set_centers (t : Instance.t) cores ~r =
   let s = t.Instance.space in
   let h0 = ref [] in
   let kept = ref [] in
   Array.iteri
-    (fun j elements ->
-      let subset = Array.of_list elements in
-      let centers, rad = Gonzalez.run s ~subset ~k:t.Instance.k in
+    (fun j (centers, rad) ->
       if rad > 2.0 *. r then h0 := j :: !h0
       else begin
         (* Sparsify: drop centers within 2r of an earlier kept center. *)
@@ -36,7 +45,7 @@ let per_set_centers (t : Instance.t) ~r =
           centers;
         kept := (j, List.rev !keep) :: !kept
       end)
-    t.Instance.sets;
+    cores;
   (!h0, List.rev !kept)
 
 (* Phase 2: repeatedly remove 15r-balls around elements whose 10r-ball
@@ -84,10 +93,12 @@ let prune_dense_balls (t : Instance.t) ~r ~zbar ~alive ~set_of ~elems =
     Some (List.rev !x)
   with Too_many -> None
 
-let solve_at (t : Instance.t) ~r =
+let check_disjoint t =
   if Instance.frequency t > 1 then
-    invalid_arg "Cso_disjoint.solve_at: sets must be disjoint (f = 1)";
-  let h0, kept = per_set_centers t ~r in
+    invalid_arg "Cso_disjoint.solve_at: sets must be disjoint (f = 1)"
+
+let solve_with (t : Instance.t) cores ~r =
+  let h0, kept = per_set_centers t cores ~r in
   let zbar = t.Instance.z - List.length h0 in
   if zbar < 0 then Skip
   else begin
@@ -204,40 +215,54 @@ let solve_at (t : Instance.t) ~r =
         end
   end
 
-(* Remark after Theorem 2.6: when km < n, binary-search only the
-   pairwise distances among the per-set Gonzalez centers (plus a safe
-   top) instead of all n^2 distances; the approximation constant grows
-   by O(1). *)
-let center_lattice (t : Instance.t) =
+let solve_at t ~r =
+  check_disjoint t;
+  solve_with t (cores t) ~r
+
+(* Remark after Theorem 2.6: when km < n, binary-search a lattice built
+   from phase 1 instead of all n^2 distances: the distances among the
+   per-set Gonzalez centers and every set's covering radius, each also
+   doubled, plus a safe top. Some value lies in [opt, 4 opt]. Let M be
+   the largest covering radius of a set the optimum keeps, and D the
+   largest distance from a kept center to one chosen kept center of its
+   optimum cluster. Gonzalez is a 2-approximation, so M, D <= 2 opt, and
+   the chosen centers cover every kept element within M + D, so
+   opt <= M + D <= 2 max(M, D): twice a lattice value. The top guess,
+   four times the largest value, is at least the largest center
+   distance plus twice the largest radius, which bounds every distance:
+   there no set is forced out and one ball covers every element. *)
+let center_lattice (t : Instance.t) cores =
   let s = t.Instance.space in
   let centers =
-    Array.of_list
-      (List.concat_map
-         (fun elements ->
-           fst (Gonzalez.run s ~subset:(Array.of_list elements) ~k:t.Instance.k))
-         (Array.to_list t.Instance.sets))
+    Array.of_list (List.concat_map fst (Array.to_list cores))
   in
-  let acc = ref [ 0.0 ] in
+  let acc = ref (0.0 :: List.map snd (Array.to_list cores)) in
   Array.iteri
     (fun i a ->
       Array.iteri
         (fun j b -> if i < j then acc := s.Space.dist a b :: !acc)
         centers)
     centers;
-  let sorted = List.sort_uniq compare !acc in
+  let sorted =
+    List.sort_uniq compare (!acc @ List.map (fun d -> 2.0 *. d) !acc)
+  in
   let top = List.fold_left max 0.0 sorted in
   Array.of_list (sorted @ [ 4.0 *. top ])
 
 let solve t =
+  check_disjoint t;
+  Obs.with_span "cso_disjoint.solve" @@ fun () ->
+  let cores = Obs.with_span "cso_disjoint.cores" (fun () -> cores t) in
   let n = Instance.n_elements t in
   let km = t.Instance.k * Instance.n_sets t in
   let dists =
-    if km < n then center_lattice t
+    if km < n then center_lattice t cores
     else Space.pairwise_distances t.Instance.space
   in
   let best =
     Guess.lowest (Array.length dists) (fun mid ->
-        match solve_at t ~r:dists.(mid) with
+        Obs.with_span "cso_disjoint.guess" @@ fun () ->
+        match solve_with t cores ~r:dists.(mid) with
         | Solved sol ->
             Log.debug (fun m ->
                 m "cso-coreset: r=%g solved (|C|=%d |H|=%d)" dists.(mid)
@@ -251,13 +276,15 @@ let solve t =
   match best with
   | Some (mid, solution) ->
       let radius = dists.(mid) in
-      (* Re-derive the final coreset sizes for reporting. *)
-      let _, kept = per_set_centers t ~r:radius in
-      let n_elems = List.fold_left (fun acc (_, cs) -> acc + List.length cs) 0 kept in
+      (* The final coreset sizes, for reporting. *)
+      let _, kept = per_set_centers t cores ~r:radius in
+      let n_elems =
+        List.fold_left (fun acc (_, cs) -> acc + List.length cs) 0 kept
+      in
       {
         solution;
         radius;
         coreset_elements = n_elems;
         coreset_sets = List.length kept;
       }
-  | None -> assert false (* the largest distance always solves *)
+  | None -> assert false (* the largest guess always solves *)

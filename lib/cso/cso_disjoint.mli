@@ -1,11 +1,13 @@
 (** Coreset-based (2, 2, O(1))-approximation for disjoint CSO
     (Section 2.3, [f = 1]).
 
-    For each radius guess [r]:
-    + run Gonzalez inside every outlier set; sets that cannot be covered
-      by [k] balls of radius [2r] are forced outliers ([H_0]);
-    + keep only the (2r-separated) Gonzalez centers of the surviving
-      sets;
+    Phase 1's radius-independent half runs once per solve: Gonzalez
+    inside every outlier set gives its centers and covering radius. Then,
+    for each radius guess [r]:
+    + sets whose covering radius exceeds [2r] are forced outliers
+      ([H_0]): [k] balls of radius [r] cannot cover them;
+    + the surviving sets keep only their (2r-separated) Gonzalez
+      centers;
     + repeatedly remove [15r]-balls around elements whose [10r]-ball
       meets more than [z-bar] distinct sets (each such ball must contain a
       full optimum cluster; [k] decreases accordingly);
@@ -13,7 +15,8 @@
       the remaining coreset and stitch the pieces back together.
 
     Guarantee (Theorem 2.6): at most [2k] centers, [2z] outlier sets,
-    cost at most [30 rho*_{k,z}]. *)
+    cost at most [30 rho*_{k,z}]. [cso.disjoint_tricriteria_vs_opt]
+    checks all three against the exhaustive optimum. *)
 
 type report = {
   solution : Instance.solution;
@@ -27,12 +30,21 @@ type attempt =
   | Skip (* the guess is certifiably below the optimum: retry larger *)
 
 val solve_at : Instance.t -> r:float -> attempt
-(** One radius guess. Raises [Invalid_argument] if the instance has
-    frequency > 1 (sets must be disjoint). *)
+(** One radius guess, phase 1 included. Raises [Invalid_argument] if the
+    instance has frequency > 1 (sets must be disjoint). *)
 
 val solve : Instance.t -> report
-(** Full binary search. Following the remark after Theorem 2.6, when
-    [km < n] the search lattice is the pairwise distances among the
-    per-set Gonzalez centers (O(k^2 m^2) values) instead of all
-    pairwise distances, trading a constant factor in cost for the
-    cheaper sort. *)
+(** Full binary search, with phase 1's Gonzalez run once. Following the
+    remark after Theorem 2.6, when [km < n] the search lattice is built
+    from phase 1 instead of all pairwise distances: the distances among
+    the per-set Gonzalez centers and every set's covering radius, each
+    also doubled (O(k^2 m^2) values). One of them lies in
+    [[rho*, 4 rho*]] (the argument is in cso_disjoint.ml), so the cost
+    bound grows at most four-fold in exchange for the cheaper sort. The
+    largest guess always solves. Raises [Invalid_argument] as
+    {!solve_at} does.
+
+    Under [cso_disjoint.solve], a solve records the {!Cso_obs.Obs}
+    spans [cso_disjoint.cores] (phase 1's Gonzalez) and one
+    [cso_disjoint.guess] per binary-search guess (holding the LP row's
+    spans when the guess reaches (LP2)). *)

@@ -1,10 +1,10 @@
 module Points = Cso_metric.Points
 module Guess = Cso_metric.Guess
-module Rect = Cso_geom.Rect
 module Bbd = Cso_geom.Bbd_tree
-module Range_tree = Cso_geom.Range_tree
+module Csr = Cso_geom.Csr
 module Wspd = Cso_geom.Wspd
 module Gonzalez = Cso_kcenter.Gonzalez
+module Obs = Cso_obs.Obs
 
 (* Phase-2 pruning on a tagged coreset: deactivate 15r-balls around
    points whose 10r-ball meets more than [z] distinct sets, via the
@@ -85,43 +85,62 @@ type report = {
   forced_outliers : int;
 }
 
-(* Phase 1: per-rectangle Gonzalez, forcing uncoverable rectangles out. *)
-let per_rect_centers (g : Geo_instance.t) rtree ~r =
-  let h0 = ref [] and kept = ref [] in
-  Array.iteri
-    (fun j rect ->
-      let members = Range_tree.report rtree rect in
-      if members <> [] then begin
-        (* Per-rectangle coreset: pack the members once; Gonzalez and
-           the sparsification both read the packed store by index. *)
-        let sub_pts =
-          Array.of_list (List.map (fun i -> g.Geo_instance.points.(i)) members)
+(* Phase 1's radius-independent half for one non-empty rectangle: its
+   members (ascending point ids), their packed coordinates, and
+   Gonzalez's centers (indices into [coords]) and covering radius. *)
+type core = {
+  rect : int;
+  members : int array;
+  coords : Points.t;
+  centers : int list;
+  radius : float;
+}
+
+(* Once per solve. The members come from the instance's membership, so
+   no range tree is built (DESIGN.md section 2). *)
+let cores (g : Geo_instance.t) =
+  let { Csr.offsets; ids } = Geo_instance.rect_members g in
+  List.filter_map
+    (fun j ->
+      let len = offsets.(j + 1) - offsets.(j) in
+      if len = 0 then None
+      else begin
+        let members = Array.sub ids offsets.(j) len in
+        let coords =
+          Points.of_array (Array.map (fun i -> g.Geo_instance.points.(i)) members)
         in
-        let sub_coords = Points.of_array sub_pts in
-        let member_arr = Array.of_list members in
-        let centers, rad = Gonzalez.run_packed sub_coords ~k:g.Geo_instance.k in
-        if rad > 2.0 *. r then h0 := j :: !h0
-        else begin
-          (* Sparsify to 2r separation. *)
-          let keep = ref [] in
-          List.iter
-            (fun c ->
-              if
-                not
-                  (List.exists
-                     (fun c' -> Points.l2_idx sub_coords c c' <= 2.0 *. r)
-                     !keep)
-              then keep := c :: !keep)
-            centers;
-          kept :=
-            (j, List.map (fun c -> member_arr.(c)) (List.rev !keep)) :: !kept
-        end
+        let centers, radius = Gonzalez.run_packed coords ~k:g.Geo_instance.k in
+        Some { rect = j; members; coords; centers; radius }
       end)
-    g.Geo_instance.rects;
+    (List.init (Array.length g.Geo_instance.rects) Fun.id)
+
+(* Phase 1's radius-dependent half: a rectangle whose covering radius
+   exceeds 2r is forced out; the others keep their 2r-separated
+   centers, as point ids. *)
+let per_rect_centers cores ~r =
+  let h0 = ref [] and kept = ref [] in
+  List.iter
+    (fun c ->
+      if c.radius > 2.0 *. r then h0 := c.rect :: !h0
+      else begin
+        let keep = ref [] in
+        List.iter
+          (fun a ->
+            if
+              not
+                (List.exists
+                   (fun b -> Points.l2_idx c.coords a b <= 2.0 *. r)
+                   !keep)
+            then keep := a :: !keep)
+          c.centers;
+        kept :=
+          (c.rect, List.map (fun a -> c.members.(a)) (List.rev !keep)) :: !kept
+      end)
+    cores;
   (List.rev !h0, List.rev !kept)
 
-let solve_at ?(eps = 0.3) ?rounds (g : Geo_instance.t) rtree ~r =
-  let h0, kept = per_rect_centers g rtree ~r in
+let solve_at ~eps ?rounds (g : Geo_instance.t) cores ~r =
+  let h0, kept = per_rect_centers cores ~r in
   let zbar = g.Geo_instance.z - List.length h0 in
   if zbar < 0 then None
   else begin
@@ -148,28 +167,33 @@ let solve_at ?(eps = 0.3) ?rounds (g : Geo_instance.t) rtree ~r =
 let solve ?(eps = 0.3) ?rounds (g : Geo_instance.t) =
   if Geo_instance.frequency g > 1 then
     invalid_arg "Gcso_disjoint.solve: rectangles must be disjoint (f = 1)";
-  let rtree = Range_tree.build_packed g.Geo_instance.coords in
+  Obs.with_span "gcso_disjoint.solve" @@ fun () ->
+  let cores = Obs.with_span "gcso_disjoint.cores" (fun () -> cores g) in
   (* Same lattice hazard as [Gcso_general.solve]: raw WSPD candidates can
      all fall below the optimum in its (1+eps) band, leaving the smallest
      feasible guess unboundedly far above it. Generate finer and inflate
      so some guess lands in [opt, (1+eps) opt]. *)
   let gamma =
+    Obs.with_span "gcso_disjoint.lattice" @@ fun () ->
     let eps_w = eps /. (2.0 +. eps) in
-    Array.map
-      (fun d -> d /. (1.0 -. eps_w))
-      (Wspd.candidate_distances_packed ~eps:eps_w g.Geo_instance.coords)
-  in
-  let gamma =
+    let gamma =
+      Array.map
+        (fun d -> d /. (1.0 -. eps_w))
+        (Wspd.candidate_distances_packed ~eps:eps_w g.Geo_instance.coords)
+    in
     let len = Array.length gamma in
     if len = 0 then [| 0.0 |]
     else Array.append gamma [| 4.0 *. gamma.(len - 1) |]
   in
   match
     Guess.lowest (Array.length gamma) (fun mid ->
-        solve_at ~eps ?rounds g rtree ~r:gamma.(mid))
+        Obs.with_span "gcso_disjoint.guess" (fun () ->
+            solve_at ~eps ?rounds g cores ~r:gamma.(mid)))
   with
   | Some (mid, (solution, coreset_points)) ->
       let radius = gamma.(mid) in
-      let h0, _ = per_rect_centers g rtree ~r:radius in
-      { solution; radius; coreset_points; forced_outliers = List.length h0 }
+      let forced_outliers =
+        List.length (List.filter (fun c -> c.radius > 2.0 *. radius) cores)
+      in
+      { solution; radius; coreset_points; forced_outliers }
   | None -> assert false (* the appended top guess always succeeds *)

@@ -50,11 +50,7 @@ let prepare (g : Geo_instance.t) =
   (* A rectangle's canonical nodes partition exactly the points
      [membership] puts in it (no rect bound is nan), so its member list
      is the set of points one chosen rectangle covers in Update. *)
-  let rect_pts =
-    Csr.transpose
-      (Csr.of_lists g.Geo_instance.membership)
-      ~cols:(Array.length g.Geo_instance.rects)
-  in
+  let rect_pts = Geo_instance.rect_members g in
   let rect_csr = Csr.of_lists rect_nodes in
   (* Recomputing the subtree of each rectangle's canonical nodes costs
      2 * (points under the node) - 1 node updates per round, about f * n

@@ -32,6 +32,11 @@ let make ~points ~rects ~k ~z =
 
 let dims t = if Array.length t.points = 0 then 0 else Point.dim t.points.(0)
 
+let rect_members t =
+  Cso_geom.Csr.transpose
+    (Cso_geom.Csr.of_lists t.membership)
+    ~cols:(Array.length t.rects)
+
 let frequency t =
   Array.fold_left (fun acc l -> max acc (List.length l)) 0 t.membership
 

@@ -26,6 +26,13 @@ val make : points:Cso_metric.Point.t array -> rects:Cso_geom.Rect.t array ->
 val dims : t -> int
 val frequency : t -> int
 
+val rect_members : t -> Cso_geom.Csr.t
+(** The points inside each rectangle: row [j] lists, ascending, the
+    points whose [membership] holds [j] — the CSR transpose of
+    [membership], built in O(f n + m) for frequency [f]. [make] decides
+    membership with {!Cso_geom.Rect.contains}, so this is the set a
+    range-tree [report] of rectangle [j] returns. *)
+
 val to_cso : t -> Instance.t
 
 val cost : t -> Instance.solution -> float

@@ -25,8 +25,10 @@ module Set_cover = Cso_setcover.Set_cover
 module Instance = Cso_core.Instance
 module Exact = Cso_core.Exact
 module Cso_general = Cso_core.Cso_general
+module Cso_disjoint = Cso_core.Cso_disjoint
 module Kmedian = Cso_core.Kmedian
 module Gcso_general = Cso_core.Gcso_general
+module Gcso_disjoint = Cso_core.Gcso_disjoint
 module Geo_instance = Cso_core.Geo_instance
 module Rel = Cso_relational
 
@@ -45,6 +47,9 @@ let int_in rng lo hi = lo + Random.State.int rng (hi - lo + 1)
 let coord rng =
   if Random.State.bool rng then float_of_int (Random.State.int rng 5)
   else Random.State.float rng 4.0
+
+(* [coord], or -0. one time in eight. *)
+let signed_coord rng = if Random.State.int rng 8 = 0 then -0.0 else coord rng
 
 let gen_points rng ~n_min ~n_max ~d_max =
   let n = int_in rng n_min n_max in
@@ -1140,6 +1145,63 @@ let cso_lp_tricriteria =
         (cost <= (2.0 *. opt) +. 1e-9)
         "cost %.17g > 2*opt = %.17g" cost (2.0 *. opt))
 
+(* Tiny disjoint instances: the sets partition at most 8 elements, and
+   some of them may be empty. *)
+let gen_cso_disjoint rng =
+  let n = int_in rng 1 8 and d = int_in rng 1 2 in
+  let pts = Array.init n (fun _ -> Array.init d (fun _ -> signed_coord rng)) in
+  let m = int_in rng 1 4 in
+  let owner = Array.init n (fun _ -> Random.State.int rng m) in
+  {
+    c_pts = pts;
+    c_sets =
+      List.init m (fun j ->
+          List.filter (fun e -> owner.(e) = j) (List.init n Fun.id));
+    c_k = int_in rng 1 2;
+    c_z = int_in rng 0 2;
+  }
+
+(* Theorem 2.6's (2, 2, 30) against the exhaustive optimum. Whenever
+   km < n the search runs over the center lattice, so this also checks
+   that lattice (cso_disjoint.ml). Per accepted radius r the cost is at
+   most 34r: every element lies within 4r of a coreset element, which
+   lies within 20r of an (LP2) center or 30r of its pruned ball's
+   representative. [shrink_cso] keeps the sets disjoint: it drops an
+   element from every set, and a set only when the others still cover
+   every element. *)
+let cso_disjoint_tricriteria =
+  Fuzz.make ~name:"cso.disjoint_tricriteria_vs_opt" ~gen:gen_cso_disjoint
+    ~shrink:shrink_cso ~show:show_cso
+    ~prop:(fun c ->
+      let t = mk_cso c in
+      let rep = Cso_disjoint.solve t in
+      let sol = rep.Cso_disjoint.solution in
+      let* () = require (Instance.is_valid t sol) "coreset solution invalid" in
+      let* () =
+        requiref
+          (List.length sol.Instance.centers <= 2 * c.c_k)
+          "%d centers > 2k=%d"
+          (List.length sol.Instance.centers)
+          (2 * c.c_k)
+      in
+      let* () =
+        requiref
+          (List.length sol.Instance.outliers <= 2 * c.c_z)
+          "%d outlier sets > 2z=%d"
+          (List.length sol.Instance.outliers)
+          (2 * c.c_z)
+      in
+      let cost = Instance.cost t sol and opt = Reference.cso_opt t in
+      let* () =
+        requiref
+          (cost <= (34.0 *. rep.Cso_disjoint.radius) +. 1e-9)
+          "cost %.17g > 34*radius = %.17g" cost
+          (34.0 *. rep.Cso_disjoint.radius)
+      in
+      requiref
+        (cost <= (30.0 *. opt) +. 1e-9)
+        "cost %.17g > 30*opt = %.17g" cost (30.0 *. opt))
+
 (* The packing dual's verdict is (LP1)'s, and its point is one of
    (LP1)'s, at every guess the binary search could probe and at both
    ball multipliers the solvers use. *)
@@ -1359,6 +1421,129 @@ let gcso_mwu_tricriteria =
           (cost <= bound +. 1e-9)
           "cost %.17g > (2+eps)*opt = %.17g at honest rounds" cost bound
       end)
+
+(* Disjoint GCSO as [Planted.gcso_disjoint] builds it: slab [j] is the
+   degenerate rectangle [x_0 = ids.(j)] with infinite bounds in every
+   feature coordinate, and a point's [x_0] is its slab's id, or -0. for
+   the slab at 0. *)
+type gcso_slabs = {
+  sl_ids : float array; (* distinct *)
+  sl_pts : Point.t array;
+  sl_k : int;
+  sl_z : int;
+}
+
+let gen_gcso_slabs rng =
+  let m = int_in rng 1 4 and d = 1 + int_in rng 1 2 in
+  let scale = if Random.State.bool rng then 1.0 else 1e-3 in
+  let ids = Array.init m (fun j -> float_of_int j *. scale) in
+  let pts =
+    Array.init (int_in rng 1 8) (fun _ ->
+        let j = Random.State.int rng m in
+        let id = if j = 0 && Random.State.bool rng then -0.0 else ids.(j) in
+        Array.init d (fun c -> if c = 0 then id else signed_coord rng))
+  in
+  { sl_ids = ids; sl_pts = pts; sl_k = int_in rng 1 2; sl_z = int_in rng 0 2 }
+
+let slab_geo s =
+  let d = Point.dim s.sl_pts.(0) in
+  let rects =
+    Array.map
+      (fun id ->
+        let lo = Array.make d neg_infinity and hi = Array.make d infinity in
+        lo.(0) <- id;
+        hi.(0) <- id;
+        Rect.make ~lo ~hi)
+      s.sl_ids
+  in
+  Geo_instance.make ~points:s.sl_pts ~rects ~k:s.sl_k ~z:s.sl_z
+
+(* Drops a point, or a slab no point lies in; snaps feature coordinates
+   only, so every point stays in its slab. *)
+let shrink_gcso_slabs s =
+  let used id = Array.exists (fun p -> p.(0) = id) s.sl_pts in
+  (if Array.length s.sl_pts > 1 then
+     List.map (fun pts -> { s with sl_pts = pts }) (drop_each s.sl_pts)
+   else [])
+  @ List.filter_map
+      (fun j ->
+        if Array.length s.sl_ids = 1 || used s.sl_ids.(j) then None
+        else
+          Some
+            {
+              s with
+              sl_ids =
+                Array.of_list
+                  (List.filteri (fun i _ -> i <> j) (Array.to_list s.sl_ids));
+            })
+      (List.init (Array.length s.sl_ids) Fun.id)
+  @ (let snapped =
+       Array.map
+         (Array.mapi (fun c x -> if c = 0 then x else Float.round x))
+         s.sl_pts
+     in
+     if snapped = s.sl_pts then [] else [ { s with sl_pts = snapped } ])
+  @ (if s.sl_z > 0 then [ { s with sl_z = s.sl_z - 1 } ] else [])
+  @ if s.sl_k > 1 then [ { s with sl_k = s.sl_k - 1 } ] else []
+
+let show_gcso_slabs s =
+  Printf.sprintf "k=%d z=%d slabs=%s %s" s.sl_k s.sl_z
+    (pt_str s.sl_ids) (pts_str s.sl_pts)
+
+(* Theorem 3.3's (2+eps, 2, O(1)) against the exhaustive optimum, with
+   the constant derived in gcso_disjoint.mli:
+   (1+eps)(34+30 eps) rho*. Validity, the outlier count and the cost
+   per accepted radius, (34+30 eps) r, hold at any round count. The
+   center count and the cost against rho* need the MWU to certify the
+   right guesses, so, as in [gcso.mwu_tricriteria_vs_opt], a capped
+   solve screens and a miss escalates to the default rounds before
+   failing. *)
+let gcso_disjoint_tricriteria =
+  Fuzz.make ~name:"gcso.disjoint_tricriteria_vs_opt" ~gen:gen_gcso_slabs
+    ~shrink:shrink_gcso_slabs ~show:show_gcso_slabs
+    ~prop:(fun s ->
+      let eps = 0.3 in
+      let g = slab_geo s in
+      let opt = Reference.cso_opt (Geo_instance.to_cso g) in
+      let factor = (1.0 +. eps) *. (34.0 +. (30.0 *. eps)) in
+      let max_centers = (2.0 +. eps) *. float_of_int s.sl_k in
+      let run rounds =
+        let rep = Gcso_disjoint.solve ~eps ?rounds g in
+        let sol = rep.Gcso_disjoint.solution in
+        let* () = require (Geo_instance.is_valid g sol) "coreset solution invalid" in
+        let* () =
+          requiref
+            (List.length sol.Instance.outliers <= 2 * s.sl_z)
+            "%d outlier rects > 2z=%d"
+            (List.length sol.Instance.outliers)
+            (2 * s.sl_z)
+        in
+        let cost = Geo_instance.cost g sol in
+        let per_r = (34.0 +. (30.0 *. eps)) *. rep.Gcso_disjoint.radius in
+        let* () =
+          requiref (cost <= per_r +. 1e-9) "cost %.17g > (34+30eps)*radius = %.17g"
+            cost per_r
+        in
+        Ok (List.length sol.Instance.centers, cost)
+      in
+      let within (centers, cost) =
+        float_of_int centers <= max_centers +. 1e-9
+        && cost <= (factor *. opt) +. 1e-9
+      in
+      let* screened = run (Some 60) in
+      if within screened then Ok ()
+      else
+        let* centers, cost = run None in
+        let* () =
+          requiref
+            (float_of_int centers <= max_centers +. 1e-9)
+            "%d centers > (2+eps)k = %.3g at default rounds" centers
+            max_centers
+        in
+        requiref
+          (cost <= (factor *. opt) +. 1e-9)
+          "cost %.17g > %.4g*opt = %.17g at default rounds" cost factor
+          (factor *. opt))
 
 (* The batched MWU oracle (one CSR scatter + pooled gathers per round)
    against the per-constraint reference closures it replaced: the whole
@@ -2808,10 +2993,12 @@ let all =
     setcover_exact;
     cso_exact;
     cso_lp_tricriteria;
+    cso_disjoint_tricriteria;
     cso_lp_dual_vs_primal;
     cso_budget_monotone;
     cso_kmedian_bounds;
     gcso_mwu_tricriteria;
+    gcso_disjoint_tricriteria;
     gcso_batched_oracle;
     dynamic_bbd;
     dynamic_gcso_incremental;

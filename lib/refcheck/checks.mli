@@ -13,8 +13,9 @@
       feasibility of optima, duals that certify optima over
       [[0, +inf)] bounds, MWU vs simplex feasibility agreement;
     - [setcover.*] — greedy and exact vs brute force;
-    - [cso.*] / [gcso.*] — exact solver, LP tri-criteria and MWU
-      tri-criteria guarantees vs the exhaustive [rho*]; the CSO-LP's
+    - [cso.*] / [gcso.*] — exact solver, LP tri-criteria, MWU
+      tri-criteria and both coreset rows' tri-criteria guarantees vs the
+      exhaustive [rho*]; the CSO-LP's
       packing dual vs the bounded (LP1) it replaced; outlier-budget
       monotonicity; k-median LP bound <= exact <= local search;
     - [relational.*] — Yannakakis count / enumerate / any / sample,

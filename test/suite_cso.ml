@@ -125,6 +125,35 @@ let test_cso_disjoint_coreset_small () =
   Alcotest.(check bool) "coreset bounded by km" true
     (r.Cso_disjoint.coreset_elements <= 3 * 10)
 
+(* When km < n the search runs over a lattice built from the per-set
+   Gonzalez output. Built from the distances among the centers alone,
+   with four times the largest on top, every guess of these two
+   instances lies below half of some set's covering radius, so each
+   forces that set out and with z = 0 none solves. The solve must still
+   find a guess that keeps every set. *)
+let test_cso_disjoint_lattice_miss () =
+  let check name t ~opt =
+    let r = Cso_disjoint.solve t in
+    check_tri_criteria ~name t r.Cso_disjoint.solution ~mu1:2.0 ~mu2:2.0
+      ~cost_bound:(30.0 *. opt)
+  in
+  (* One set and k = 1: one center, so the lattice is [0; 0]. *)
+  let t =
+    Instance.make
+      (Space.of_points [| [| 0.0 |]; [| 1.0 |]; [| 3.0 |] |])
+      ~sets:[ [ 0; 1; 2 ] ] ~k:1 ~z:0
+  in
+  check "one set" t ~opt:2.0;
+  (* Covering radii 1.65 and 1.58, centers 0.186 apart: the top guess is
+     0.743. *)
+  let w =
+    Cso_workload.Planted.cso
+      (Random.State.make [| 108; 0x5c02 |])
+      ~n:148 ~m:2 ~k:1 ~z:0
+  in
+  check "planted" w.Cso_workload.Planted.instance
+    ~opt:w.Cso_workload.Planted.opt_upper
+
 let test_solve_at_infeasible_radius () =
   let t = line_instance () in
   (* r = 0 with k = 1: the LP cannot cover three spread points of set 0
@@ -264,17 +293,26 @@ let test_hardness_round_trip () =
       Alcotest.(check bool) "cover size bounded" true
         (List.length cover <= (2 * 2 * z') + 2)
 
-(* Identity pin for the radius searches no other digest covers: a digest
-   over everything [Cso_general.solve], [Cso_disjoint.solve],
-   [Gcso_disjoint.solve], [Charikar_outliers.run], [Bbd_outliers.run]
-   and [Rcro.solve] can show on three seeds each — solution indices,
-   radius bits, LP-solve and coreset counts, and every counter delta.
-   The expected digest comes from the hand-written binary search each
-   solver carried before they shared [Cso_metric.Guess], so a search
-   that probes one guess differently fails here. *)
-let solver_identity_digest = "4c55265442cd5ecf8faaf7c79b0b0160"
+(* Identity pins for the radius searches no other digest covers, over
+   [Cso_general.solve], [Cso_disjoint.solve], [Gcso_disjoint.solve],
+   [Charikar_outliers.run], [Bbd_outliers.run] and [Rcro.solve] on three
+   seeds each. The output digest hashes everything a solve can show:
+   solution indices, radius bits, LP-solve and coreset counts. The count
+   digest hashes every counter delta. Kept apart, a change that only
+   saves work re-records the count digest and leaves the outputs pinned.
+   They split one digest, recorded on the hand-written binary search
+   each solver carried before they shared [Cso_metric.Guess], so a
+   search that probes one guess differently fails here. Since the
+   split, the count digest was re-recorded when the coreset rows began
+   running phase 1's Gonzalez once per solve. The output digest was
+   re-recorded when [Gcso_disjoint] began reading each rectangle's
+   members from the instance's membership in ascending id order, which
+   moves Gonzalez's first center (DESIGN.md section 2), and when
+   [Cso_disjoint]'s center lattice gained the per-set covering radii. *)
+let solver_output_digest = "ec40ff72600c417e77e4d17729cfa9ee"
+let solver_count_digest = "935b5d1edff353283f88be68ea8c47b1"
 
-let fingerprint_solvers buf =
+let fingerprint_solvers out counts =
   let module Planted = Cso_workload.Planted in
   let module Rgen = Cso_workload.Relational_gen in
   let module Charikar = Cso_kcenter.Charikar_outliers in
@@ -283,8 +321,9 @@ let fingerprint_solvers buf =
   let bits x = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
   let run name seed f =
     let line, deltas = Cso_obs.Obs.with_delta f in
-    Printf.bprintf buf "%s seed=%d %s\n" name seed line;
-    List.iter (fun (c, v) -> Printf.bprintf buf "%s=%d\n" c v) deltas
+    Printf.bprintf out "%s seed=%d %s\n" name seed line;
+    Printf.bprintf counts "%s seed=%d\n" name seed;
+    List.iter (fun (c, v) -> Printf.bprintf counts "%s=%d\n" c v) deltas
   in
   let sol (s : Instance.solution) radius =
     Printf.sprintf "centers=%s;outliers=%s;radius=%s" (ints s.Instance.centers)
@@ -340,14 +379,24 @@ let fingerprint_solvers buf =
             r.Rcro.sample_outliers))
     [ 1; 2; 3 ]
 
-let test_solver_identity_digest () =
-  let was = Cso_obs.Obs.enabled () in
-  Cso_obs.Obs.set_enabled true;
-  Fun.protect ~finally:(fun () -> Cso_obs.Obs.set_enabled was) @@ fun () ->
-  let buf = Buffer.create 16384 in
-  fingerprint_solvers buf;
-  Alcotest.(check string) "solver digest" solver_identity_digest
-    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+(* Both digests come from one run of the eighteen solves. *)
+let solver_digests =
+  lazy
+    (let was = Cso_obs.Obs.enabled () in
+     Cso_obs.Obs.set_enabled true;
+     Fun.protect ~finally:(fun () -> Cso_obs.Obs.set_enabled was) @@ fun () ->
+     let out = Buffer.create 4096 and counts = Buffer.create 16384 in
+     fingerprint_solvers out counts;
+     let hex b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+     (hex out, hex counts))
+
+let test_solver_output_digest () =
+  Alcotest.(check string) "solver output digest" solver_output_digest
+    (fst (Lazy.force solver_digests))
+
+let test_solver_count_digest () =
+  Alcotest.(check string) "solver count digest" solver_count_digest
+    (snd (Lazy.force solver_digests))
 
 let suite =
   [
@@ -367,6 +416,8 @@ let suite =
       test_cso_disjoint_rejects_f2;
     Alcotest.test_case "cso disjoint coreset small" `Slow
       test_cso_disjoint_coreset_small;
+    Alcotest.test_case "cso disjoint: no lattice guess solves" `Quick
+      test_cso_disjoint_lattice_miss;
     Alcotest.test_case "solve_at infeasible radius" `Quick
       test_solve_at_infeasible_radius;
     QCheck_alcotest.to_alcotest prop_cso_general_tri_criteria;
@@ -379,5 +430,6 @@ let suite =
       test_hardness_reduction_structure;
     Alcotest.test_case "hardness round trip" `Slow test_hardness_round_trip;
     Alcotest.test_case "solver identity digest" `Slow
-      test_solver_identity_digest;
+      test_solver_output_digest;
+    Alcotest.test_case "solver count digest" `Slow test_solver_count_digest;
   ]
