@@ -58,16 +58,20 @@ let dual_lp ~cover_mult (t : Instance.t) ~r =
    with a two-phase solve of (LP1). *)
 let accept_tol = 1e-7
 
+(* The simplex stops as soon as a basis of the dual exceeds the cutoff:
+   no pivot lowers the objective, so the optimum exceeds it too and the
+   guess is rejected. Accepted guesses run to their optimum. *)
 let lp_point ?(cover_mult = 1.0) (t : Instance.t) ~r =
   let lp = Obs.with_span "cso.lp_build" (fun () -> dual_lp ~cover_mult t ~r) in
-  match Simplex.solve lp with
-  | Simplex.Optimal { value; duals; _ }
-    when value <= float_of_int t.Instance.k +. accept_tol ->
+  let cutoff = float_of_int t.Instance.k +. accept_tol in
+  match Simplex.solve_below ~cutoff lp with
+  | Some (Simplex.Optimal { value; duals; _ }) when value <= cutoff ->
       (* The dual prices are an optimal (x, y); clipping into [0, 1]
          keeps it feasible for (LP1) with its bounds (the prices are
          already >= -1e-9) and changes no rounding decision. *)
       Some (Array.map (fun v -> Float.min 1.0 (Float.max 0.0 v)) duals)
-  | Simplex.Optimal _ | Simplex.Infeasible | Simplex.Unbounded -> None
+  | Some (Simplex.Optimal _ | Simplex.Infeasible | Simplex.Unbounded) | None ->
+      None
 
 (* Rounds a fractional (x, y) solution: threshold the set variables at
    1/(2f), then greedily cover the surviving elements. *)

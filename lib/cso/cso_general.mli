@@ -38,8 +38,10 @@ val lp_point : ?cover_mult:float -> Instance.t -> r:float ->
     one [<= 1] row per [x_l] and one [<= 0] row per [y_j]), which
     {!Cso_lp.Simplex} solves in one phase from its all-slack basis. The
     guess is accepted iff that optimum is at most [k + 1e-7], the
-    phase-1 tolerance of the two-phase solve it replaces; [x, y] are
-    the optimum's dual prices, clipped into [[0, 1]]. DESIGN.md
+    phase-1 tolerance of the two-phase solve it replaces; a rejected
+    guess's solve stops at the first basis whose value passes that
+    cutoff ({!Cso_lp.Simplex.solve_below}). [x, y] are the optimum's
+    dual prices, clipped into [[0, 1]]. DESIGN.md
     section 2 (substitution 1) gives the argument;
     [cso.lp_dual_vs_primal] checks the verdict against the bounded
     (LP1) kept in [lib/refcheck]. *)

@@ -94,8 +94,8 @@ let build_tree coords =
   Obs.add c_dist nn;
   t
 
-(* Core recursion over the split tree, shared by [pairs], [pairs_info]
-   and [candidate_distances_packed]; [emit u v] receives each
+(* Core recursion over the split tree, shared by [pairs_info] and
+   [candidate_distances_packed]; [emit u v] receives each
    well-separated node pair. With observability on, each emitted pair
    also records its separation ratio, one more center distance unless
    both radii are 0. *)
@@ -160,13 +160,6 @@ let separation ?(eps = 0.25) () =
   (* Separation 4/eps: representative distances then approximate every
      cross pair within (1 +- eps). *)
   max (4.0 /. eps) 1.0
-
-let pairs ?(eps = 0.25) pts =
-  let s = separation ~eps () in
-  let t = build_tree (Points.of_array pts) in
-  let acc = ref [] in
-  iter_pairs ~s t (fun u v -> acc := (t.repr.(u), t.repr.(v)) :: !acc);
-  !acc
 
 type pair_info = {
   pi_a : int;

@@ -2,18 +2,12 @@
 
     Built over a fair-split tree, stored as flat arrays indexed by node
     id (representative point, packed ball center, radius, children)
-    and shared by the three entry points below. Its role in the paper
+    and shared by the entry points below. Its role in the paper
     is to produce a
     small set of {e candidate distances} [Gamma] such that every pairwise
     distance of [P] is approximated within a [(1 +- eps)] factor by some
     candidate; the binary searches of Sections 3.2/3.3 then run over
     [Gamma] instead of all n^2 distances. *)
-
-val pairs : ?eps:float -> Cso_metric.Point.t array -> (int * int) list
-(** [pairs ~eps pts] returns representative point-index pairs, one per
-    well-separated pair of the decomposition with separation [2/eps].
-    For every [p <> q] there is a pair [(a, b)] with
-    [|dist a b - dist p q| <= eps *. dist p q]. *)
 
 type pair_info = {
   pi_a : int;  (** representative point index of side A *)
@@ -30,9 +24,9 @@ type pair_info = {
     [s = max (4/eps) 1]. *)
 
 val pairs_info : ?eps:float -> Cso_metric.Point.t array -> pair_info list
-(** Same decomposition as [pairs], but each pair carries its node radii,
-    center distance, and full point sets — the data needed to verify
-    well-separatedness and exact pair coverage in tests. *)
+(** Each well-separated pair of the decomposition with its representatives,
+    node radii, center distance and full point sets — the data needed to
+    verify well-separatedness and exact pair coverage in tests. *)
 
 val candidate_distances_packed : ?eps:float -> Cso_metric.Points.t ->
   float array

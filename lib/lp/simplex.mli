@@ -3,7 +3,15 @@
     Stands in for the fast LP solver of [48] in the paper's Section 2.2
     (see DESIGN.md, substitution 1): the CSO rounding analysis only needs
     an exact solution (or feasibility certificate) for small LPs, which
-    simplex provides. Bland's rule guarantees termination.
+    simplex provides.
+
+    Pricing is Dantzig's (the most negative reduced cost enters), with
+    the ratio test's ties broken to the smallest basic variable. After
+    50 consecutive degenerate pivots the entering column is Bland's
+    (the smallest index with a negative reduced cost) until the next
+    non-degenerate pivot; since a cycle holds only degenerate pivots and
+    Bland's rule cannot cycle, every solve terminates (simplex.ml gives
+    the argument).
 
     Problems are stated over variables [x_0 .. x_{n-1}] with individual
     bounds [lo_i <= x_i <= hi_i] and linear constraints [a . x OP b].
@@ -44,6 +52,17 @@ val solve : problem -> outcome
     and all [lp.simplex.*] counters are bit-identical to the
     row-of-rows tableau it replaced, kept as
     [Cso_refcheck.Reference.simplex_solve]. *)
+
+val solve_below : cutoff:float -> problem -> outcome option
+(** [solve_below ~cutoff p] is [Some (solve p)], bit for bit and duals
+    included, unless a phase-2 pivot reaches a basis whose objective
+    value exceeds [cutoff]; then it stops there and returns [None]. The
+    value compared is the true objective [objective . x]: the tableau's,
+    with the shift by the lower bounds added back. No pivot lowers it,
+    so [None] means the optimum exceeds [cutoff] too, or the problem is
+    unbounded. Phase 1 is never stopped, so an infeasible problem is
+    [Some Infeasible]. Raises as {!solve} does, and counts in the same
+    [lp.simplex.*] counters and [simplex.solve] span. *)
 
 val feasible_point : problem -> float array option
 (** Ignores the objective; [Some x] for any feasible [x], or [None]. *)

@@ -835,6 +835,51 @@ let lp_duals_certify =
             (abs_float (bty -. value) <= 1e-6)
             "duals [%s]: b.y = %.17g <> value %.17g" ys bty value)
 
+(* [Simplex.solve_below] against [Simplex.solve]. Lower bounds of 0..2
+   go on top of [gen_problem]'s, so that the tableau's shifted value
+   differs from the objective the cutoff is compared with. The cutoff
+   sits [delta] from the full optimum (below, at or above it), or at
+   [delta] when there is none. A solve that is not stopped is [solve]'s,
+   bit for bit; a stopped one has a full optimum above the cutoff, or
+   none (unbounded). *)
+let lp_cutoff_vs_full =
+  Fuzz.make ~name:"lp.simplex_cutoff_vs_full"
+    ~gen:(fun rng ->
+      let p = gen_problem rng in
+      let bounds =
+        Array.map
+          (fun (_, hi) ->
+            let lo = float_of_int (int_in rng 0 2) in
+            (lo, lo +. hi))
+          p.Simplex.bounds
+      in
+      let deltas = [| -2.0; -0.5; 0.0; 0.5; 2.0 |] in
+      ({ p with Simplex.bounds }, deltas.(Random.State.int rng 5)))
+    ~shrink:(fun (p, delta) -> List.map (fun p -> (p, delta)) (shrink_problem p))
+    ~show:(fun (p, delta) -> Printf.sprintf "%s; cutoff delta %g" (show_problem p) delta)
+    ~prop:(fun (p, delta) ->
+      let bits = function
+        | Simplex.Optimal { value; solution; duals } ->
+            let b = Array.map Int64.bits_of_float in
+            `Optimal (Int64.bits_of_float value, b solution, b duals)
+        | Simplex.Infeasible -> `Infeasible
+        | Simplex.Unbounded -> `Unbounded
+      in
+      let full = Simplex.solve p in
+      let cutoff =
+        match full with
+        | Simplex.Optimal { value; _ } -> value +. delta
+        | Simplex.Infeasible | Simplex.Unbounded -> delta
+      in
+      match (Simplex.solve_below ~cutoff p, full) with
+      | Some o, _ ->
+          require (bits o = bits full) "unstopped solve differs from solve"
+      | None, Simplex.Optimal { value; _ } ->
+          requiref (value > cutoff -. 1e-9)
+            "stopped at cutoff %.17g but the optimum is %.17g" cutoff value
+      | None, Simplex.Unbounded -> Ok ()
+      | None, Simplex.Infeasible -> Error "stopped an infeasible problem")
+
 type mwu_inst = { m_a : float array array; m_b : float array }
 
 let lp_mwu_vs_simplex =
@@ -2988,6 +3033,7 @@ let all =
     lp_flat_vs_reference;
     lp_optimal_feasible;
     lp_duals_certify;
+    lp_cutoff_vs_full;
     lp_mwu_vs_simplex;
     setcover_greedy;
     setcover_exact;

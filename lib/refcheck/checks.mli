@@ -11,7 +11,8 @@
       Charikar 3-approximation with outliers, vs exhaustive optima;
     - [lp.*] — flat simplex vs reference tableau (duals included),
       feasibility of optima, duals that certify optima over
-      [[0, +inf)] bounds, MWU vs simplex feasibility agreement;
+      [[0, +inf)] bounds, a solve with an objective cutoff vs the full
+      solve, MWU vs simplex feasibility agreement;
     - [setcover.*] — greedy and exact vs brute force;
     - [cso.*] / [gcso.*] — exact solver, LP tri-criteria, MWU
       tri-criteria and both coreset rows' tri-criteria guarantees vs the

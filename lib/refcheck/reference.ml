@@ -245,8 +245,9 @@ let box_complement = Box_complement_list.decompose
 (* --- simplex: the row-of-rows tableau --- *)
 
 (* [Cso_lp.Simplex.solve] as it was before its tableau went flat: one
-   float array per row, the same Bland pricing, hence the same pivots in
-   the same order. It publishes the same [lp.simplex.*] counters, the
+   float array per row, the same pricing (Dantzig's, with Bland's rule
+   after 50 consecutive degenerate pivots), hence the same pivots in the
+   same order. It publishes the same [lp.simplex.*] counters, the
    [lp.simplex.pivots_per_solve] histogram and the [simplex.solve] span,
    so the flat tableau must match it event for event as well as bit for
    bit, duals included. Like it, it builds no bound row for an infinite
@@ -297,18 +298,21 @@ module Simplex_rows = struct
     done;
     obj
 
-  (* Bland's rule: smallest-index entering column, smallest-index
-     tie-break on the leaving variable. *)
+  (* Dantzig's rule: the most negative reduced cost enters, ties to the
+     smallest index; after 50 consecutive degenerate pivots, Bland's
+     smallest-index entering column until a non-degenerate one. The
+     leaving variable breaks ratio ties to the smallest index. *)
   let optimize pivots t cost allowed =
     let obj = objective_row t cost in
     let m = Array.length t.rows in
-    let rec loop () =
-      let entering = ref (-1) in
+    let rec loop degenerate =
+      let entering = ref (-1) and best = ref (-.eps) in
       (try
          for j = 0 to t.ncols - 1 do
-           if allowed.(j) && obj.(j) < -.eps then begin
+           if allowed.(j) && obj.(j) < !best then begin
              entering := j;
-             raise Exit
+             if degenerate >= 50 then raise Exit;
+             best := obj.(j)
            end
          done
        with Exit -> ());
@@ -334,11 +338,11 @@ module Simplex_rows = struct
         if !best_row < 0 then `Unbounded
         else begin
           pivot pivots t obj !best_row c;
-          loop ()
+          loop (if !best_ratio <= eps then degenerate + 1 else 0)
         end
       end
     in
-    loop ()
+    loop 0
 
   let solve_shifted pivots p =
     let n = p.num_vars in

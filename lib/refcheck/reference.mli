@@ -44,7 +44,9 @@ val box_complement :
 
 val simplex_solve : Cso_lp.Simplex.problem -> Cso_lp.Simplex.outcome
 (** [Cso_lp.Simplex.solve] as it was before its tableau went flat: a
-    row-of-rows tableau with the same Bland pricing, publishing the same
+    row-of-rows tableau with the same pricing (Dantzig's, falling back
+    to Bland's rule after 50 consecutive degenerate pivots) and the
+    closure-built objective row, publishing the same
     [lp.simplex.*] counters, [lp.simplex.pivots_per_solve] histogram and
     [simplex.solve] span. [Simplex.solve] must match it bit for bit and
     event for event. Expects a problem that passes [Simplex.solve]'s

@@ -304,13 +304,16 @@ let test_hardness_round_trip () =
    each solver carried before they shared [Cso_metric.Guess], so a
    search that probes one guess differently fails here. Since the
    split, the count digest was re-recorded when the coreset rows began
-   running phase 1's Gonzalez once per solve. The output digest was
+   running phase 1's Gonzalez once per solve, and when the simplex
+   moved to Dantzig pricing and [Cso_general] began stopping a rejected
+   guess at its cutoff (only [lp.simplex.pivots] moved). The output
+   digest was
    re-recorded when [Gcso_disjoint] began reading each rectangle's
    members from the instance's membership in ascending id order, which
    moves Gonzalez's first center (DESIGN.md section 2), and when
    [Cso_disjoint]'s center lattice gained the per-set covering radii. *)
 let solver_output_digest = "ec40ff72600c417e77e4d17729cfa9ee"
-let solver_count_digest = "935b5d1edff353283f88be68ea8c47b1"
+let solver_count_digest = "79cc1ad3a7e0d3ecd9c85b883e6d3285"
 
 let fingerprint_solvers out counts =
   let module Planted = Cso_workload.Planted in

@@ -168,6 +168,54 @@ let test_simplex_infinite_upper_bound () =
   Alcotest.(check bool) "max x s.t. x >= 1 is unbounded" true
     (Simplex.solve (one 1.0 1.0 Simplex.Ge 1.0) = Simplex.Unbounded)
 
+(* Beale's example (Chvatal, "Linear Programming", ch. 3): Dantzig
+   pricing with the ratio test's smallest-index tie-break cycles on it at
+   value 0, through six degenerate bases. The fallback to Bland's rule
+   after 50 consecutive degenerate pivots ends the cycle: both solvers
+   reach the optimum 1/20 (x1 = 1/25, x3 = 1), bit for bit, in at most
+   60 pivots each. *)
+let test_simplex_beale_cycle () =
+  let module Obs = Cso_obs.Obs in
+  let p =
+    {
+      Simplex.num_vars = 4;
+      objective = [| 0.75; -150.0; 1.0 /. 50.0; -6.0 |];
+      constraints =
+        [
+          ([| 0.25; -60.0; -1.0 /. 25.0; 9.0 |], Simplex.Le, 0.0);
+          ([| 0.5; -90.0; -1.0 /. 50.0; 3.0 |], Simplex.Le, 0.0);
+          ([| 0.0; 0.0; 1.0; 0.0 |], Simplex.Le, 1.0);
+        ];
+      bounds = Simplex.box ~hi:infinity 4;
+    }
+  in
+  let bits = function
+    | Simplex.Optimal { value; solution; duals } ->
+        let b = Array.map Int64.bits_of_float in
+        Some (Int64.bits_of_float value, b solution, b duals)
+    | Simplex.Infeasible | Simplex.Unbounded -> None
+  in
+  let run solve =
+    let was = Obs.enabled () in
+    Obs.set_enabled true;
+    Fun.protect ~finally:(fun () -> Obs.set_enabled was) (fun () ->
+        let out, deltas = Obs.with_delta (fun () -> solve p) in
+        let pivots =
+          Option.value ~default:0 (List.assoc_opt "lp.simplex.pivots" deltas)
+        in
+        Alcotest.(check bool) "at most 60 pivots" true (pivots <= 60);
+        out)
+  in
+  let flat = run Simplex.solve in
+  (match flat with
+  | Simplex.Optimal { value; solution; _ } ->
+      Alcotest.(check (float 1e-12)) "value" (1.0 /. 20.0) value;
+      Alcotest.(check (float 1e-12)) "x1" (1.0 /. 25.0) solution.(0);
+      Alcotest.(check (float 1e-12)) "x3" 1.0 solution.(2)
+  | _ -> Alcotest.fail "expected optimum");
+  Alcotest.(check bool) "flat = reference, bit for bit" true
+    (bits flat = bits (run Cso_refcheck.Reference.simplex_solve))
+
 (* Random LPs: whatever the solver returns as Optimal must actually be
    feasible and consistent. *)
 let prop_simplex_solutions_feasible =
@@ -487,6 +535,7 @@ let suite =
     Alcotest.test_case "simplex rejects nan" `Quick test_simplex_rejects_nan;
     Alcotest.test_case "simplex infinite upper bound" `Quick
       test_simplex_infinite_upper_bound;
+    Alcotest.test_case "simplex beale cycle" `Quick test_simplex_beale_cycle;
     QCheck_alcotest.to_alcotest prop_simplex_solutions_feasible;
     QCheck_alcotest.to_alcotest prop_simplex_matches_grid;
     Alcotest.test_case "mwu feasible toy" `Quick test_mwu_feasible_toy;
