@@ -1,8 +1,13 @@
 # Convenience wrapper around dune. See README.md.
 
+# Recipes that pipe into tee must fail when the command before the pipe
+# fails, which needs bash's pipefail (/bin/sh may be dash).
+SHELL := /bin/bash
+.SHELLFLAGS := -o pipefail -c
+
 .PHONY: all build test test-props bench bench-smoke kernels-smoke \
-	trace-smoke fuzz-smoke serve-smoke metrics-smoke examples clean \
-	reproduce
+	trace-smoke fuzz-smoke serve-smoke metrics-smoke table1-smoke examples \
+	clean reproduce
 
 all: build
 
@@ -136,6 +141,12 @@ metrics-smoke:
 	grep -q '^# EOF$$' metrics_smoke.txt
 	rm -f metrics_smoke.sock metrics_smoke.txt metrics_check.txt
 
+# Table 1 gate: runs the T1.R1-R8 rows and exits non-zero when any row
+# reads VIOLATED (each row's bound and verdict come from
+# lib/refcheck/table1.ml). Not part of `dune runtest`.
+table1-smoke:
+	dune exec bench/main.exe -- table1
+
 examples:
 	dune exec examples/quickstart.exe
 	dune exec examples/fraud_detection.exe
@@ -145,7 +156,8 @@ examples:
 
 # Full reproduction run: tests, the differential fuzz gate, the
 # trace/budget round-trip gate, and the Table-1 harness, outputs
-# captured.
+# captured. Any failing step fails the run; the harness fails when a
+# Table 1 row reads VIOLATED.
 reproduce:
 	dune runtest --force --no-buffer 2>&1 | tee test_output.txt
 	$(MAKE) fuzz-smoke 2>&1 | tee fuzz_output.txt

@@ -1,7 +1,7 @@
-(* The experiment harness: one function per Table-1 row of the paper plus
-   the derived scaling / convergence / ablation series (DESIGN.md,
-   Section 3). Each function prints a detailed table and records a
-   summary line for the final Table-1 reproduction. *)
+(* The experiment harness: the Table-1 rows of the paper plus the
+   derived scaling / convergence / ablation series (DESIGN.md, Section
+   3). Each function prints a detailed table; the Table-1 rows also
+   record a summary line for the final Table-1 reproduction. *)
 
 open Cso_core
 module Planted = Cso_workload.Planted
@@ -14,337 +14,271 @@ module Space = Cso_metric.Space
 module Mwu = Cso_lp.Mwu
 module Pool = Cso_parallel.Pool
 module Obs = Cso_obs.Obs
+module Set_cover = Cso_setcover.Set_cover
+module Table1 = Cso_refcheck.Table1
 
 let rng seed = Random.State.make [| seed; 77 |]
 let seeds = [ 1; 2; 3 ]
 
-let avg l = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-let maxl l = List.fold_left max neg_infinity l
-
 let f2 x = Printf.sprintf "%.2f" x
 
 (* ------------------------------------------------------------------ *)
-(* T1.R1 -- hardness: CSO solves set cover through the reduction.      *)
+(* Table 1. Each row's bound and verdict live in [Table1]; a row here  *)
+(* keeps only its instance family, seeds, extra columns and the        *)
+(* family's own sanity test.                                           *)
 (* ------------------------------------------------------------------ *)
 
-let table1_hardness () =
-  let instances =
-    [
-      ( "2-partition",
-        Cso_setcover.Set_cover.make ~n_elements:6
-          [ [ 0; 1; 2 ]; [ 3; 4; 5 ]; [ 0; 3 ]; [ 1; 4 ]; [ 2; 5 ] ] );
-      ( "pairs-6",
-        Cso_setcover.Set_cover.make ~n_elements:6
-          [ [ 0; 1 ]; [ 2; 3 ]; [ 4; 5 ]; [ 1; 2 ]; [ 3; 4 ]; [ 0; 5 ] ] );
-      ( "stars-8",
-        Cso_setcover.Set_cover.make ~n_elements:8
-          [ [ 0; 1; 2; 3 ]; [ 4; 5; 6; 7 ]; [ 0; 4 ]; [ 1; 5 ]; [ 2; 6 ]; [ 3; 7 ] ]
-      );
-    ]
+(* One solve of a row's family. [measured] is [None] when the solver
+   returned nothing; its float is what the mu3 column divides the cost
+   by: the exact optimum when the measurement holds one, else the
+   family's planted upper bound. *)
+type t1_run = {
+  key : string list; (* the columns before mu1 *)
+  measured : (Table1.params * Table1.measurement * float) option;
+  extra : string list; (* the columns after mu3 *)
+  sane : bool;
+  time : float; (* the solve alone *)
+}
+
+let t1_mus ((p : Table1.params), (m : Table1.measurement), reference) =
+  ( float_of_int m.centers /. float_of_int p.k,
+    float_of_int m.outliers /. float_of_int (max 1 p.z),
+    if reference > 0.0 then m.cost /. reference
+    else if m.cost = 0.0 then 1.0
+    else infinity )
+
+(* Prints the row's table and records its summary line. The row holds
+   when every run is sane and passes [Table1.verdict]. *)
+let table1_row (row : Table1.row) ~note ~key ~extra runs () =
+  let bounded = row.bound <> None in
+  let runs = runs () in
+  let cells r =
+    let mus =
+      match r.measured with
+      | _ when not bounded -> []
+      | None -> [ "-"; "-"; "-" ]
+      | Some x ->
+          let mu1, mu2, mu3 = t1_mus x in
+          [ f2 mu1; f2 mu2; Printf.sprintf "%.3f" mu3 ]
+    in
+    r.key @ mus @ r.extra @ [ Util.fmt_time r.time ]
   in
-  let solver inst = (Cso_general.solve inst).Cso_general.solution in
-  let rows, times =
+  Util.print_table
+    ~title:
+      (Printf.sprintf "%s  %s (%s): guarantee %s; %s" row.id row.problem
+         row.theorem row.guarantee note)
+    (key @ (if bounded then [ "mu1"; "mu2"; "mu3" ] else []) @ extra @ [ "time" ])
+    (List.map cells runs);
+  let measured = List.filter_map (fun r -> r.measured) runs in
+  let w1, w2, w3 =
     List.fold_left
-      (fun (rows, times) (name, sc) ->
-        let opt =
-          match Cso_setcover.Set_cover.exact sc with
-          | Some o -> List.length o
-          | None -> -1
-        in
-        let f = Cso_setcover.Set_cover.frequency sc in
-        let result, t =
-          Util.time (fun () -> Hardness.solve_set_cover ~solver sc ~k:2)
-        in
-        match result with
-        | None -> (rows, times)
-        | Some (z', cover) ->
-            let row =
+      (fun (w1, w2, w3) x ->
+        let mu1, mu2, mu3 = t1_mus x in
+        (max w1 mu1, max w2 mu2, max w3 mu3))
+      (0.0, 0.0, 0.0) measured
+  in
+  let planted = List.for_all (fun (_, m, _) -> m.Table1.opt = None) measured in
+  let holds r =
+    r.sane
+    &&
+    match r.measured with
+    | None -> false
+    | Some (p, m, _) -> Result.is_ok (Table1.verdict row p m)
+  in
+  Util.record_t1 ~problem:row.problem ~guarantee:row.guarantee
+    ~measured:
+      (if bounded then
+         Printf.sprintf "worst (%.2f, %.2f, %.2f%s)" w1 w2 w3
+           (if planted then "*" else "")
+       else Printf.sprintf "reduction solves SC (see %s)" row.id)
+    ~time:(Util.fmt_time (List.fold_left (fun s r -> s +. r.time) 0.0 runs))
+    ~ok:(List.for_all holds runs)
+
+let opt_ref opt = if opt = None then "planted-bound" else "exact"
+
+(* T1.R1: scanning z = 1, 2, ... with the (2, 2f, 2) LP solver turns its
+   first zero-cost answer into a set cover. The measurement is that
+   answer; the row fails when no cover comes back. *)
+let table1_hardness =
+  table1_row Table1.hardness
+    ~note:
+      "SC -> CSO reduction: a (2,2f,2) CSO solver yields set covers, and \
+       its 2f blow-up shows as ratio <= 2f"
+    ~key:[ "instance"; "n'"; "m'"; "f"; "opt" ]
+    ~extra:[ "z'"; "|cover|"; "ratio" ]
+  @@ fun () ->
+  List.map
+    (fun (name, sc) ->
+      let opt =
+        match Set_cover.exact sc with Some o -> List.length o | None -> -1
+      in
+      let last = ref None in
+      let solver inst =
+        let sol = (Cso_general.solve inst).Cso_general.solution in
+        last := Some (inst, sol);
+        sol
+      in
+      let result, time =
+        Util.time (fun () -> Hardness.solve_set_cover ~solver sc ~k:2)
+      in
+      let key =
+        [
+          name;
+          string_of_int sc.Set_cover.n_elements;
+          string_of_int (Array.length sc.Set_cover.sets);
+          string_of_int (Set_cover.frequency sc);
+          string_of_int opt;
+        ]
+      in
+      match (result, !last) with
+      | Some (z', cover), Some (inst, sol) ->
+          let p, m = Table1.of_cso inst sol in
+          {
+            key;
+            measured =
+              Some
+                (p, { m with valid = m.valid && Set_cover.is_cover sc cover }, 0.0);
+            extra =
               [
-                name;
-                string_of_int sc.Cso_setcover.Set_cover.n_elements;
-                string_of_int (Array.length sc.Cso_setcover.Set_cover.sets);
-                string_of_int f;
-                string_of_int opt;
                 string_of_int z';
                 string_of_int (List.length cover);
                 f2 (float_of_int (List.length cover) /. float_of_int opt);
-                Util.fmt_time t;
-              ]
-            in
-            (row :: rows, t :: times))
-      ([], []) instances
-  in
-  Util.print_table
-    ~title:
-      "T1.R1  SC -> CSO reduction (Lemma 2.1): a (2,2f,2) CSO solver yields \
-       set covers"
-    [ "instance"; "n'"; "m'"; "f"; "opt"; "z'"; "|cover|"; "ratio"; "time" ]
-    (List.rev rows);
-  Printf.printf
-    "(The UGC lower bound says ratio < f is impossible in general; our \
-     solver's 2f blow-up shows as ratio <= 2f.)\n";
-  Util.record_t1 ~problem:"CSO lower bound" ~guarantee:"(1, f-z, gamma) impossible"
-    ~measured:"reduction solves SC (see T1.R1)"
-    ~time:(Util.fmt_time (List.fold_left ( +. ) 0.0 times))
-    ~ok:true
+              ];
+            sane = true;
+            time;
+          }
+      | _ -> { key; measured = None; extra = [ "-"; "-"; "-" ]; sane = true; time })
+    [
+      ( "2-partition",
+        Set_cover.make ~n_elements:6
+          [ [ 0; 1; 2 ]; [ 3; 4; 5 ]; [ 0; 3 ]; [ 1; 4 ]; [ 2; 5 ] ] );
+      ( "pairs-6",
+        Set_cover.make ~n_elements:6
+          [ [ 0; 1 ]; [ 2; 3 ]; [ 4; 5 ]; [ 1; 2 ]; [ 3; 4 ]; [ 0; 5 ] ] );
+      ( "stars-8",
+        Set_cover.make ~n_elements:8
+          [ [ 0; 1; 2; 3 ]; [ 4; 5; 6; 7 ]; [ 0; 4 ]; [ 1; 5 ]; [ 2; 6 ]; [ 3; 7 ] ]
+      );
+    ]
 
-(* ------------------------------------------------------------------ *)
-(* T1.R2 -- general CSO, LP algorithm: (2, 2f, 2).                     *)
-(* ------------------------------------------------------------------ *)
-
-let measure_cso ~solve ~name t ~opt ~opt_is_exact =
-  let (sol : Instance.solution), time = Util.time (fun () -> solve t) in
-  let mu1 =
-    float_of_int (List.length sol.Instance.centers) /. float_of_int t.Instance.k
-  in
-  let mu2 =
-    float_of_int (List.length sol.Instance.outliers)
-    /. float_of_int (max 1 t.Instance.z)
-  in
-  let cost = Instance.cost t sol in
-  let mu3 = if opt > 0.0 then cost /. opt else if cost = 0.0 then 1.0 else infinity in
-  ignore name;
-  (mu1, mu2, mu3, cost, time, opt_is_exact, Instance.is_valid t sol)
-
-let table1_cso_general () =
-  let rows = ref [] in
-  let all_ok = ref true in
-  let worst = ref (0.0, 0.0, 0.0) in
-  let total_t = ref 0.0 in
-  List.iter
+(* T1.R2 on instances small enough for the exact optimum. The set count
+   grows with f so that no 2fz sets can cover everything (otherwise
+   cost-0 "discard the data" solutions dominate). *)
+let table1_cso_general =
+  table1_row Table1.cso_general ~note:"LP-based" ~key:[ "f"; "seed" ]
+    ~extra:[ "opt-ref"; "cost" ]
+  @@ fun () ->
+  List.concat_map
     (fun f ->
-      List.iter
+      List.map
         (fun seed ->
-          (* Small instances so the exact optimum is computable. The set
-             count grows with f so that no 2fz sets can cover everything
-             (otherwise cost-0 "discard the data" solutions dominate). *)
-          let m = match f with 1 -> 8 | 2 -> 16 | _ -> 20 in
-          let w = Planted.cso ~f (rng seed) ~n:36 ~m ~k:2 ~z:2 in
+          let sets = match f with 1 -> 8 | 2 -> 16 | _ -> 20 in
+          let w = Planted.cso ~f (rng seed) ~n:36 ~m:sets ~k:2 ~z:2 in
           let t = w.Planted.instance in
-          let opt, exact =
-            match Exact.opt_cost t with
-            | Some o -> (o, true)
-            | None -> (w.Planted.opt_upper, false)
+          let opt = Exact.opt_cost t in
+          let sol, time =
+            Util.time (fun () -> (Cso_general.solve t).Cso_general.solution)
           in
-          let mu1, mu2, mu3, cost, time, _, valid =
-            measure_cso ~solve:(fun t -> (Cso_general.solve t).Cso_general.solution)
-              ~name:"lp" t ~opt ~opt_is_exact:exact
-          in
-          total_t := !total_t +. time;
-          let ok =
-            valid && mu1 <= 2.0 +. 1e-9
-            && mu2 <= (2.0 *. float_of_int f) +. 1e-9
-            && (mu3 <= 2.0 +. 1e-6 || not exact)
-          in
-          if not ok then all_ok := false;
-          let w1, w2, w3 = !worst in
-          worst := (max w1 mu1, max w2 mu2, max w3 mu3);
-          rows :=
-            [
-              string_of_int f;
-              string_of_int seed;
-              f2 mu1;
-              f2 mu2;
-              Printf.sprintf "%.3f" mu3;
-              (if exact then "exact" else "planted-bound");
-              f2 cost;
-              Util.fmt_time time;
-            ]
-            :: !rows)
+          let p, m = Table1.of_cso ?opt t sol in
+          {
+            key = [ string_of_int f; string_of_int seed ];
+            measured = Some (p, m, Option.value opt ~default:w.Planted.opt_upper);
+            extra = [ opt_ref opt; f2 m.Table1.cost ];
+            sane = true;
+            time;
+          })
         seeds)
-    [ 1; 2; 3 ];
-  Util.print_table
-    ~title:"T1.R2  CSO f>1, LP-based (Thm 2.4): guarantee (2, 2f, 2)"
-    [ "f"; "seed"; "mu1"; "mu2"; "mu3"; "opt-ref"; "cost"; "time" ]
-    (List.rev !rows);
-  let w1, w2, w3 = !worst in
-  Util.record_t1 ~problem:"CSO, f>1" ~guarantee:"(2, 2f, 2)"
-    ~measured:(Printf.sprintf "worst (%.2f, %.2f, %.2f)" w1 w2 w3)
-    ~time:(Util.fmt_time !total_t) ~ok:!all_ok
+    [ 1; 2; 3 ]
 
-(* ------------------------------------------------------------------ *)
-(* T1.R3 -- disjoint CSO, coreset algorithm: (2, 2, O(1)).             *)
-(* ------------------------------------------------------------------ *)
-
-let table1_cso_disjoint () =
-  let rows = ref [] in
-  let all_ok = ref true in
-  let worst = ref (0.0, 0.0, 0.0) in
-  let total_t = ref 0.0 in
-  List.iter
+let table1_cso_disjoint =
+  table1_row Table1.cso_disjoint
+    ~note:"coreset + LP; coreset size <= beta1 = min(n, km)"
+    ~key:[ "n"; "seed" ] ~extra:[ "opt-ref"; "|coreset|"; "beta1" ]
+  @@ fun () ->
+  List.concat_map
     (fun seed ->
-      List.iter
+      List.map
         (fun (n, use_exact) ->
           let w = Planted.cso (rng seed) ~n ~m:8 ~k:2 ~z:2 in
           let t = w.Planted.instance in
-          let opt, exact =
-            if use_exact then
-              match Exact.opt_cost t with
-              | Some o -> (o, true)
-              | None -> (w.Planted.opt_upper, false)
-            else (w.Planted.opt_upper, false)
-          in
-          let (report : Cso_disjoint.report), time =
-            Util.time (fun () -> Cso_disjoint.solve t)
-          in
-          total_t := !total_t +. time;
-          let sol = report.Cso_disjoint.solution in
-          let mu1 = float_of_int (List.length sol.Instance.centers) /. 2.0 in
-          let mu2 = float_of_int (List.length sol.Instance.outliers) /. 2.0 in
-          let cost = Instance.cost t sol in
-          let mu3 = if opt > 0.0 then cost /. opt else 1.0 in
-          let ok =
-            Instance.is_valid t sol
-            && mu1 <= 2.0 +. 1e-9 && mu2 <= 2.0 +. 1e-9
-            && (mu3 <= 30.0 || not exact)
-          in
-          if not ok then all_ok := false;
-          let w1, w2, w3 = !worst in
-          worst := (max w1 mu1, max w2 mu2, max w3 mu3);
-          rows :=
-            [
-              string_of_int n;
-              string_of_int seed;
-              f2 mu1;
-              f2 mu2;
-              Printf.sprintf "%.3f" mu3;
-              (if exact then "exact" else "planted-bound");
-              string_of_int report.Cso_disjoint.coreset_elements;
-              string_of_int (min n (2 * 8)) (* beta_1 = min(n, km) *);
-              Util.fmt_time time;
-            ]
-            :: !rows)
+          let opt = if use_exact then Exact.opt_cost t else None in
+          let r, time = Util.time (fun () -> Cso_disjoint.solve t) in
+          let p, m = Table1.of_cso ?opt t r.Cso_disjoint.solution in
+          {
+            key = [ string_of_int n; string_of_int seed ];
+            measured = Some (p, m, Option.value opt ~default:w.Planted.opt_upper);
+            extra =
+              [
+                opt_ref opt;
+                string_of_int r.Cso_disjoint.coreset_elements;
+                string_of_int (min n (2 * 8)) (* beta_1 = min(n, km) *);
+              ];
+            sane = true;
+            time;
+          })
         [ (36, true); (150, false) ])
-    seeds;
-  Util.print_table
-    ~title:
-      "T1.R3  CSO f=1, coreset + LP (Thm 2.6): guarantee (2, 2, 30); coreset \
-       size <= beta1 = min(n, km)"
-    [ "n"; "seed"; "mu1"; "mu2"; "mu3"; "opt-ref"; "|coreset|"; "beta1"; "time" ]
-    (List.rev !rows);
-  let w1, w2, w3 = !worst in
-  Util.record_t1 ~problem:"CSO, f=1" ~guarantee:"(2, 2, O(1)=30)"
-    ~measured:(Printf.sprintf "worst (%.2f, %.2f, %.2f)" w1 w2 w3)
-    ~time:(Util.fmt_time !total_t) ~ok:!all_ok
+    seeds
 
-(* ------------------------------------------------------------------ *)
-(* T1.R4 -- general GCSO, MWU: (2+eps, 2f, 2+eps).                     *)
-(* ------------------------------------------------------------------ *)
-
+(* The GCSO rows measure mu3 against the planted bound. Their sanity
+   test: the cost stays below the planted junk's contamination scale,
+   so the junk was removed. *)
 let mwu_rounds = 150
 
-let table1_gcso_general () =
-  let rows = ref [] in
-  let all_ok = ref true in
-  let worst = ref (0.0, 0.0, 0.0) in
-  let total_t = ref 0.0 in
-  let eps = 0.3 in
-  List.iter
+let table1_gcso_general =
+  table1_row Table1.gcso_general
+    ~note:"MWU + BBD/range trees; mu3 vs planted bound" ~key:[ "seed"; "f" ]
+    ~extra:[ "rounds"; "guesses" ]
+  @@ fun () ->
+  List.map
     (fun seed ->
       let w = Planted.gcso_overlapping (rng seed) ~n:120 ~k:3 ~z:2 in
-      let g = w.Planted.geo in
-      let f = Geo_instance.frequency g in
-      let (report : Gcso_general.report), time =
+      let g = w.Planted.geo and eps = 0.3 in
+      let r, time =
         Util.time (fun () -> Gcso_general.solve ~eps ~rounds:mwu_rounds g)
       in
-      total_t := !total_t +. time;
-      let sol = report.Gcso_general.solution in
-      let mu1 = float_of_int (List.length sol.Instance.centers) /. 3.0 in
-      let mu2 = float_of_int (List.length sol.Instance.outliers) /. 2.0 in
-      let cost = Geo_instance.cost g sol in
-      let mu3 = cost /. w.Planted.g_opt_upper in
-      (* mu3 is measured against the planted upper bound, i.e. it
-         overestimates the true ratio. Bound check vs (2+eps) kept soft. *)
-      let ok =
-        Geo_instance.is_valid g sol
-        && mu1 <= 2.0 +. eps +. 1e-9
-        && mu2 <= (2.0 *. float_of_int f) +. 1e-9
-        && cost < w.Planted.g_contaminated_lower
-      in
-      if not ok then all_ok := false;
-      let w1, w2, w3 = !worst in
-      worst := (max w1 mu1, max w2 mu2, max w3 mu3);
-      rows :=
-        [
-          string_of_int seed;
-          string_of_int f;
-          f2 mu1;
-          f2 mu2;
-          Printf.sprintf "%.3f" mu3;
-          string_of_int report.Gcso_general.rounds_per_guess;
-          string_of_int report.Gcso_general.guesses;
-          Util.fmt_time time;
-        ]
-        :: !rows)
-    seeds;
-  Util.print_table
-    ~title:
-      "T1.R4  GCSO f>1, MWU + BBD/range trees (Thm 3.2): guarantee (2+eps, \
-       2f, 2+eps); mu3 vs planted bound"
-    [ "seed"; "f"; "mu1"; "mu2"; "mu3"; "rounds"; "guesses"; "time" ]
-    (List.rev !rows);
-  let w1, w2, w3 = !worst in
-  Util.record_t1 ~problem:"GCSO, f>1" ~guarantee:"(2+e, 2f, 2+e)"
-    ~measured:(Printf.sprintf "worst (%.2f, %.2f, %.2f*)" w1 w2 w3)
-    ~time:(Util.fmt_time !total_t) ~ok:!all_ok
+      let p, m = Table1.of_gcso ~eps g r.Gcso_general.solution in
+      {
+        key = [ string_of_int seed; string_of_int p.Table1.f ];
+        measured = Some (p, m, w.Planted.g_opt_upper);
+        extra =
+          [
+            string_of_int r.Gcso_general.rounds_per_guess;
+            string_of_int r.Gcso_general.guesses;
+          ];
+        sane = m.Table1.cost < w.Planted.g_contaminated_lower;
+        time;
+      })
+    seeds
 
-(* ------------------------------------------------------------------ *)
-(* T1.R5 -- disjoint GCSO, geometric coreset: (2+eps, 2, O(1)).        *)
-(* ------------------------------------------------------------------ *)
-
-let table1_gcso_disjoint () =
-  let rows = ref [] in
-  let all_ok = ref true in
-  let worst = ref (0.0, 0.0, 0.0) in
-  let total_t = ref 0.0 in
-  let eps = 0.3 in
-  List.iter
+let table1_gcso_disjoint =
+  table1_row Table1.gcso_disjoint
+    ~note:"coreset + MWU; mu3 vs planted bound" ~key:[ "seed" ]
+    ~extra:[ "|coreset|"; "|H0|" ]
+  @@ fun () ->
+  List.map
     (fun seed ->
       let w = Planted.gcso_disjoint (rng seed) ~n:200 ~m:12 ~k:3 ~z:3 in
-      let g = w.Planted.geo in
-      let (report : Gcso_disjoint.report), time =
+      let g = w.Planted.geo and eps = 0.3 in
+      let r, time =
         Util.time (fun () -> Gcso_disjoint.solve ~eps ~rounds:mwu_rounds g)
       in
-      total_t := !total_t +. time;
-      let sol = report.Gcso_disjoint.solution in
-      let mu1 = float_of_int (List.length sol.Instance.centers) /. 3.0 in
-      let mu2 = float_of_int (List.length sol.Instance.outliers) /. 3.0 in
-      let cost = Geo_instance.cost g sol in
-      let mu3 = cost /. w.Planted.g_opt_upper in
-      let ok =
-        Geo_instance.is_valid g sol
-        && mu1 <= 2.0 +. eps +. 1e-9
-        && mu2 <= 2.0 +. 1e-9
-        && cost < w.Planted.g_contaminated_lower
-      in
-      if not ok then all_ok := false;
-      let w1, w2, w3 = !worst in
-      worst := (max w1 mu1, max w2 mu2, max w3 mu3);
-      rows :=
-        [
-          string_of_int seed;
-          f2 mu1;
-          f2 mu2;
-          Printf.sprintf "%.3f" mu3;
-          string_of_int report.Gcso_disjoint.coreset_points;
-          string_of_int report.Gcso_disjoint.forced_outliers;
-          Util.fmt_time time;
-        ]
-        :: !rows)
-    seeds;
-  Util.print_table
-    ~title:
-      "T1.R5  GCSO f=1, coreset + MWU (Thm 3.3): guarantee (2+eps, 2, O(1)); \
-       mu3 vs planted bound"
-    [ "seed"; "mu1"; "mu2"; "mu3"; "|coreset|"; "|H0|"; "time" ]
-    (List.rev !rows);
-  let w1, w2, w3 = !worst in
-  Util.record_t1 ~problem:"GCSO, f=1" ~guarantee:"(2+e, 2, O(1))"
-    ~measured:(Printf.sprintf "worst (%.2f, %.2f, %.2f*)" w1 w2 w3)
-    ~time:(Util.fmt_time !total_t) ~ok:!all_ok
+      let p, m = Table1.of_gcso ~eps g r.Gcso_disjoint.solution in
+      {
+        key = [ string_of_int seed ];
+        measured = Some (p, m, w.Planted.g_opt_upper);
+        extra =
+          [
+            string_of_int r.Gcso_disjoint.coreset_points;
+            string_of_int r.Gcso_disjoint.forced_outliers;
+          ];
+        sane = m.Table1.cost < w.Planted.g_contaminated_lower;
+        time;
+      })
+    seeds
 
 (* ------------------------------------------------------------------ *)
-(* Relational helpers                                                  *)
+(* Relational rows: mu3 against the planted bound. Their sanity test:  *)
+(* the cost stays below the planted junk's scale (100).                *)
 (* ------------------------------------------------------------------ *)
 
 let cover_cost centers results =
@@ -354,195 +288,122 @@ let cover_cost centers results =
         (List.fold_left (fun m c -> min m (Point.l2 c q)) infinity centers))
     0.0 results
 
-(* ------------------------------------------------------------------ *)
-(* T1.R6 -- RCTO1: (2+eps, 2, O(1)).                                   *)
-(* ------------------------------------------------------------------ *)
+(* A relational row's run. [kept] are the join results its outliers
+   leave: a valid solution picks its centers among them. *)
+let rel_run w params ~key ~extra ~time centers ~outliers kept =
+  let cost = cover_cost centers kept in
+  let valid = List.for_all (fun c -> Array.mem c kept) centers in
+  {
+    key;
+    measured =
+      Some
+        ( params,
+          { Table1.valid; centers = List.length centers; outliers; cost; opt = None },
+          w.Rgen.opt_upper );
+    extra;
+    sane = cost < 100.0;
+    time;
+  }
 
-let table1_rcto1 () =
-  let rows = ref [] in
-  let all_ok = ref true in
-  let worst = ref (0.0, 0.0, 0.0) in
-  let total_t = ref 0.0 in
-  List.iter
+let relations w = Rel.Schema.n_relations w.Rgen.instance.Rel.Instance.schema
+
+let table1_rcto1 =
+  table1_row Table1.rcto1
+    ~note:"outliers from the dirty relation only; mu3 vs planted bound"
+    ~key:[ "seed"; "N" ] ~extra:[ "|coreset|" ]
+  @@ fun () ->
+  List.map
     (fun seed ->
-      let k = 2 and z = 2 in
+      let k = 2 and z = 2 and eps = 0.3 in
       let w = Rgen.rcto1 (rng seed) ~n1:26 ~n2:10 ~k ~z in
-      let (r : Rcto1.report), time =
+      let r, time =
         Util.time (fun () ->
-            Rcto1.solve ~eps:0.3 ~rounds:120 w.Rgen.instance w.Rgen.tree ~k ~z)
+            Rcto1.solve ~eps ~rounds:120 w.Rgen.instance w.Rgen.tree ~k ~z)
       in
-      total_t := !total_t +. time;
       let reduced =
         Rel.Instance.remove w.Rgen.instance
           (List.map (fun t -> (0, t)) r.Rcto1.outlier_tuples)
       in
-      let surviving = Rel.Yannakakis.enumerate reduced w.Rgen.tree in
-      let cost = cover_cost r.Rcto1.centers surviving in
-      let mu1 = float_of_int (List.length r.Rcto1.centers) /. float_of_int k in
-      let mu2 =
-        float_of_int (List.length r.Rcto1.outlier_tuples) /. float_of_int z
-      in
-      let mu3 = cost /. w.Rgen.opt_upper in
-      let ok = mu1 <= 2.3 +. 1e-9 && mu2 <= 2.0 +. 1e-9 && cost < 100.0 in
-      if not ok then all_ok := false;
-      let w1, w2, w3 = !worst in
-      worst := (max w1 mu1, max w2 mu2, max w3 mu3);
-      rows :=
-        [
-          string_of_int seed;
-          string_of_int (Rel.Instance.size w.Rgen.instance);
-          f2 mu1;
-          f2 mu2;
-          Printf.sprintf "%.3f" mu3;
-          string_of_int r.Rcto1.coreset_size;
-          Util.fmt_time time;
-        ]
-        :: !rows)
-    seeds;
-  Util.print_table
-    ~title:
-      "T1.R6  RCTO1 (Thm 4.3): guarantee (2+eps, 2, O(1)); outliers from the \
-       dirty relation only; mu3 vs planted bound"
-    [ "seed"; "N"; "mu1"; "mu2"; "mu3"; "|coreset|"; "time" ]
-    (List.rev !rows);
-  let w1, w2, w3 = !worst in
-  Util.record_t1 ~problem:"RCTO1" ~guarantee:"(2+e, 2, O(1))"
-    ~measured:(Printf.sprintf "worst (%.2f, %.2f, %.2f*)" w1 w2 w3)
-    ~time:(Util.fmt_time !total_t) ~ok:!all_ok
+      rel_run w
+        { Table1.k; z; f = 1; g = relations w; eps }
+        ~key:
+          [ string_of_int seed; string_of_int (Rel.Instance.size w.Rgen.instance) ]
+        ~extra:[ string_of_int r.Rcto1.coreset_size ]
+        ~time r.Rcto1.centers
+        ~outliers:(List.length r.Rcto1.outlier_tuples)
+        (Rel.Yannakakis.enumerate reduced w.Rgen.tree))
+    seeds
 
-(* ------------------------------------------------------------------ *)
-(* T1.R7 -- RCTO: (1, g, O(1)) FPT.                                    *)
-(* ------------------------------------------------------------------ *)
-
-let table1_rcto () =
-  let rows = ref [] in
-  let all_ok = ref true in
-  let worst = ref (0.0, 0.0, 0.0) in
-  let total_t = ref 0.0 in
-  let cases =
-    (* (seed, g, k, z, workload): both the path join (g = 2) and the
-       star join (g = 3) to exhibit the g-factor in the outlier budget. *)
-    List.map (fun seed -> (seed, 2, 2, 2, `Path)) seeds
-    @ [ (1, 3, 2, 1, `Star) ]
-  in
-  List.iter
-    (fun (seed, g, k, z, shape) ->
+(* The path join (g = 2) and the star join (g = 3) show the g-factor in
+   the outlier budget. *)
+let table1_rcto =
+  table1_row Table1.rcto
+    ~note:
+      "FPT; g = 2 relations on the path join, g = 3 on the star; mu3 vs \
+       planted bound"
+    ~key:[ "seed"; "g" ] ~extra:[ "valid-iters"; "|T|" ]
+  @@ fun () ->
+  List.map
+    (fun (seed, z, shape) ->
+      let k = 2 in
       let w =
         match shape with
         | `Path -> Rgen.rcto (rng seed) ~n1:14 ~n2:8 ~k ~z
         | `Star -> Rgen.star (rng seed) ~n_leaf:10 ~k ~z
       in
+      let g = relations w in
       let result, time =
         Util.time (fun () ->
             Rcto.solve ~rng:(rng (seed + 100)) ~iters:300 w.Rgen.instance
               w.Rgen.tree ~k ~z)
       in
-      total_t := !total_t +. time;
+      let key = [ string_of_int seed; string_of_int g ] in
       match result with
-      | None ->
-          all_ok := false;
-          rows :=
-            [ string_of_int seed; string_of_int g; "-"; "-"; "-"; "-"; "0";
-              Util.fmt_time time ]
-            :: !rows
+      | None -> { key; measured = None; extra = [ "-"; "0" ]; sane = true; time }
       | Some r ->
           let reduced = Rel.Instance.remove w.Rgen.instance r.Rcto.outlier_tuples in
-          let surviving = Rel.Yannakakis.enumerate reduced w.Rgen.tree in
-          let cost = cover_cost r.Rcto.centers surviving in
-          let mu1 = float_of_int (List.length r.Rcto.centers) /. float_of_int k in
-          let mu2 =
-            float_of_int (List.length r.Rcto.outlier_tuples)
-            /. float_of_int z
-          in
-          let mu3 = cost /. w.Rgen.opt_upper in
-          let ok =
-            mu1 <= 1.0 +. 1e-9
-            && mu2 <= float_of_int g +. 1e-9
-            && cost < 100.0
-          in
-          if not ok then all_ok := false;
-          let w1, w2, w3 = !worst in
-          worst := (max w1 mu1, max w2 mu2, max w3 mu3);
-          rows :=
-            [
-              string_of_int seed;
-              string_of_int g;
-              f2 mu1;
-              f2 mu2;
-              Printf.sprintf "%.3f" mu3;
-              Printf.sprintf "%d/%d" r.Rcto.successes r.Rcto.iterations;
-              string_of_int (List.length r.Rcto.outlier_tuples);
-              Util.fmt_time time;
-            ]
-            :: !rows)
-    cases;
-  Util.print_table
-    ~title:
-      "T1.R7  RCTO FPT (Thm 4.4): guarantee (1, g, O(1)) whp; g = 2 \
-       relations on the path join, g = 3 on the star; mu3 vs planted bound"
-    [ "seed"; "g"; "mu1"; "mu2"; "mu3"; "valid-iters"; "|T|"; "time" ]
-    (List.rev !rows);
-  let w1, w2, w3 = !worst in
-  Util.record_t1 ~problem:"RCTO" ~guarantee:"(1, g, O(1))"
-    ~measured:(Printf.sprintf "worst (%.2f, %.2f, %.2f*)" w1 w2 w3)
-    ~time:(Util.fmt_time !total_t) ~ok:!all_ok
+          rel_run w
+            { Table1.k; z; f = g; g; eps = 0.0 }
+            ~key
+            ~extra:
+              [
+                Printf.sprintf "%d/%d" r.Rcto.successes r.Rcto.iterations;
+                string_of_int (List.length r.Rcto.outlier_tuples);
+              ]
+            ~time r.Rcto.centers
+            ~outliers:(List.length r.Rcto.outlier_tuples)
+            (Rel.Yannakakis.enumerate reduced w.Rgen.tree))
+    (List.map (fun seed -> (seed, 2, `Path)) seeds @ [ (1, 1, `Star) ])
 
-(* ------------------------------------------------------------------ *)
-(* T1.R8 -- RCRO: (1, 1+eps, 3+eps).                                   *)
-(* ------------------------------------------------------------------ *)
-
-let table1_rcro () =
-  let rows = ref [] in
-  let all_ok = ref true in
-  let worst = ref (0.0, 0.0, 0.0) in
-  let total_t = ref 0.0 in
-  List.iter
+let table1_rcro =
+  table1_row Table1.rcro ~note:"sampling; mu3 vs planted bound"
+    ~key:[ "seed"; "|Q(I)|"; "tau" ] ~extra:[]
+  @@ fun () ->
+  List.map
     (fun seed ->
-      let k = 2 and z = 4 in
+      let k = 2 and z = 4 and eps = 0.25 in
       let w = Rgen.rcro (rng seed) ~n1:120 ~n2:30 ~k ~z in
-      let (r : Rcro.report), time =
+      let r, time =
         Util.time (fun () ->
-            Rcro.solve ~rng:(rng (seed + 7)) ~eps:0.25 w.Rgen.instance
-              w.Rgen.tree ~k ~z)
+            Rcro.solve ~rng:(rng (seed + 7)) ~eps w.Rgen.instance w.Rgen.tree
+              ~k ~z)
       in
-      total_t := !total_t +. time;
       let results = Rel.Yannakakis.enumerate w.Rgen.instance w.Rgen.tree in
       let out = Rcro.outliers_of r results in
       let kept =
         Array.of_list
           (List.filteri (fun i _ -> not (List.mem i out)) (Array.to_list results))
       in
-      let cost = cover_cost r.Rcro.centers kept in
-      let mu1 = float_of_int (List.length r.Rcro.centers) /. float_of_int k in
-      let mu2 = float_of_int (List.length out) /. float_of_int z in
-      let mu3 = cost /. w.Rgen.opt_upper in
-      (* (1+eps)^2 with eps=.25 is ~1.56; allow sampling slack to 2. *)
-      let ok = mu1 <= 1.0 +. 1e-9 && mu2 <= 2.0 && cost < 100.0 in
-      if not ok then all_ok := false;
-      let w1, w2, w3 = !worst in
-      worst := (max w1 mu1, max w2 mu2, max w3 mu3);
-      rows :=
-        [
-          string_of_int seed;
-          string_of_int r.Rcro.join_size;
-          string_of_int r.Rcro.sample_size;
-          f2 mu1;
-          f2 mu2;
-          Printf.sprintf "%.3f" mu3;
-          Util.fmt_time time;
-        ]
-        :: !rows)
-    seeds;
-  Util.print_table
-    ~title:
-      "T1.R8  RCRO sampling (Thm E.3): guarantee (1, (1+eps)^2, 3+eps) whp; \
-       mu3 vs planted bound"
-    [ "seed"; "|Q(I)|"; "tau"; "mu1"; "mu2"; "mu3"; "time" ]
-    (List.rev !rows);
-  let w1, w2, w3 = !worst in
-  Util.record_t1 ~problem:"RCRO" ~guarantee:"(1, 1+e, 3+e)"
-    ~measured:(Printf.sprintf "worst (%.2f, %.2f, %.2f*)" w1 w2 w3)
-    ~time:(Util.fmt_time !total_t) ~ok:!all_ok
+      rel_run w
+        { Table1.k; z; f = 1; g = relations w; eps }
+        ~key:
+          [
+            string_of_int seed;
+            string_of_int r.Rcro.join_size;
+            string_of_int r.Rcro.sample_size;
+          ]
+        ~extra:[] ~time r.Rcro.centers ~outliers:(List.length out) kept)
+    seeds
 
 (* ------------------------------------------------------------------ *)
 (* F1 -- runtime scaling series.                                       *)

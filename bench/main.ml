@@ -33,4 +33,8 @@ let () =
       end)
     Experiments.all;
   if with_micro || filters = [] then Micro.run ();
-  if Util.(!t1_rows) <> [] then Util.print_t1_summary ()
+  if Util.(!t1_rows) <> [] then begin
+    Util.print_t1_summary ();
+    (* A violated Table 1 row fails the run. *)
+    if List.exists (fun r -> not r.Util.ok) !Util.t1_rows then exit 1
+  end

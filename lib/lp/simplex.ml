@@ -225,7 +225,7 @@ let solve_shifted ~cutoff p =
   let n = p.num_vars in
   let shift = Array.map fst p.bounds in
   (* Rows: user constraints with rhs shifted, then the finite upper
-     bounds. *)
+     bounds. A user row keeps the caller's array, which is only read. *)
   let user_rows =
     List.map
       (fun (a, op, b) ->
@@ -233,7 +233,7 @@ let solve_shifted ~cutoff p =
         for i = 0 to n - 1 do
           b' := !b' -. (a.(i) *. shift.(i))
         done;
-        (Array.copy a, op, !b'))
+        (a, op, !b'))
       p.constraints
   in
   let bound_rows =

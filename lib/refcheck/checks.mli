@@ -16,9 +16,10 @@
     - [setcover.*] — greedy and exact vs brute force;
     - [cso.*] / [gcso.*] — exact solver, LP tri-criteria, MWU
       tri-criteria and both coreset rows' tri-criteria guarantees vs the
-      exhaustive [rho*]; the CSO-LP's
-      packing dual vs the bounded (LP1) it replaced; outlier-budget
-      monotonicity; k-median LP bound <= exact <= local search;
+      exhaustive [rho*], each through its row's {!Table1.verdict}; the
+      CSO-LP's packing dual vs the bounded (LP1) it replaced;
+      outlier-budget monotonicity; k-median LP bound <= exact <= local
+      search;
     - [relational.*] — Yannakakis count / enumerate / any / sample,
       semijoin reduction and hypertree decomposition vs the nested-loop
       join; the prepared rectangle oracle vs a filtered copy and a

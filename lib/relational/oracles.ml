@@ -5,21 +5,16 @@ module Box_complement = Cso_geom.Box_complement
 module Obs = Cso_obs.Obs
 
 (* Yannakakis-backed rectangle probes: the relational algorithms only
-   touch the join through these three oracles plus the complement-cell
+   touch the join through these oracles plus the complement-cell
    witness search, so their counts are the paper's "number of oracle
    calls" measure for Section 5. *)
 let c_count = Obs.counter "relational.oracle.count_rect"
-let c_sample = Obs.counter "relational.oracle.sample_rect"
 let c_any = Obs.counter "relational.oracle.any_in_rect"
 let c_witness = Obs.counter "relational.oracle.outside_witness"
 
 let count_rect inst tree rect =
   Obs.incr c_count;
   Yannakakis.count (Instance.filter_rect inst rect) tree
-
-let sample_rect ?rng inst tree rect n =
-  Obs.incr c_sample;
-  Yannakakis.sample ?rng (Instance.filter_rect inst rect) tree n
 
 (* A prepared handle (DESIGN.md §3l). Every join-tree edge [c -> parent c]
    interns the projections of its tuples onto the shared attributes: the

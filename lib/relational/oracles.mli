@@ -3,8 +3,8 @@
     All operate on an acyclic instance + join tree without materializing
     [Q(I)]:
 
-    - [count_rect] / [sample_rect] / [any_in_rect]: Lemma 4.1, counting,
-      sampling and retrieving join results inside a hyper-rectangle;
+    - [count_rect] / [any_in_rect]: Lemma 4.1, counting and retrieving
+      join results inside a hyper-rectangle;
       [any_in_rect] runs on a {!prepared} handle, built once per
       instance;
     - [rel_cluster]: Lemma 4.2, relational k-center (our Gonzalez-based
@@ -19,10 +19,6 @@
 
 val count_rect : Instance.t -> Join_tree.t -> Cso_geom.Rect.t -> int
 (** [|Q(I) cap rect|]. *)
-
-val sample_rect : ?rng:Random.State.t -> Instance.t -> Join_tree.t ->
-  Cso_geom.Rect.t -> int -> Cso_metric.Point.t array
-(** Uniform samples (with replacement) from [Q(I) cap rect]. *)
 
 type prepared
 (** An instance and join tree prepared for repeated rectangle queries:

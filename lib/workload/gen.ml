@@ -1,10 +1,5 @@
 let uniform rng ~lo ~hi = lo +. (Random.State.float rng 1.0 *. (hi -. lo))
 
-let gaussian rng ~mu ~sigma =
-  let u1 = max 1e-12 (Random.State.float rng 1.0) in
-  let u2 = Random.State.float rng 1.0 in
-  mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
 let uniform_point rng ~d ~lo ~hi = Array.init d (fun _ -> uniform rng ~lo ~hi)
 
 let around rng anchor ~radius =
@@ -19,11 +14,3 @@ let separated_anchors rng ~k ~d ~separation =
           let cell = i / int_of_float (float_of_int side ** float_of_int j) mod side in
           (2.0 *. separation *. float_of_int cell)
           +. uniform rng ~lo:(-.separation /. 4.0) ~hi:(separation /. 4.0)))
-
-let shuffle rng arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

@@ -4,9 +4,6 @@
 
 val uniform : Random.State.t -> lo:float -> hi:float -> float
 
-val gaussian : Random.State.t -> mu:float -> sigma:float -> float
-(** Box–Muller. *)
-
 val uniform_point : Random.State.t -> d:int -> lo:float -> hi:float ->
   Cso_metric.Point.t
 
@@ -19,5 +16,3 @@ val separated_anchors : Random.State.t -> k:int -> d:int ->
   separation:float -> Cso_metric.Point.t array
 (** [k] anchor points with pairwise Euclidean distance at least
     [separation], on a jittered axis-aligned lattice. *)
-
-val shuffle : Random.State.t -> 'a array -> unit

@@ -11,6 +11,7 @@ module Points = Cso_metric.Points
 module Range_tree = Cso_geom.Range_tree
 module Geo_instance = Cso_core.Geo_instance
 module Gcso_general = Cso_core.Gcso_general
+module Table1 = Cso_refcheck.Table1
 
 (* --- the driver --- *)
 
@@ -163,6 +164,54 @@ let test_gcso_lattice_gap () =
     (Geo_instance.cost g rep.Gcso_general.solution
     <= ((2.0 +. eps) *. opt) +. 1e-9)
 
+(* --- Table 1 bounds --- *)
+
+(* At these parameters every bound is exact in floating point: mu1 k,
+   mu2 z and mu3 opt. A measurement at each bound must pass, and one
+   just past it must fail on that criterion. A row with no mu3 constant
+   checks no cost, and a row with no bound (T1.R1) reads validity
+   only. *)
+let test_table1_bounds () =
+  let p = { Table1.k = 2; z = 4; f = 2; g = 3; eps = 0.5 } and opt = 1.5 in
+  List.iter
+    (fun (row : Table1.row) ->
+      let expect what m want =
+        if Result.map_error fst (Table1.verdict row p m) <> want then
+          Alcotest.failf "%s: unexpected verdict %s" row.id what
+      in
+      let count mu n =
+        let c = mu *. float_of_int n in
+        if Float.of_int (truncate c) <> c then
+          Alcotest.failf "%s: bound %g is not an integer" row.id c;
+        truncate c
+      in
+      let b = Option.map (fun bound -> bound p) row.bound in
+      let mu3 = Option.bind b (fun b -> b.Table1.mu3) in
+      let at =
+        {
+          Table1.valid = true;
+          centers = Option.fold b ~none:0 ~some:(fun b -> count b.Table1.mu1 p.k);
+          outliers = Option.fold b ~none:0 ~some:(fun b -> count b.Table1.mu2 p.z);
+          cost = Option.fold mu3 ~none:1e9 ~some:(fun mu3 -> mu3 *. opt);
+          opt = Some opt;
+        }
+      in
+      expect "at the bound" at (Ok ());
+      expect "when invalid" { at with valid = false } (Error Table1.Valid);
+      if b <> None then begin
+        expect "one center past" { at with centers = at.centers + 1 }
+          (Error Table1.Centers);
+        expect "one outlier past" { at with outliers = at.outliers + 1 }
+          (Error Table1.Outliers);
+        let past = { at with cost = Float.succ at.cost } in
+        if mu3 <> None then begin
+          expect "just past mu3" past (Error Table1.Cost);
+          expect "without an optimum" { past with opt = None } (Ok ())
+        end
+        else expect "without a mu3 constant" past (Ok ())
+      end)
+    Table1.rows
+
 let suite =
   [
     Alcotest.test_case "driver shrinks to minimal counterexample" `Quick
@@ -179,4 +228,6 @@ let suite =
       test_gcso_split_eps_calibration;
     Alcotest.test_case "regression: gcso lattice gap instance" `Quick
       test_gcso_lattice_gap;
+    Alcotest.test_case "table1 verdict holds at each bound, fails past it"
+      `Quick test_table1_bounds;
   ]
