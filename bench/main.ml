@@ -15,9 +15,6 @@ let matches filters name =
        filters
 
 let () =
-  (* lib/obs defaults to the dependency-free Sys.time clock; the bench
-     binary links Unix anyway, so give spans real wall-clock. *)
-  Cso_obs.Obs.set_clock Unix.gettimeofday;
   let filters = List.tl (Array.to_list Sys.argv) in
   let with_micro = matches filters "micro" in
   Printf.printf

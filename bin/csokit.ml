@@ -687,8 +687,4 @@ let main =
        ~doc:"Clustering with set outliers (PODS 2025) toolkit")
     [ gcso_cmd; cso_cmd; relational_cmd; gen_cmd; trace_cmd; budgets_cmd; fuzz_cmd ]
 
-let () =
-  (* Spans default to [Sys.time] (CPU time); the CLI has [unix] linked,
-     so give traces real wall-clock timestamps. *)
-  Obs.set_clock Unix.gettimeofday;
-  exit (Cmd.eval main)
+let () = exit (Cmd.eval main)

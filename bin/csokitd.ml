@@ -59,8 +59,7 @@ let run_serve socket tcp mode max_inflight batch domains fake_clock =
        the call order). *)
     Server.set_clock srv (fun () -> 0.0);
     Obs.set_clock (fun () -> 0.0)
-  end
-  else Server.set_clock srv Unix.gettimeofday;
+  end;
   Option.iter (Server.listen_unix srv) socket;
   Option.iter (fun port -> Server.listen_tcp srv ~port) tcp;
   Option.iter (fun p -> Fmt.epr "csokitd: listening on %s@." p) socket;
@@ -395,6 +394,4 @@ let main =
        ~doc:"Resident clustering-with-set-outliers service")
     [ serve_cmd; client_cmd; metrics_cmd; flight_cmd; top_cmd; check_cmd ]
 
-let () =
-  Obs.set_clock Unix.gettimeofday;
-  exit (Cmd.eval main)
+let () = exit (Cmd.eval main)

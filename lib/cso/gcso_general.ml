@@ -4,7 +4,7 @@ module Bbd = Cso_geom.Bbd_tree
 module Range_tree = Cso_geom.Range_tree
 module Wspd = Cso_geom.Wspd
 module Csr = Cso_geom.Csr
-module Float_sort = Cso_geom.Float_sort
+module Float_sort = Cso_metric.Float_sort
 module Mwu = Cso_lp.Mwu
 module Pool = Cso_parallel.Pool
 module Obs = Cso_obs.Obs

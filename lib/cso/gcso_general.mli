@@ -76,7 +76,7 @@ val top_k : float array -> int -> int list
     first: exactly {!top_k_reference}[ w k], ties, [-0.]/[0.], nan and
     infinities included, without sorting [w] unless the [k + 1] largest
     keys hold a tie. Then it sorts every id with
-    {!Cso_geom.Float_sort.ids_by_key_desc}, which leaves [Array.sort]'s
+    {!Cso_metric.Float_sort.ids_by_key_desc}, which leaves [Array.sort]'s
     exact permutation, in scratch the Oracle reuses across a guess's
     rounds. The Oracle's selection. *)
 

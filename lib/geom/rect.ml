@@ -143,7 +143,7 @@ let sort_by_widest_dim coords idx ~lo ~hi ~keys ~ids =
     ids.(i) <- p;
     keys.(i) <- Points.coord coords p !best
   done;
-  Float_sort.ids_by_key keys ids c;
+  Cso_metric.Float_sort.ids_by_key keys ids c;
   Array.blit ids 0 idx lo c
 
 let cube ~center ~side =

@@ -1,4 +1,5 @@
 module Points = Cso_metric.Points
+module Float_sort = Cso_metric.Float_sort
 module Obs = Cso_obs.Obs
 
 (* Pairs emitted and split-tree recursion steps: the decomposition's
@@ -191,10 +192,11 @@ let pairs_info ?(eps = 0.25) pts =
 (* Production entry point. The representative distance of every pair
    goes straight into one float buffer, after a leading [0.]; the
    emitted run is then reversed, so the buffer holds the values in the
-   order the list-based reference (lib/refcheck) sorts them. That
-   order, the exact [Array.sort] permutation of {!Float_sort.floats}
-   and a first-of-run dedupe under [=] make the result bit-identical
-   to the reference, nan and signed zeros included. *)
+   order the list-based reference (lib/refcheck) sorts them.
+   {!Cso_metric.Float_sort.sort_uniq} then leaves the [Array.sort]
+   permutation plus a first-of-run dedupe under [=], bit for bit: with
+   a nan or a [-0.] among the values it runs that very heap sort on
+   this order, and without either the order of ties cannot show. *)
 let candidate_distances_packed ?(eps = 0.25) coords =
   let s = separation ~eps () in
   let t = build_tree coords in
@@ -219,18 +221,7 @@ let candidate_distances_packed ?(eps = 0.25) coords =
     incr i;
     decr j
   done;
-  Float_sort.floats a len;
-  (* In place: keep the first of each run of [=]-equal values (every nan
-     stays, since nan <> nan). *)
-  let out = ref 0 in
-  for i = 0 to len - 1 do
-    let x = a.(i) in
-    if !out = 0 || not (a.(!out - 1) = x) then begin
-      a.(!out) <- x;
-      incr out
-    end
-  done;
-  Array.sub a 0 !out
+  Array.sub a 0 (Float_sort.sort_uniq a len)
 
 (* Boxed wrapper, test/reference only: packs and delegates. *)
 let candidate_distances ?eps pts =

@@ -35,9 +35,9 @@ val candidate_distances_packed : ?eps:float -> Cso_metric.Points.t ->
     production entry point. For every pairwise distance [delta] of the
     input there is a candidate in [[(1-eps) delta, (1+eps) delta]].
 
-    The pair distances go straight into one float buffer, which is
-    sorted with {!Float_sort.floats} and deduplicated in place: no pair
-    list and no boxed float. The result is bit-identical to the
+    The pair distances go straight into one float buffer, which
+    {!Cso_metric.Float_sort.sort_uniq} sorts and deduplicates in place:
+    no pair list and no boxed float. The result is bit-identical to the
     list-based reference [Cso_refcheck.Reference.wspd_candidate_distances],
     and the call publishes the same [geom.wspd.pairs],
     [geom.wspd.find_calls] and [metric.dist_evals] totals (once per

@@ -117,3 +117,97 @@ let sort ~desc ~with_ids (keys : float array) (ids : int array) l =
 let floats a len = sort ~desc:false ~with_ids:false a [||] len
 let ids_by_key keys ids len = sort ~desc:false ~with_ids:true keys ids len
 let ids_by_key_desc keys ids len = sort ~desc:true ~with_ids:true keys ids len
+
+(* --- [sort_uniq]: any exact sort where the order of ties is invisible ---
+
+   Without nan and [-0.], two floats that compare equal have the same
+   bits, so every sort leaves the same bits, and the heap sort's order
+   among ties cannot show. The prefix is then sorted by an introsort:
+   median-of-three quicksort with a Hoare partition (which splits runs
+   of equal keys in the middle), insertion sort below [small] elements,
+   and, past a depth of 2 log2 n, a restart with the heap sort, so the
+   worst case stays O(n log n). Every comparison is a float [<] on
+   unboxed reads. *)
+
+let small = 16
+
+exception Too_deep
+
+let[@inline] swap (a : float array) i j =
+  let t = Array.unsafe_get a i in
+  Array.unsafe_set a i (Array.unsafe_get a j);
+  Array.unsafe_set a j t
+
+let insertion (a : float array) lo hi =
+  for i = lo + 1 to hi do
+    let x = Array.unsafe_get a i in
+    let j = ref (i - 1) in
+    while !j >= lo && Array.unsafe_get a !j > x do
+      Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
+      decr j
+    done;
+    Array.unsafe_set a (!j + 1) x
+  done
+
+(* Sorts [a.(lo .. hi)], inclusive. Recurses into the smaller side and
+   loops on the larger, so the stack stays O(log n). *)
+let rec quick (a : float array) lo hi depth =
+  let lo = ref lo and hi = ref hi and depth = ref depth in
+  while !hi - !lo >= small do
+    if !depth = 0 then raise_notrace Too_deep;
+    decr depth;
+    let l = !lo and h = !hi in
+    let m = l + ((h - l) / 2) in
+    if Array.unsafe_get a m < Array.unsafe_get a l then swap a m l;
+    if Array.unsafe_get a h < Array.unsafe_get a l then swap a h l;
+    if Array.unsafe_get a h < Array.unsafe_get a m then swap a h m;
+    (* a.(l) <= p <= a.(h): both scans stop inside [l, h]. *)
+    let p = Array.unsafe_get a m in
+    let i = ref l and j = ref h in
+    while !i <= !j do
+      while Array.unsafe_get a !i < p do incr i done;
+      while p < Array.unsafe_get a !j do decr j done;
+      if !i <= !j then begin
+        swap a !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    (* [l .. j] <= p <= [i .. h] *)
+    if !j - l < h - !i then begin
+      quick a l !j !depth;
+      lo := !i
+    end
+    else begin
+      quick a !i h !depth;
+      hi := !j
+    end
+  done;
+  insertion a !lo !hi
+
+(* [x] is nan or [-0.]. *)
+let[@inline] special (x : float) = x <> x || (x = 0.0 && 1.0 /. x < 0.0)
+
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
+let sort_uniq (a : float array) len =
+  if len < 0 || len > Array.length a then
+    invalid_arg "Float_sort: length out of range";
+  let exact = ref false and i = ref 0 in
+  while (not !exact) && !i < len do
+    exact := special (Array.unsafe_get a !i);
+    incr i
+  done;
+  (if !exact then floats a len
+   else try quick a 0 (len - 1) (2 * log2 len) with Too_deep -> floats a len);
+  (* In place: keep the first of each run of [=]-equal values (every
+     nan stays, since nan <> nan). *)
+  let out = ref 0 in
+  for i = 0 to len - 1 do
+    let x = Array.unsafe_get a i in
+    if !out = 0 || not (Array.unsafe_get a (!out - 1) = x) then begin
+      Array.unsafe_set a !out x;
+      incr out
+    end
+  done;
+  !out

@@ -31,3 +31,18 @@ val ids_by_key : float array -> int array -> int -> unit
 val ids_by_key_desc : float array -> int array -> int -> unit
 (** [ids_by_key] descending: the permutation of
     [Array.sort (fun a b -> Float.compare (key b) (key a))]. *)
+
+val sort_uniq : float array -> int -> int
+(** [sort_uniq a len] sorts [a.(0 .. len-1)] ascending, keeps the first
+    of each run of [=]-equal values (every nan stays) in
+    [a.(0 .. m-1)] and returns [m]: bit for bit what {!floats} followed
+    by that dedupe leaves, on every input. Entries from [m] on are
+    unspecified.
+
+    The order the heap sort leaves among equal keys can show only
+    through a nan or a [-0.]: any other two floats that compare equal
+    have the same bits. So a prefix holding either is sorted with
+    {!floats}, and any other prefix with an introsort (median-of-three
+    quicksort, insertion sort on short ranges, and a restart with
+    {!floats} past depth 2 log2 [len]): O([len] log [len]) comparisons
+    in the worst case, none of them allocating. *)

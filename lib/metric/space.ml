@@ -93,16 +93,9 @@ let pairwise_distances s =
       for j = i + 1 to n - 1 do
         arr.(base + j) <- s.dist i j
       done);
-  (* Monomorphic float sort: [Array.sort compare] would dispatch the
-     polymorphic comparator per element pair. Same total order. *)
-  Array.sort Float.compare arr;
-  (* Deduplicate in place. *)
-  let out = ref [] in
-  Array.iter
-    (fun d -> match !out with x :: _ when x = d -> () | _ -> out := d :: !out)
-    arr;
-  let res = Array.of_list (List.rev !out) in
-  res
+  (* [Array.sort Float.compare] plus a first-of-run dedupe, bit for
+     bit, with no boxed comparison. *)
+  Array.sub arr 0 (Float_sort.sort_uniq arr (total + 1))
 
 let ball s ~center ~radius =
   let acc = ref [] in

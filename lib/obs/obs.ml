@@ -501,7 +501,11 @@ type span = {
 }
 
 let spans : (string, span) Hashtbl.t = Hashtbl.create 16
-let clock : (unit -> float) ref = ref Sys.time
+external monotonic : unit -> (float[@unboxed])
+  = "cso_obs_monotonic" "cso_obs_monotonic_unboxed"
+[@@noalloc]
+
+let clock : (unit -> float) ref = ref monotonic
 let set_clock f = clock := f
 
 (* Per-domain stack of open span names, innermost first. *)

@@ -33,9 +33,8 @@
     - {b Cheap when off.} [CSO_OBS=0] (or [set_enabled false]) reduces
       every instrumentation site to a single atomic load and branch;
       counters stay at 0 and spans do not touch the clock.
-    - {b Dependency-free.} Only the stdlib; the default span clock is
-      [Sys.time], and callers with access to a wall clock (the bench
-      harness and [bin/csokit] link [unix]) install it via {!set_clock}.
+    - {b Dependency-free.} Only the stdlib and one C stub: the default
+      span clock, {!monotonic}.
 
     Counter names are dot-separated, [layer.structure.event], e.g.
     [geom.bbd.nodes_visited]; the full taxonomy is documented in
@@ -118,10 +117,15 @@ val reset : unit -> unit
     separate table so the deterministic counter artifacts stay
     byte-comparable. *)
 
+val monotonic : unit -> float
+(** Seconds on the system's monotonic clock ([CLOCK_MONOTONIC]), from
+    an arbitrary fixed origin: wall time that never goes back. The
+    default clock of spans and of [Cso_serve.Server]. *)
+
 val set_clock : (unit -> float) -> unit
 (** Install the time source used by spans (seconds, any fixed origin).
-    Defaults to [Sys.time] (CPU time); the bench harness and [csokit]
-    install [Unix.gettimeofday]. *)
+    Defaults to {!monotonic}; tests install fake clocks, and [csokitd
+    --fake-clock] a constant one. *)
 
 val with_span : string -> (unit -> 'a) -> 'a
 (** Time [f] under the given span name (exceptions still record the

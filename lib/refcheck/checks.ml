@@ -132,6 +132,87 @@ let metric_pairwise =
       requiref (fast = naive) "pairwise_distances: %d values vs naive %d"
         (List.length fast) (List.length naive))
 
+(* [Float_sort.sort_uniq] against the heap sort it must match bit for
+   bit ([Float_sort.floats]) plus a first-of-run dedupe under [=], and
+   against the length that dedupe leaves. Prefixes mix nan, +-0, +-inf
+   and repeats with plain values, or take a shape that troubles a
+   quicksort: sorted, reversed, all equal, organ pipe, or Musser's
+   median-of-3 killer, now and then with one special value planted in
+   it. Entries past the prefix must stay as they were. *)
+let musser_killer n =
+  let a = Array.init n float_of_int in
+  let k = n / 2 in
+  for i = 1 to k do
+    if i land 1 = 1 then begin
+      a.(i - 1) <- float_of_int i;
+      a.(i) <- float_of_int (k + i)
+    end;
+    a.(k + i - 1) <- float_of_int (2 * i)
+  done;
+  a
+
+let gen_sort_prefix rng =
+  let n = int_in rng 0 (if Random.State.int rng 4 = 0 then 700 else 40) in
+  let specials = [| nan; -0.0; 0.0; infinity; neg_infinity |] in
+  let special () = specials.(Random.State.int rng 5) in
+  let value () =
+    match Random.State.int rng 8 with
+    | 0 -> special ()
+    | 1 | 2 -> float_of_int (Random.State.int rng 4)
+    | _ -> Random.State.float rng 100.0
+  in
+  let prefix =
+    match Random.State.int rng 6 with
+    | 0 -> Array.init n (fun _ -> value ())
+    | 1 -> Array.init n float_of_int
+    | 2 -> Array.init n (fun i -> float_of_int (n - i))
+    | 3 -> Array.make n (value ())
+    | 4 -> Array.init n (fun i -> float_of_int (min i (n - 1 - i)))
+    | _ -> musser_killer n
+  in
+  if n > 0 && Random.State.int rng 4 = 0 then
+    prefix.(Random.State.int rng n) <- special ();
+  (prefix, Array.init (int_in rng 0 3) (fun _ -> value ()))
+
+let floats_str a =
+  String.concat " " (List.map (Printf.sprintf "%h") (Array.to_list a))
+
+let metric_sort_uniq =
+  Fuzz.make ~name:"metric.sort_uniq_vs_heap_sort" ~gen:gen_sort_prefix
+    ~shrink:(fun (prefix, tail) ->
+      (if tail = [||] then [] else [ (prefix, [||]) ])
+      @ List.map (fun p -> (p, tail)) (drop_each prefix))
+    ~show:(fun (prefix, tail) ->
+      Printf.sprintf "prefix [%s] tail [%s]" (floats_str prefix)
+        (floats_str tail))
+    ~prop:(fun (prefix, tail) ->
+      let len = Array.length prefix in
+      let a = Array.append prefix tail in
+      let m = Cso_metric.Float_sort.sort_uniq a len in
+      let b = Array.append prefix tail in
+      Cso_metric.Float_sort.floats b len;
+      let out = ref 0 in
+      for i = 0 to len - 1 do
+        if !out = 0 || not (b.(!out - 1) = b.(i)) then begin
+          b.(!out) <- b.(i);
+          incr out
+        end
+      done;
+      let bits a i n = Array.map Int64.bits_of_float (Array.sub a i n) in
+      let* () =
+        requiref (m = !out) "%d values kept, heap sort keeps %d" m !out
+      in
+      let* () =
+        requiref
+          (bits a 0 m = bits b 0 m)
+          "kept [%s], heap sort keeps [%s]"
+          (floats_str (Array.sub a 0 m))
+          (floats_str (Array.sub b 0 m))
+      in
+      require
+        (bits a len (Array.length tail) = bits b len (Array.length tail))
+        "an entry past the prefix moved")
+
 let metric_cached =
   Fuzz.make ~name:"metric.cached_identical"
     ~gen:(fun rng -> gen_points rng ~n_min:1 ~n_max:10 ~d_max:3)
@@ -2601,27 +2682,39 @@ let walk_value rng =
   | 1 -> infinity
   | _ -> probe_value rng
 
-let gen_walk rng =
+(* An acyclic instance with up to [max_tuples] tuples per relation
+   (often none), each coordinate drawn by [value]. *)
+let gen_valued_rel ?(max_tuples = 5) value rng =
   let si = Random.State.int rng n_acyclic in
   let schema = schemas.(si) in
-  let d = Rel.Schema.dims schema in
   let tuples =
     List.init (Rel.Schema.n_relations schema) (fun rel ->
         let arity = Array.length (Rel.Schema.rel_attrs schema rel) in
-        List.init (int_in rng 0 5) (fun _ ->
-            Array.init arity (fun _ -> walk_value rng)))
+        List.init (int_in rng 0 max_tuples) (fun _ ->
+            Array.init arity (fun _ -> value rng)))
   in
-  let mask =
-    List.concat
-      (List.init (int_in rng 0 2) (fun _ ->
-           let rel = Random.State.int rng (List.length tuples) in
-           match List.nth tuples rel with
-           | [] -> []
-           | ts ->
-               [ (rel, List.nth ts (Random.State.int rng (List.length ts))) ]))
-  in
+  { r_schema = si; r_tuples = tuples }
+
+(* Up to two (relation, tuple) pairs of [r] to hide. *)
+let gen_mask rng r =
+  List.concat
+    (List.init (int_in rng 0 2) (fun _ ->
+         let rel = Random.State.int rng (List.length r.r_tuples) in
+         match List.nth r.r_tuples rel with
+         | [] -> []
+         | ts ->
+             [ (rel, List.nth ts (Random.State.int rng (List.length ts))) ]))
+
+let mask_str mask =
+  String.concat "; "
+    (List.map (fun (rel, tup) -> Printf.sprintf "%d:%s" rel (pt_str tup)) mask)
+
+let gen_walk rng =
+  let r = gen_valued_rel walk_value rng in
+  let d = Rel.Schema.dims schemas.(r.r_schema) in
+  let mask = gen_mask rng r in
   {
-    wk_rel = { r_schema = si; r_tuples = tuples };
+    wk_rel = r;
     wk_mask = mask;
     wk_centers =
       List.init (int_in rng 0 3) (fun _ ->
@@ -2642,10 +2735,7 @@ let rel_outside_walk =
             }))
     ~show:(fun w ->
       Printf.sprintf "%s mask: %s centers: %s r=%g" (show_rel w.wk_rel)
-        (String.concat "; "
-           (List.map
-              (fun (rel, tup) -> Printf.sprintf "%d:%s" rel (pt_str tup))
-              w.wk_mask))
+        (mask_str w.wk_mask)
         (String.concat "; " (List.map pt_str w.wk_centers))
         w.wk_r)
     ~prop:(fun w ->
@@ -2713,6 +2803,218 @@ let rel_outside_walk =
       in
       requiref (bits got = bits want) "drained %s vs reference %s" (show got)
         (show want))
+
+(* The flat L_inf lattice against the list-based one it replaced
+   ([Reference.candidate_linf_distances]), bit for bit. Values mix -0.
+   with 0., take the infinities and repeat, relations are often empty,
+   and a third of the values come off a quarter grid or uniform, so the
+   lattice has more than a handful of entries. *)
+let lattice_value rng =
+  match Random.State.int rng 3 with
+  | 0 -> walk_value rng
+  | 1 -> float_of_int (int_in rng (-8) 8) /. 4.0
+  | _ -> Random.State.float rng 10.0
+
+let rel_linf_candidates =
+  Fuzz.make ~name:"relational.linf_candidates_vs_reference"
+    ~gen:(gen_valued_rel ~max_tuples:6 lattice_value)
+    ~shrink:shrink_rel ~show:show_rel
+    ~prop:(fun r ->
+      let inst = rel_instance r in
+      let bits a = Array.map Int64.bits_of_float a in
+      let got = Rel.Oracles.candidate_linf_distances inst in
+      let want = Reference.candidate_linf_distances inst in
+      requiref
+        (bits got = bits want)
+        "candidates [%s] vs reference [%s]" (floats_str got) (floats_str want))
+
+(* The witness ascent ([Oracles.farthest_linf]) against the bisection it
+   replaced ([Reference.farthest_linf]) on one masked handle: the same
+   witness and distance, bit for bit, in at most 2 ceil(log2 |cand|) + 1
+   walks. Values mix -0. with 0. and repeat, on a half grid wide enough
+   for long candidate arrays; in half the instances some are infinite
+   and some are tenths, whose differences and midpoints round. The 1-3 centers are join
+   results of the masked instance or points whose every coordinate is a
+   value its attribute takes there (the shrinker may break either).
+   [cand] is the masked instance's own lattice, the unmasked one's, or
+   that of the instance with more tuples, as a caller may pass a
+   superset.
+
+   Where every center and every masked join result is finite, every
+   center coordinate is a value of its attribute in the masked
+   instance, and all of them lie on the half grid, the distance must
+   also be the brute-force max-min L_inf distance over
+   [Yannakakis.enumerate]. Elsewhere it need not be, in both searches:
+   a radius of inf covers every point around a finite center, so no
+   probe can find a result at distance inf; a cube around a center with
+   an infinite coordinate covers no point the walk tests; and where a
+   rounded cube face lands on a result's coordinate, the closed cell
+   still holds the result, so the search reads the next candidate, a
+   few ulps above the distance. *)
+type farthest_inst = {
+  fr_rel : rel_inst;
+  fr_mask : (int * float array) list;
+  fr_centers : float array list;
+  fr_cand : int; (* 0: the masked instance's own, 1: unmasked, 2: more *)
+  fr_extra : float array list list;
+}
+
+(* On the half grid, or, unless [exact], an infinity or a tenth one
+   time in eight each. *)
+let farthest_value ~exact rng =
+  match Random.State.int rng 16 with
+  | 0 when not exact -> neg_infinity
+  | 1 when not exact -> infinity
+  | 2 -> -0.0
+  | (3 | 4) when not exact -> float_of_int (int_in rng (-12) 12) /. 10.0
+  | _ -> float_of_int (int_in rng (-12) 12) /. 2.0
+
+(* The values attribute [a] takes in [inst], repeats included. *)
+let attr_values (inst : Rel.Instance.t) a =
+  let schema = inst.Rel.Instance.schema in
+  List.concat
+    (List.mapi
+       (fun rel ts ->
+         match Array.find_index (( = ) a) (Rel.Schema.rel_attrs schema rel) with
+         | None -> []
+         | Some pos ->
+             List.map (fun (t : float array) -> t.(pos)) (Array.to_list ts))
+       (Array.to_list inst.Rel.Instance.tuples))
+
+let gen_farthest rng =
+  (* Half the instances stay on the half grid, where the brute-force
+     comparison applies. Most coordinates come from a pool of three per
+     attribute, so that relations join; the rest are fresh. *)
+  let farthest_value = farthest_value ~exact:(Random.State.bool rng) in
+  let si = Random.State.int rng n_acyclic in
+  let schema = schemas.(si) in
+  let pools =
+    Array.init (Rel.Schema.dims schema) (fun _ ->
+        Array.init 3 (fun _ -> farthest_value rng))
+  in
+  let tuples =
+    List.init (Rel.Schema.n_relations schema) (fun rel ->
+        let attrs = Rel.Schema.rel_attrs schema rel in
+        List.init (int_in rng 0 6) (fun _ ->
+            Array.map
+              (fun a ->
+                if Random.State.int rng 3 = 0 then farthest_value rng
+                else pools.(a).(Random.State.int rng 3))
+              attrs))
+  in
+  let r = { r_schema = si; r_tuples = tuples } in
+  let mask = gen_mask rng r in
+  let masked = Rel.Instance.remove (rel_instance r) mask in
+  let results = Array.of_list (Reference.join masked) in
+  let off_join () =
+    Array.init (Rel.Schema.dims schema) (fun a ->
+        match attr_values masked a with
+        | [] -> farthest_value rng
+        | vs -> List.nth vs (Random.State.int rng (List.length vs)))
+  in
+  let centers =
+    List.init (int_in rng 1 3) (fun _ ->
+        if Array.length results > 0 && Random.State.bool rng then
+          Array.copy results.(Random.State.int rng (Array.length results))
+        else off_join ())
+  in
+  let extra =
+    List.init (Rel.Schema.n_relations schema) (fun rel ->
+        let arity = Array.length (Rel.Schema.rel_attrs schema rel) in
+        List.init (int_in rng 0 2) (fun _ ->
+            Array.init arity (fun _ -> farthest_value rng)))
+  in
+  { fr_rel = r; fr_mask = mask; fr_centers = centers;
+    fr_cand = Random.State.int rng 3; fr_extra = extra }
+
+let rec ceil_log2 m = if m <= 1 then 0 else 1 + ceil_log2 ((m + 1) / 2)
+
+let rel_farthest_linf =
+  Fuzz.make ~name:"relational.farthest_linf_vs_reference" ~gen:gen_farthest
+    ~shrink:(fun f ->
+      List.map (fun r -> { f with fr_rel = r }) (shrink_rel f.fr_rel)
+      @ List.init (List.length f.fr_mask) (fun i ->
+            { f with fr_mask = List.filteri (fun j _ -> j <> i) f.fr_mask })
+      @ (if List.length f.fr_centers <= 1 then []
+         else
+           List.init (List.length f.fr_centers) (fun i ->
+               { f with
+                 fr_centers = List.filteri (fun j _ -> j <> i) f.fr_centers }))
+      @ if f.fr_extra = [] || List.for_all (( = ) []) f.fr_extra then []
+        else [ { f with fr_extra = List.map (fun _ -> []) f.fr_extra } ])
+    ~show:(fun f ->
+      Printf.sprintf "%s mask: %s centers: %s cand#%d extra: %s"
+        (show_rel f.fr_rel) (mask_str f.fr_mask)
+        (String.concat "; " (List.map pt_str f.fr_centers))
+        f.fr_cand
+        (show_rel { f.fr_rel with r_tuples = f.fr_extra }))
+    ~prop:(fun f ->
+      let schema = schemas.(f.fr_rel.r_schema) in
+      let inst = rel_instance f.fr_rel in
+      let jt = Rel.Join_tree.build_exn schema in
+      let masked = Rel.Instance.remove inst f.fr_mask in
+      let h = Rel.Oracles.prepare inst jt in
+      Rel.Oracles.remove h f.fr_mask;
+      let cand =
+        Rel.Oracles.candidate_linf_distances
+          (match f.fr_cand with
+          | 0 -> masked
+          | 1 -> inst
+          | _ ->
+              Rel.Instance.make schema
+                (List.map2 ( @ ) f.fr_rel.r_tuples f.fr_extra))
+      in
+      let centers = f.fr_centers in
+      let (gw, gd), deltas =
+        Cso_obs.Obs.with_delta (fun () ->
+            Rel.Oracles.farthest_linf h ~centers ~cand)
+      in
+      let ww, wd = Reference.farthest_linf h ~centers ~cand in
+      let bits = Option.map (Array.map Int64.bits_of_float) in
+      let show = function None -> "none" | Some q -> pt_str q in
+      let* () =
+        requiref
+          (bits gw = bits ww && Int64.bits_of_float gd = Int64.bits_of_float wd)
+          "(%s, %h) vs reference (%s, %h)" (show gw) gd (show ww) wd
+      in
+      let walks =
+        Option.value ~default:0
+          (List.assoc_opt "relational.oracle.outside_witness" deltas)
+      in
+      let cap = (2 * ceil_log2 (Array.length cand)) + 1 in
+      let* () =
+        requiref (walks <= cap) "%d walks over %d candidates, more than %d"
+          walks (Array.length cand) cap
+      in
+      (* Every distance from a center to a result is then a difference
+         of two values of one attribute, which [cand] holds, and every
+         midpoint and cube face is exact. *)
+      let results = Array.to_list (Rel.Yannakakis.enumerate masked jt) in
+      let exact p = Array.for_all (fun x -> Float.is_integer (2.0 *. x)) p in
+      let on_values c =
+        let ok = ref true in
+        Array.iteri
+          (fun a x ->
+            if not (List.mem x (attr_values masked a)) then ok := false)
+          c;
+        !ok
+      in
+      if
+        List.for_all exact centers
+        && List.for_all exact results
+        && List.for_all on_values centers
+      then
+        let brute =
+          List.fold_left
+            (fun acc q ->
+              Float.max acc
+                (List.fold_left
+                   (fun m c -> Float.min m (Point.linf c q))
+                   infinity centers))
+            0.0 results
+        in
+        requiref (gd = brute) "distance %h, brute force %h" gd brute
+      else Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* serve.*                                                            *)
@@ -2933,6 +3235,7 @@ let all =
   [
     metric_ball;
     metric_pairwise;
+    metric_sort_uniq;
     metric_cached;
     metric_packed_kernels;
     geom_bbd_sandwich;
@@ -2971,6 +3274,8 @@ let all =
     rel_hypertree;
     rel_any_in_rect;
     rel_outside_walk;
+    rel_linf_candidates;
+    rel_farthest_linf;
     rel_partition;
     serve_protocol_roundtrip;
     serve_protocol_malformed;

@@ -3,7 +3,8 @@
     One {!Fuzz.t} per (fast implementation, oracle-or-invariant) pair,
     grouped by substrate prefix:
 
-    - [metric.*] — {!Cso_metric.Space} ball / pairwise / cached vs scans;
+    - [metric.*] — {!Cso_metric.Space} ball / pairwise / cached vs scans,
+      and [Float_sort.sort_uniq] vs the heap sort plus a dedupe;
     - [geom.*] — BBD sandwich guarantee, batched queries, power-of-two
       scale invariance, range-tree reporting vs scans, the flat WSPD
       lattice and the box-complement grid vs the versions they replaced;
@@ -24,7 +25,10 @@
       semijoin reduction and hypertree decomposition vs the nested-loop
       join; the prepared rectangle oracle vs a filtered copy and a
       Yannakakis pass; the pruned complement walk vs the unpruned one;
-      a partition that sends each tuple to exactly one half. *)
+      the flat L_inf lattice vs the list-based one; the witness ascent
+      of [farthest_linf] vs the bisection it replaced and, where the
+      search is exact, vs brute force; a partition that sends each
+      tuple to exactly one half. *)
 
 val all : Fuzz.t list
 (** Every registered check, in substrate order. *)

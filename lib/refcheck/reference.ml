@@ -644,3 +644,46 @@ let join (inst : Rel.Instance.t) =
 let any_in_rect inst tree rect =
   Cso_obs.Obs.incr (Cso_obs.Obs.counter "relational.oracle.any_in_rect");
   Rel.Yannakakis.any (Rel.Instance.filter_rect inst rect) tree
+
+(* [Oracles.candidate_linf_distances] as it was before its flat arrays:
+   per-attribute value lists and two [List.sort_uniq]s. *)
+let candidate_linf_distances (inst : Rel.Instance.t) =
+  let schema = inst.Rel.Instance.schema in
+  let d = Rel.Schema.dims schema in
+  let per_attr = Array.make d [] in
+  Array.iteri
+    (fun i rel ->
+      let attrs = Rel.Schema.rel_attrs schema i in
+      Array.iter
+        (fun tup ->
+          Array.iteri (fun pos a -> per_attr.(a) <- tup.(pos) :: per_attr.(a)) attrs)
+        rel)
+    inst.Rel.Instance.tuples;
+  let acc = ref [ 0.0 ] in
+  Array.iter
+    (fun vals ->
+      let vs = Array.of_list (List.sort_uniq Float.compare vals) in
+      let n = Array.length vs in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          acc := (vs.(j) -. vs.(i)) :: !acc
+        done
+      done)
+    per_attr;
+  Array.of_list (List.sort_uniq Float.compare !acc)
+
+(* [Oracles.farthest_linf] as it was before the witness ascent: a
+   bisection with one complement walk per probed index. *)
+let farthest_linf h ~centers ~cand =
+  if centers = [] then invalid_arg "Oracles.farthest_linf: no centers";
+  Cso_obs.Obs.with_span "oracle.farthest_linf" @@ fun () ->
+  (* Binary search the largest index [i] such that some result lies
+     strictly beyond radius (cand.(i) + cand.(i+1)) / 2; the farthest
+     distance is then cand.(i+1), attained by the witness. *)
+  match
+    Cso_metric.Guess.highest (Array.length cand - 1) (fun mid ->
+        Rel.Oracles.outside_witness h ~centers
+          ~r:((cand.(mid) +. cand.(mid + 1)) /. 2.0))
+  with
+  | Some (mid, w) -> (Some w, cand.(mid + 1))
+  | None -> (None, 0.0)

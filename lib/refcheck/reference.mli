@@ -6,11 +6,12 @@
     inspection. The optimized substrates ([Bbd_tree], [Range_tree],
     [Gonzalez], [Charikar_outliers], [Simplex], [Yannakakis],
     [Cso_general], ...) are differentially checked against these.
-    {!wspd_candidate_distances}, {!box_complement}, {!simplex_solve}
-    and {!any_in_rect} are the exception: the earlier implementation of
-    a substrate rewritten for speed, which the rewrite must match bit
-    for bit. {!cso_lp1} is the LP a solver stopped building, kept so
-    that its replacement can be checked against it. *)
+    {!wspd_candidate_distances}, {!box_complement}, {!simplex_solve},
+    {!any_in_rect}, {!candidate_linf_distances} and {!farthest_linf}
+    are the exception: the earlier implementation of a substrate
+    rewritten for speed, which the rewrite must match bit for bit.
+    {!cso_lp1} is the LP a solver stopped building, kept so that its
+    replacement can be checked against it. *)
 
 val subsets_up_to : 'a list -> int -> 'a list list
 (** All subsets of size at most [r] (the enumeration backbone of the
@@ -96,3 +97,19 @@ val any_in_rect :
     [Yannakakis.any (Instance.filter_rect inst rect) tree].
     {!Cso_relational.Oracles.any_in_rect} must match it bit for bit and
     count for count. *)
+
+val candidate_linf_distances : Cso_relational.Instance.t -> float array
+(** [Cso_relational.Oracles.candidate_linf_distances] as it was before
+    its flat arrays: per-attribute value lists, each deduplicated with
+    [List.sort_uniq Float.compare], then every difference of a value
+    from a larger one of the same attribute, with [0.], through one
+    more [List.sort_uniq]. The flat version must match it bit for bit. *)
+
+val farthest_linf :
+  Cso_relational.Oracles.prepared -> centers:Cso_metric.Point.t list ->
+  cand:float array -> Cso_metric.Point.t option * float
+(** [Cso_relational.Oracles.farthest_linf] as it was before the witness
+    ascent: [Guess.highest] over the indices of [cand], one
+    [Oracles.outside_witness] walk per probe, in the
+    [oracle.farthest_linf] span. The ascent must return the same
+    witness and distance, bit for bit. *)

@@ -1,5 +1,5 @@
 module Point = Cso_metric.Point
-module Guess = Cso_metric.Guess
+module Float_sort = Cso_metric.Float_sort
 module Rect = Cso_geom.Rect
 module Box_complement = Cso_geom.Box_complement
 module Obs = Cso_obs.Obs
@@ -214,27 +214,49 @@ let any_in_rect h rect =
 let candidate_linf_distances (inst : Instance.t) =
   let schema = inst.Instance.schema in
   let d = Schema.dims schema in
-  let per_attr = Array.make d [] in
+  let tuples = inst.Instance.tuples in
+  (* Each attribute's values, from every relation that has it. *)
+  let count = Array.make d 0 in
+  Array.iteri
+    (fun i rel ->
+      Array.iter
+        (fun a -> count.(a) <- count.(a) + Array.length rel)
+        (Schema.rel_attrs schema i))
+    tuples;
+  let vals = Array.map (fun c -> Array.make c 0.0) count in
+  let filled = Array.make d 0 in
   Array.iteri
     (fun i rel ->
       let attrs = Schema.rel_attrs schema i in
       Array.iter
-        (fun tup ->
-          Array.iteri (fun pos a -> per_attr.(a) <- tup.(pos) :: per_attr.(a)) attrs)
+        (fun (tup : float array) ->
+          Array.iteri
+            (fun pos a ->
+              vals.(a).(filled.(a)) <- tup.(pos);
+              filled.(a) <- filled.(a) + 1)
+            attrs)
         rel)
-    inst.Instance.tuples;
-  let acc = ref [ 0.0 ] in
-  Array.iter
-    (fun vals ->
-      let vs = Array.of_list (List.sort_uniq Float.compare vals) in
-      let n = Array.length vs in
-      for i = 0 to n - 1 do
-        for j = i + 1 to n - 1 do
-          acc := (vs.(j) -. vs.(i)) :: !acc
+    tuples;
+  let distinct = Array.map2 Float_sort.sort_uniq vals count in
+  let total =
+    Array.fold_left (fun acc m -> acc + (m * (m - 1) / 2)) 1 distinct
+  in
+  (* The differences go after a leading [0.]. An attribute keeps one of
+     [0.] and [-0.] when it holds both, and either gives the same
+     differences; distinct values differ by more than zero, so no nan and
+     no [-0.] reaches the final sort. *)
+  let out = Array.make total 0.0 in
+  let len = ref 1 in
+  Array.iteri
+    (fun a (vs : float array) ->
+      for i = 0 to distinct.(a) - 1 do
+        for j = i + 1 to distinct.(a) - 1 do
+          out.(!len) <- vs.(j) -. vs.(i);
+          incr len
         done
       done)
-    per_attr;
-  Array.of_list (List.sort_uniq Float.compare !acc)
+    vals;
+  Array.sub out 0 (Float_sort.sort_uniq out total)
 
 (* Some tuple from index [j] on is unhidden and passes [in_rect] on its
    first [n] attributes. *)
@@ -267,27 +289,70 @@ let find_outside h cubes f =
     (Schema.dims h.inst.Instance.schema)
     f
 
+let cubes_at centers r =
+  List.map (fun c -> Rect.cube ~center:c ~side:(2.0 *. r)) centers
+
 (* A join result strictly outside every L_inf ball of radius [r] around
    the centers, if one exists. [r] must not be a realizable coordinate
    difference so that no result lies exactly on a cube boundary. *)
 let outside_witness h ~centers ~r =
   Obs.with_span "oracle.outside_witness" @@ fun () ->
   Obs.incr c_witness;
-  let cubes = List.map (fun c -> Rect.cube ~center:c ~side:(2.0 *. r)) centers in
-  find_outside h cubes (any_in_rect h)
+  find_outside h (cubes_at centers r) (any_in_rect h)
+
+let rec ceil_log2 m = if m <= 1 then 0 else 1 + ceil_log2 ((m + 1) / 2)
 
 let farthest_linf h ~centers ~cand =
   if centers = [] then invalid_arg "Oracles.farthest_linf: no centers";
   Obs.with_span "oracle.farthest_linf" @@ fun () ->
-  (* Binary search the largest index [i] such that some result lies
-     strictly beyond radius (cand.(i) + cand.(i+1)) / 2; the farthest
-     distance is then cand.(i+1), attained by the witness. *)
-  match
-    Guess.highest (Array.length cand - 1) (fun mid ->
-        outside_witness h ~centers ~r:((cand.(mid) +. cand.(mid + 1)) /. 2.0))
-  with
-  | Some (mid, w) -> (Some w, cand.(mid + 1))
-  | None -> (None, 0.0)
+  (* Index [i] asks for a result strictly beyond the midpoint radius
+     (cand.(i) + cand.(i+1)) / 2. The answers are [Some] up to some i*
+     and [None] past it, and the farthest distance is cand.(i* + 1)
+     (DESIGN.md §3l). [lo] is the largest index known to answer [Some]
+     and [hi] the largest not known to answer [None]; [best] is the
+     witness that the walk at index [at] found. *)
+  let radius i = (cand.(i) +. cand.(i + 1)) /. 2.0 in
+  let walk i = outside_witness h ~centers ~r:(radius i) in
+  let lo = ref (-1) and hi = ref (Array.length cand - 2) in
+  let best = ref [||] and at = ref (-1) in
+  let probe i =
+    match walk i with
+    | None -> hi := i - 1
+    | Some w ->
+        best := w;
+        at := i;
+        (* The witness answers [Some] for every index whose cubes it
+           stays outside, by the walk's own cubes and cover test:
+           bisect that test for the last such index and jump there,
+           without a walk. *)
+        let a = ref i and b = ref !hi in
+        while !a < !b do
+          let m = (!a + !b + 1) / 2 in
+          if Box_complement.cover_test (cubes_at centers (radius m)) w then
+            b := m - 1
+          else a := m
+        done;
+        lo := !a
+  in
+  (* Ascend from index 0, at most ceil(log2 |cand|) walks, then bisect
+     what is left: at most 2 ceil(log2 |cand|) + 1 walks in all. *)
+  let steps = ref (ceil_log2 (Array.length cand)) in
+  while !lo < !hi && !steps > 0 do
+    decr steps;
+    probe (!lo + 1)
+  done;
+  while !lo < !hi do
+    probe ((!lo + 1 + !hi) / 2)
+  done;
+  if !lo < 0 then (None, 0.0)
+  else
+    (* The witness the bisection returns is the walk's at i* itself.
+       That walk answers [Some] wherever the walk is exact; where it is
+       not (coordinates from 2^53 on), keep the witness found below. *)
+    let w =
+      if !at = !lo then !best else Option.value (walk !lo) ~default:!best
+    in
+    (Some w, cand.(!lo + 1))
 
 let rel_cluster inst tree ~k =
   if k <= 0 then invalid_arg "Oracles.rel_cluster: k <= 0";

@@ -15,7 +15,8 @@
       cells of a set of cubes, skipping cells that some relation cannot
       populate;
     - [farthest_linf]: exact farthest join result (in L_inf) from a
-      center set, via complement-of-boxes decomposition. *)
+      center set, via complement-of-boxes walks and a capped witness
+      ascent over the candidates. *)
 
 val count_rect : Instance.t -> Join_tree.t -> Cso_geom.Rect.t -> int
 (** [|Q(I) cap rect|]. *)
@@ -69,7 +70,9 @@ val outside_witness : prepared -> centers:Cso_metric.Point.t list ->
 val candidate_linf_distances : Instance.t -> float array
 (** Sorted deduplicated candidates (0. included) containing every
     realizable per-attribute coordinate difference — hence every L_inf
-    distance between join results. *)
+    distance between join results. Built in flat float arrays and
+    sorted by {!Cso_metric.Float_sort.sort_uniq}: bit for bit the
+    list-based [Cso_refcheck.Reference.candidate_linf_distances]. *)
 
 val farthest_linf : prepared ->
   centers:Cso_metric.Point.t list -> cand:float array ->
@@ -78,8 +81,16 @@ val farthest_linf : prepared ->
     the minimum L_inf distance to a center and [witness] attains it
     ([None] iff [delta = 0.]). [cand] must come from
     [candidate_linf_distances] on (a superset of) this instance.
-    [centers] must be non-empty. Each probe is an {!any_in_rect} on the
-    handle. *)
+    [centers] must be non-empty.
+
+    A capped witness ascent (DESIGN.md §3l): each probe is one
+    {!outside_witness} walk at a midpoint radius of [cand], and a
+    witness also answers, without a walk, every larger index whose
+    cubes it stays outside. At most [2 ceil(log2 |cand|) + 1] walks,
+    and one when nothing lies beyond the lowest candidate. Returns the
+    same witness and distance, bit for bit, as the bisection it
+    replaced ([Cso_refcheck.Reference.farthest_linf]) whenever the
+    coordinates and cube faces stay below 2{^53} in magnitude. *)
 
 val rel_cluster : Instance.t -> Join_tree.t -> k:int ->
   Cso_metric.Point.t list * float

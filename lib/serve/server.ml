@@ -106,7 +106,7 @@ let create ?(config = default_config) registry =
     stopping = false;
     stopped = false;
     unix_paths = [];
-    clock = Sys.time;
+    clock = Cso_obs.Obs.monotonic;
     next_req_id = 0;
     next_conn_id = 0;
     read_buf = Bytes.create 65536;

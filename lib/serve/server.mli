@@ -115,6 +115,7 @@ val connections : t -> int
 
 val set_clock : t -> (unit -> float) -> unit
 (** Clock for request-phase timing — the latency histograms and the
-    flight-recorder phases (seconds; defaults to [Sys.time]; the daemon
-    installs [Unix.gettimeofday], or a constant [fun () -> 0.] under
-    [--fake-clock] so every timing is deterministically zero). *)
+    flight-recorder phases (seconds; defaults to
+    [Cso_obs.Obs.monotonic]; the daemon installs a constant
+    [fun () -> 0.] under [--fake-clock] so every timing is
+    deterministically zero). *)

@@ -1,6 +1,7 @@
 open Cso_geom
 module Point = Cso_metric.Point
 module Points = Cso_metric.Points
+module Float_sort = Cso_metric.Float_sort
 
 let rng = Random.State.make [| 2024 |]
 

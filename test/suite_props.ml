@@ -417,7 +417,7 @@ let test_obs_spans () =
       let v = !t in
       t := v +. 1.0;
       v);
-  Fun.protect ~finally:(fun () -> Obs.set_clock Sys.time) (fun () ->
+  Fun.protect ~finally:(fun () -> Obs.set_clock Obs.monotonic) (fun () ->
       let r =
         Obs.with_span "props_outer" (fun () ->
             Obs.with_span "props_inner" (fun () -> 41 + 1))
@@ -555,7 +555,7 @@ let with_fake_clock f =
       let v = !t in
       t := v +. 1.0;
       v);
-  Fun.protect ~finally:(fun () -> Obs.set_clock Sys.time) f
+  Fun.protect ~finally:(fun () -> Obs.set_clock Obs.monotonic) f
 
 let with_tracing f =
   let was = Obs.Trace.enabled () in

@@ -279,6 +279,55 @@ let prop_farthest_linf_matches_brute =
           in
           abs_float (delta -. brute) < 1e-9)
 
+(* The ascent's worst case, pinned: a chain whose walks find the
+   results nearest first. R1 = {(0,0)} u {(-i, i*1e-6)} and R2 =
+   {(0,0)} u {(i*1e-6, 0)}, i = 1..200, join to (-i, i*1e-6, 0) at L_inf
+   distance i from the center (0,0,0), and each walk's witness is the
+   nearest result outside the cubes, so every ascent step climbs one
+   result. Uncapped, the ascent would walk 200 times; the cap stops it
+   after ceil(log2 |cand|) walks and bisects the rest. With both
+   relations listed farthest first, the first walk already finds the
+   farthest result and the second proves nothing lies beyond it. *)
+let chain_instance ~nearest_first =
+  let order =
+    List.init 200 (fun i ->
+        float_of_int (if nearest_first then i + 1 else 200 - i))
+  in
+  let r1 = List.map (fun i -> [| -.i; i *. 1e-6 |]) order in
+  let r2 = List.map (fun i -> [| i *. 1e-6; 0.0 |]) order in
+  Instance.make (path_schema ()) [ [| 0.0; 0.0 |] :: r1; [| 0.0; 0.0 |] :: r2 ]
+
+let test_farthest_linf_chain () =
+  let walks inst =
+    let tree = Join_tree.build_exn inst.Instance.schema in
+    let cand = Oracles.candidate_linf_distances inst in
+    let centers = [ [| 0.0; 0.0; 0.0 |] ] in
+    let h = Oracles.prepare inst tree in
+    let (w, delta), deltas =
+      Cso_obs.Obs.with_delta (fun () -> Oracles.farthest_linf h ~centers ~cand)
+    in
+    let rw, rdelta = Cso_refcheck.Reference.farthest_linf h ~centers ~cand in
+    let bits = Option.map (Array.map Int64.bits_of_float) in
+    Alcotest.(check bool) "the bisection's witness" true (bits w = bits rw);
+    Alcotest.(check (float 0.0)) "the bisection's distance" rdelta delta;
+    Alcotest.(check (float 0.0)) "farthest distance" 200.0 delta;
+    Alcotest.(check bool) "farthest witness" true
+      (w = Some [| -200.0; 200.0 *. 1e-6; 0.0 |]);
+    let rec ceil_log2 m = if m <= 1 then 0 else 1 + ceil_log2 ((m + 1) / 2) in
+    ( Option.value ~default:0
+        (List.assoc_opt "relational.oracle.outside_witness" deltas),
+      (2 * ceil_log2 (Array.length cand)) + 1 )
+  in
+  let was = Cso_obs.Obs.enabled () in
+  Cso_obs.Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Cso_obs.Obs.set_enabled was) @@ fun () ->
+  let n, cap = walks (chain_instance ~nearest_first:true) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d walks, at most %d" n cap)
+    true (n <= cap);
+  let n, _ = walks (chain_instance ~nearest_first:false) in
+  Alcotest.(check int) "farthest first: two walks" 2 n
+
 let test_rel_cluster () =
   let inst = tiny_instance () in
   let tree = Join_tree.build_exn inst.Instance.schema in
@@ -522,5 +571,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_candidate_distances_complete;
     Alcotest.test_case "farthest_linf" `Quick test_farthest_linf;
     QCheck_alcotest.to_alcotest prop_farthest_linf_matches_brute;
+    Alcotest.test_case "farthest_linf chain worst case" `Quick
+      test_farthest_linf_chain;
     Alcotest.test_case "rel_cluster" `Quick test_rel_cluster;
   ]

@@ -1074,7 +1074,26 @@ let small_load =
 let with_fake_clocks srv f =
   Obs.set_clock (fun () -> 0.0);
   Server.set_clock srv (fun () -> 0.0);
-  Fun.protect ~finally:(fun () -> Obs.set_clock Sys.time) f
+  Fun.protect ~finally:(fun () -> Obs.set_clock Obs.monotonic) f
+
+(* The default span clock is monotonic wall time: a span around a 20 ms
+   sleep records the sleep, where CPU time would read about zero. *)
+let test_default_clock_counts_sleep () =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  let slept () =
+    List.fold_left
+      (fun acc (path, _, secs) ->
+        if path = "serve_test.sleep" then acc +. secs else acc)
+      0.0 (Obs.span_stats ())
+  in
+  let before = slept () in
+  Obs.with_span "serve_test.sleep" (fun () -> Unix.sleepf 0.02);
+  let got = slept () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "span around a 20 ms sleep records %.4f s" got)
+    true (got >= 0.015)
 
 (* [serve.bytes_in]/[serve.bytes_out] must equal the summed encoded
    frame sizes — per codec, since the two codecs frame differently. *)
@@ -1249,6 +1268,8 @@ let test_obs_off_metrics_flight () =
 
 let suite =
   [
+    Alcotest.test_case "default clock counts a sleep" `Quick
+      test_default_clock_counts_sleep;
     Alcotest.test_case "byte identity: binary, drift script, all pools" `Slow
       (test_byte_identity P.Binary);
     Alcotest.test_case "byte identity: jsonl, drift script, all pools" `Slow
