@@ -46,9 +46,11 @@ kernels-smoke:
 	dune exec bench/main.exe -- smoke_kernels
 
 # Trace round-trip gate: record a traced GCSO run, re-read the JSONL
-# through the csokit parser (proving writer and parser agree), check the
-# Chrome export parses, and re-check the committed budget baseline
-# through the CLI path. A traced relational run makes the same round
+# through the csokit parser (proving writer and parser agree) and
+# require its radius grid (gcso.lattice), its guesses (gcso.guess) and
+# their MWU runs (mwu.run), check the Chrome export parses, and re-check
+# the committed budget baseline through the CLI path. A traced
+# relational run makes the same round
 # trip and must keep the oracle.farthest_linf and oracle.outside_witness
 # spans, which the benchmark's table1 attribution reads; a traced CSO-LP
 # run must keep the LP row's three layers (cso.lp_build, simplex.solve,
@@ -60,7 +62,10 @@ kernels-smoke:
 trace-smoke:
 	dune exec bin/csokit.exe -- trace --run gcso -n 60 --seed 7 \
 		--jsonl trace_smoke.jsonl --chrome trace_smoke_chrome.json
-	dune exec bin/csokit.exe -- trace --in trace_smoke.jsonl
+	dune exec bin/csokit.exe -- trace --in trace_smoke.jsonl \
+		--require-span gcso.lattice \
+		--require-span gcso.guess \
+		--require-span mwu.run
 	dune exec bin/csokit.exe -- trace --run relational -n 60 --seed 7 \
 		--jsonl trace_smoke_rel.jsonl
 	dune exec bin/csokit.exe -- trace --in trace_smoke_rel.jsonl \

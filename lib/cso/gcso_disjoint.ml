@@ -2,7 +2,6 @@ module Points = Cso_metric.Points
 module Guess = Cso_metric.Guess
 module Bbd = Cso_geom.Bbd_tree
 module Csr = Cso_geom.Csr
-module Wspd = Cso_geom.Wspd
 module Gonzalez = Cso_kcenter.Gonzalez
 module Obs = Cso_obs.Obs
 
@@ -169,21 +168,12 @@ let solve ?(eps = 0.3) ?rounds (g : Geo_instance.t) =
     invalid_arg "Gcso_disjoint.solve: rectangles must be disjoint (f = 1)";
   Obs.with_span "gcso_disjoint.solve" @@ fun () ->
   let cores = Obs.with_span "gcso_disjoint.cores" (fun () -> cores g) in
-  (* Same lattice hazard as [Gcso_general.solve]: raw WSPD candidates can
-     all fall below the optimum in its (1+eps) band, leaving the smallest
-     feasible guess unboundedly far above it. Generate finer and inflate
-     so some guess lands in [opt, (1+eps) opt]. *)
+  (* Some grid value lies in [rho*, (1+eps) rho*] (guess.mli), and the
+     search accepts it. *)
   let gamma =
     Obs.with_span "gcso_disjoint.lattice" @@ fun () ->
-    let eps_w = eps /. (2.0 +. eps) in
-    let gamma =
-      Array.map
-        (fun d -> d /. (1.0 -. eps_w))
-        (Wspd.candidate_distances_packed ~eps:eps_w g.Geo_instance.coords)
-    in
-    let len = Array.length gamma in
-    if len = 0 then [| 0.0 |]
-    else Array.append gamma [| 4.0 *. gamma.(len - 1) |]
+    let gamma = Guess.radius_grid ~ratio:(1.0 +. eps) g.Geo_instance.coords in
+    Array.append gamma [| 4.0 *. gamma.(Array.length gamma - 1) |]
   in
   match
     Guess.lowest (Array.length gamma) (fun mid ->

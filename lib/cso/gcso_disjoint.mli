@@ -25,8 +25,9 @@
     - so an accepted guess [r] costs at most [(4 + 30(1+eps)) r]. The
       [10r] radii (the pruning's inner balls, (LP3)'s cover radius)
       decide only which guesses are accepted;
-    - the inflated lattice holds a guess in [[rho*, (1+eps) rho*]],
-      which is accepted, so [r <= (1+eps) rho*].
+    - the radius grid ({!Cso_metric.Guess.radius_grid} at ratio
+      [1 + eps]) holds a guess in [[rho*, (1+eps) rho*]], which is
+      accepted, so [r <= (1+eps) rho*].
     The center bound and the last step need the MWU to converge: capped
     [rounds] can miss them. [gcso.disjoint_tricriteria_vs_opt] checks
     all three bounds against the exhaustive optimum. *)
@@ -51,11 +52,13 @@ type report = {
 }
 
 val solve : ?eps:float -> ?rounds:int -> Geo_instance.t -> report
-(** Full algorithm with binary search over WSPD candidate distances.
-    Raises [Invalid_argument] if the instance has frequency > 1.
+(** Full algorithm with binary search over
+    {!Cso_metric.Guess.radius_grid} at ratio [1 + eps], topped by four
+    times its last value. Raises [Invalid_argument] if the instance has
+    frequency > 1, or unless [eps > 0.].
 
     Under [gcso_disjoint.solve], a solve records the {!Cso_obs.Obs}
     spans [gcso_disjoint.cores] (phase 1's members and Gonzalez),
-    [gcso_disjoint.lattice] and one [gcso_disjoint.guess] per
+    [gcso_disjoint.lattice] (the grid) and one [gcso_disjoint.guess] per
     binary-search guess (holding [mwu.run] and [gcso.round] when the
     guess reaches the MWU). *)

@@ -2,7 +2,6 @@ module Point = Cso_metric.Point
 module Guess = Cso_metric.Guess
 module Bbd = Cso_geom.Bbd_tree
 module Range_tree = Cso_geom.Range_tree
-module Wspd = Cso_geom.Wspd
 module Csr = Cso_geom.Csr
 module Float_sort = Cso_metric.Float_sort
 module Mwu = Cso_lp.Mwu
@@ -408,12 +407,11 @@ type report = {
 }
 
 (* Accuracy budget split (the eps-overspend fix). Three consumers spend
-   accuracy: the inflated WSPD candidate lattice (a feasible guess
-   within (1+eps_w) above the discrete optimum; see [solve]), the BBD
-   ball queries (rounding invariant cost <= 2 (1+eps_b) radius), and the
-   MWU rounds (additive eps_m feasibility slack, absorbed by the 1/(2f)
-   rounding threshold). Passing
-   the caller's eps to all three un-split multiplies out to
+   accuracy: the radius grid (a guess within a factor (1+eps_c) above
+   the discrete optimum; see [solve]), the BBD ball queries (rounding
+   invariant cost <= 2 (1+eps_b) radius), and the MWU rounds (additive
+   eps_m feasibility slack, absorbed by the 1/(2f) rounding threshold).
+   Passing the caller's eps to all three un-split multiplies out to
    2 (1+eps)^2 — the calibration bug pinned by the PR-5 canary. Giving
    each consumer eps/5 yields
 
@@ -435,25 +433,13 @@ let solve ?(eps = 0.3) ?rounds ?candidates ?warm_weights ?on_weights g =
     match candidates with
     | Some c -> c
     | None ->
+        (* Some grid value lies in [rho*, (1+eps_c) rho*] (guess.mli),
+           and the search accepts it. *)
         Obs.with_span "gcso.lattice" @@ fun () ->
-        (* The WSPD places a candidate only within
-           [(1-e) delta, (1+e) delta] of each pairwise distance delta
-           (wspd.mli), so the candidate tracking the discrete optimum
-           can land *below* it — where the LP is infeasible — while the
-           next candidate up is unboundedly far (a fuzz-found gap of
-           1.39x opt). Generate at [eps_w] and inflate every candidate
-           by [1/(1-eps_w)]: the optimum's candidate then maps into
-           [opt, ((1+eps_w)/(1-eps_w)) opt], and
-           eps_w = eps_c/(2+eps_c) makes that upper factor exactly
-           [1+eps_c], preserving the (2+eps) budget below. *)
-        let eps_w = eps_c /. (2.0 +. eps_c) in
-        let raw =
-          Wspd.candidate_distances_packed ~eps:eps_w (Bbd.coords p.bbd)
-        in
-        Array.map (fun d -> d /. (1.0 -. eps_w)) raw
+        Guess.radius_grid ~ratio:(1.0 +. eps_c) g.Geo_instance.coords
   in
-  (* The WSPD only approximates the diameter; append a guess safely above
-     it so the binary search always has a feasible endpoint. *)
+  (* Append a guess safely above the top value so the binary search
+     always has a feasible endpoint. *)
   let gamma =
     let len = Array.length gamma in
     if len = 0 then [| 0.0 |]
@@ -507,8 +493,8 @@ let solve ?(eps = 0.3) ?rounds ?candidates ?warm_weights ?on_weights g =
   | Some (mid, solution) ->
       { solution; radius = gamma.(mid); rounds_per_guess; guesses = !guesses }
   | None ->
-      (* The largest WSPD distance exceeds half the diameter, where the
-         oracle is always feasible; unreachable for non-empty inputs. *)
+      (* The top guess exceeds the diameter, where the oracle is always
+         feasible; unreachable for non-empty inputs. *)
       let sol = { Instance.centers = []; outliers = [] } in
       { solution = sol; radius = 0.0; rounds_per_guess; guesses = !guesses }
 
@@ -534,9 +520,9 @@ module Incremental = struct
        cached reports survive set updates unambiguously. *)
     mutable rect_slots : (int * Rect.t) list;
     mutable next_rect_id : int;
-    (* A rect insert/delete changes the WSPD candidate lattice and the
-       constraint-matrix shape in ways the insert-only point sketch
-       cannot see, so it must force the next query to re-solve. *)
+    (* A rect insert/delete changes the constraint matrix in ways the
+       insert-only point sketch cannot see, so it must force the next
+       query to re-solve. *)
     mutable rects_dirty : bool;
     k : int;
     z : int;

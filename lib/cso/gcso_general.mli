@@ -5,15 +5,17 @@
     method; the Oracle and Update procedures run on a BBD tree (ball
     canonical nodes, Section 3.1) and a range tree (rectangle canonical
     nodes) instead of touching the constraint matrix, and the binary
-    search runs over the WSPD candidate distances instead of all pairwise
-    distances.
+    search runs over a geometric radius grid
+    ({!Cso_metric.Guess.radius_grid}) instead of all pairwise distances
+    or the paper's WSPD candidate distances (DESIGN.md section 2,
+    substitution 9).
 
     Guarantee (Theorem 3.2): at most [(2+eps)k] centers, [2fz] outlier
     rectangles, cost at most [(2+eps) rho*_{k,z}].
 
     Calibration note (found by [csokit fuzz], fixed here): the theorem's
     [(2+eps)] cost factor assumes the input accuracy is split across the
-    WSPD candidate lattice, the BBD ball queries and the MWU rounds.
+    radius guesses, the BBD ball queries and the MWU rounds.
     [solve] performs that split internally — each consumer receives
     [eps/5], and since [cost <= 2 (1+eps/5) radius] (rounding invariant)
     while [radius] is within [(1+eps/5)] of the discrete optimum,
@@ -95,18 +97,23 @@ type report = {
 val solve : ?eps:float -> ?rounds:int -> ?candidates:float array ->
   ?warm_weights:float array -> ?on_weights:(float array -> unit) ->
   Geo_instance.t -> report
-(** Binary search over the inflated WSPD candidate lattice: candidates
-    are generated at [eps_w = (eps/5)/(2+eps/5)] and each is multiplied
-    by [1/(1-eps_w)], so the candidate tracking the discrete optimum
-    from below (where the LP is infeasible) maps to a feasible guess
-    within [(1+eps/5)] of it — raw candidates can leave an unbounded
-    feasibility gap above the optimum. [candidates] substitutes an
-    explicit sorted guess lattice used as-is (e.g. all exact pairwise
-    distances, for the granularity ablation; the (2+eps) bound then
-    needs a lattice value in [[opt, (1+eps/5) opt]]). [eps] (default
-    [0.3], must lie in [(0, 2.5]]) is the end-to-end accuracy: it is
-    split [eps/5]-per-consumer internally (see the calibration note
-    above), including the default MWU round count.
+(** Binary search over {!Cso_metric.Guess.radius_grid} at ratio
+    [1 + eps/5]: [0.], then powers of [1 + eps/5] from half the smallest
+    coordinate gap up to the bounding-box diagonal, and a top guess of
+    four times the last value. Some grid value lies in
+    [[rho*, (1+eps/5) rho*]] for the discrete optimum [rho*], and the
+    search accepts it, so the accepted radius is within [(1+eps/5)] of
+    [rho*]. The grid holds about [log_{1+eps/5} (hi/lo)] values, a
+    number set by the coordinates' spread, not by [n]: the search takes
+    8–9 guesses on the planted workloads from n = 300 to 3,200. Building
+    it costs one sort per coordinate. [candidates]
+    substitutes an explicit sorted guess lattice used as-is (e.g. all
+    exact pairwise distances, or the inflated WSPD lattice, for the
+    granularity ablation; the (2+eps) bound then needs a lattice value
+    in [[opt, (1+eps/5) opt]]). [eps] (default [0.3], must lie in
+    [(0, 2.5]]) is the end-to-end accuracy: it is split
+    [eps/5]-per-consumer internally (see the calibration note above),
+    including the default MWU round count.
 
     [warm_weights] seeds every guess's MWU at the given per-point
     weights (length [n], indexed like the instance's points).
@@ -131,14 +138,13 @@ val solve : ?eps:float -> ?rounds:int -> ?candidates:float array ->
     not comparable: its center blow-up puts it below any (k+z)-center
     bound), or the live count halves/doubles, which covers deletion
     drift the insert-only sketch cannot see. A rectangle update always
-    forces the next query to re-solve — it reshapes the WSPD candidate
-    lattice and the constraint matrix, which no point-side signal can
-    certify. A re-solve rebuilds the static instance from the live
-    points and live rectangles and warm-starts its MWU from the
-    previous accepted-guess weights, mapped across the two populations
-    by stable external constraint id (points and rects each draw from
-    dense, never-reused id sequences); constraints unseen at the prior
-    solve enter at the MWU weight floor
+    forces the next query to re-solve — it changes the constraints,
+    which no point-side signal can certify. A re-solve rebuilds the
+    static instance from the live points and live rectangles and
+    warm-starts its MWU from the previous accepted-guess weights,
+    mapped across the two populations by stable external constraint id
+    (points and rects each draw from dense, never-reused id sequences);
+    constraints unseen at the prior solve enter at the MWU weight floor
     ({!Cso_lp.Mwu.min_weight_factor}). *)
 module Incremental : sig
   type t

@@ -104,7 +104,6 @@ let build_packed coords =
   t
 
 let size t = t.coords.Points.n
-let coords t = t.coords
 let node_count t id = t.count.(id)
 let leaf_of_point t i = t.leaf_of.(i)
 let n_nodes t = t.n_nodes

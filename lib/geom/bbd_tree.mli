@@ -29,9 +29,6 @@ val build_packed : Cso_metric.Points.t -> t
 val size : t -> int
 (** Number of points. *)
 
-val coords : t -> Cso_metric.Points.t
-(** The packed coordinate store the tree was built over. *)
-
 val ball_query : t -> center:Cso_metric.Point.t -> radius:float ->
   eps:float -> int list
 (** Canonical node ids with the sandwich guarantee above. *)

@@ -1,7 +1,6 @@
 module Points = Cso_metric.Points
 module Guess = Cso_metric.Guess
 module Bbd = Cso_geom.Bbd_tree
-module Wspd = Cso_geom.Wspd
 
 type result = {
   centers : int list;
@@ -42,10 +41,11 @@ let run_on_all ?(eps = 0.25) pts ~k ~budget =
   let n = Array.length pts in
   if n = 0 then { centers = []; radius = 0.0; sample_size = 0; sample_outliers = 0 }
   else begin
-    (* One pack feeds the tree and the candidate lattice. *)
+    (* One pack feeds the tree and the radius grid, which holds a guess
+       in [rho, (1+eps) rho] for every positive distance rho. *)
     let coords = Points.of_array pts in
     let tree = Bbd.build_packed coords in
-    let gamma = Wspd.candidate_distances_packed ~eps coords in
+    let gamma = Guess.radius_grid ~ratio:(1.0 +. eps) coords in
     let best =
       Guess.lowest (Array.length gamma) (fun mid ->
           let centers, remaining = greedy_pass tree ~k ~r:gamma.(mid) ~eps in

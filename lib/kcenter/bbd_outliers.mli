@@ -24,7 +24,11 @@ val run_on_all : ?eps:float -> Cso_metric.Point.t array -> k:int ->
 (** The BBD-accelerated greedy + binary search on exactly the given
     points, allowing [budget] of them to stay uncovered. No sampling —
     this is the inner engine [run] applies to its sample, exposed for
-    callers (the RCRO algorithm) that sample through their own oracle. *)
+    callers (the RCRO algorithm) that sample through their own oracle.
+    The search runs over {!Cso_metric.Guess.radius_grid} at ratio
+    [1 + eps], so the accepted guess lies within [(1+eps)] of the
+    smallest pairwise distance from which the greedy accepts every
+    guess. *)
 
 val outliers_at : Cso_metric.Point.t array -> centers:int list ->
   threshold:float -> int list

@@ -267,6 +267,107 @@ let metric_packed_kernels =
       done;
       !bad)
 
+(* [Guess.radius_grid]'s contract (guess.mli) over point sets with -0.,
+   duplicate points and repeated coordinates, now and then with values
+   in the subnormal or near-overflow range: the grid starts with 0., grows
+   strictly, ends at or above every finite distance, and holds a value
+   in [[d, ratio *. d]] for each finite positive distance [d]. A
+   threshold probe that accepts [r >= tau], for a distance [tau] of the
+   set, must make [Guess.lowest] return a value in [[tau, ratio *. tau]],
+   which is what the solvers' searches rely on. The ratios are the
+   solvers' shares at their default eps. *)
+type grid_inst = {
+  r_pts : Point.t array;
+  r_ratio : float;
+  r_tau : int * int;
+}
+
+let gen_radius_grid rng =
+  let n = int_in rng 0 12 and d = int_in rng 1 3 in
+  (* In one case of four, half the coordinates are scaled, so tiny or
+     huge values sit beside plain ones. *)
+  let scale =
+    if Random.State.int rng 4 > 0 then 1.0
+    else [| 0x1p-1070; 0x1p-537; 0x1p510; 0x1p1000 |].(Random.State.int rng 4)
+  in
+  let value () =
+    let x = signed_coord rng in
+    if Random.State.bool rng then scale *. x else x
+  in
+  let pts = Array.init n (fun _ -> Array.init d (fun _ -> value ())) in
+  Array.iteri
+    (fun i _ ->
+      if i > 0 && Random.State.int rng 4 = 0 then
+        pts.(i) <- Array.copy pts.(Random.State.int rng i))
+    pts;
+  let pick () = if n = 0 then 0 else Random.State.int rng n in
+  { r_pts = pts;
+    r_ratio = [| 1.06; 1.25; 1.3; 2.0 |].(Random.State.int rng 4);
+    r_tau = (pick (), pick ()) }
+
+let metric_radius_grid =
+  Fuzz.make ~name:"metric.radius_grid_brackets_distances" ~gen:gen_radius_grid
+    ~shrink:(fun r ->
+      List.map
+        (fun p ->
+          let clamp i = max 0 (min i (Array.length p - 1)) in
+          let i, j = r.r_tau in
+          { r with r_pts = p; r_tau = (clamp i, clamp j) })
+        (drop_each r.r_pts @ round_pts r.r_pts))
+    ~show:(fun r ->
+      Printf.sprintf "ratio=%g tau=(%d,%d) %s" r.r_ratio (fst r.r_tau)
+        (snd r.r_tau) (pts_str r.r_pts))
+    ~prop:(fun r ->
+      let c = Points.of_array r.r_pts in
+      let grid = Cso_metric.Guess.radius_grid ~ratio:r.r_ratio c in
+      let len = Array.length grid in
+      let* () =
+        require (len > 0 && grid.(0) = 0.0) "the grid does not start with 0."
+      in
+      let* () =
+        let rec from i =
+          if i >= len then Ok ()
+          else if Float.is_finite grid.(i) && grid.(i - 1) < grid.(i) then
+            from (i + 1)
+          else requiref false "grid.(%d) = %h after %h" i grid.(i) grid.(i - 1)
+        in
+        from 1
+      in
+      let n = Array.length r.r_pts in
+      let bad = ref (Ok ()) in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          let d = Points.l2_idx c i j in
+          if !bad = Ok () && Float.is_finite d then
+            if d > grid.(len - 1) then
+              bad :=
+                requiref false "distance %h (%d,%d) above the last value %h"
+                  d i j grid.(len - 1)
+            else if
+              d > 0.0
+              && not
+                   (Array.exists (fun g -> d <= g && g <= r.r_ratio *. d) grid)
+            then
+              bad :=
+                requiref false "no value in [%h, ratio * %h] (%d,%d)" d d i j
+        done
+      done;
+      let* () = !bad in
+      let tau =
+        if n = 0 then 0.0 else Points.l2_idx c (fst r.r_tau) (snd r.r_tau)
+      in
+      if not (Float.is_finite tau) then Ok ()
+      else
+        match
+          Cso_metric.Guess.lowest len (fun i ->
+              if grid.(i) >= tau then Some () else None)
+        with
+        | Some (i, ()) ->
+            requiref (grid.(i) <= r.r_ratio *. tau)
+              "the search accepts %h, above ratio * tau = ratio * %h" grid.(i)
+              tau
+        | None -> requiref false "the search accepts no value for tau = %h" tau)
+
 (* ------------------------------------------------------------------ *)
 (* geom.*                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -3238,6 +3339,7 @@ let all =
     metric_sort_uniq;
     metric_cached;
     metric_packed_kernels;
+    metric_radius_grid;
     geom_bbd_sandwich;
     geom_bbd_balls_all;
     geom_bbd_scale;

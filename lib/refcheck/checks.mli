@@ -4,7 +4,8 @@
     grouped by substrate prefix:
 
     - [metric.*] — {!Cso_metric.Space} ball / pairwise / cached vs scans,
-      and [Float_sort.sort_uniq] vs the heap sort plus a dedupe;
+      [Float_sort.sort_uniq] vs the heap sort plus a dedupe, and the
+      radius grid's bracket of every pairwise distance;
     - [geom.*] — BBD sandwich guarantee, batched queries, power-of-two
       scale invariance, range-tree reporting vs scans, the flat WSPD
       lattice and the box-complement grid vs the versions they replaced;

@@ -476,12 +476,14 @@ let test_warm_weights_stable_ids () =
 (* Identity pin for the cold solve: a digest over everything a
    [Gcso_general.solve] can show — solution, radius bits, guess and
    round counts, the accepted guess's final weight bits, and every
-   counter and histogram delta — plus every bit of the WSPD candidate
-   lattice the solve searches, on four fixed overlapping instances
-   (three at n=300, one at n=800). The expected digest comes from the
-   record-based BBD and WSPD trees with an [Array.sort] tie fallback, so
-   a layout or sort change that moves one bit fails here. *)
-let gcso_identity_digest = "c51dc1b9af967d073542c28165210837"
+   counter and histogram delta — plus every bit of the radius grid the
+   solve searches, on four fixed overlapping instances (three at n=300,
+   one at n=800). The digest was first recorded on the record-based BBD
+   and WSPD trees with an [Array.sort] tie fallback, so a layout or sort
+   change that moves one bit fails here. It was re-recorded when the
+   solve began searching [Guess.radius_grid] instead of the inflated
+   WSPD lattice. *)
+let gcso_identity_digest = "2a69e016b9f8d4cab0e62d1888eb8218"
 
 let solve_fingerprint buf (w : Planted.gcso) =
   let final = ref [||] in
@@ -509,12 +511,12 @@ let solve_fingerprint buf (w : Planted.gcso) =
         (String.concat ","
            (List.map (fun (b, c) -> Printf.sprintf "%d*%d" b c) bs)))
     hists;
-  (* The whole candidate lattice at the solve's accuracy, not only the
-     few guesses the binary search reads. *)
+  (* The whole radius grid at the solve's accuracy, not only the few
+     guesses the binary search reads. *)
   let eps_c = 0.3 /. 5.0 in
   Array.iter
     (fun x -> Printf.bprintf buf "%Lx," (Int64.bits_of_float x))
-    (Cso_geom.Wspd.candidate_distances_packed ~eps:(eps_c /. (2.0 +. eps_c))
+    (Cso_metric.Guess.radius_grid ~ratio:(1.0 +. eps_c)
        w.Planted.geo.Geo_instance.coords)
 
 let test_gcso_identity_digest () =

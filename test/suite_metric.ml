@@ -1,4 +1,5 @@
 open Cso_metric
+module Obs = Cso_obs.Obs
 
 let feq ?(eps = 1e-9) a b = abs_float (a -. b) <= eps
 
@@ -174,6 +175,112 @@ let prop_guess_matches_loop =
                (if t > 0 then Some (t - 1) else None))
         (List.init (n + 1) Fun.id))
 
+(* --- Guess.radius_grid --- *)
+
+(* What every grid must satisfy: a leading 0., strictly increasing
+   finite values, and for each finite positive distance [d] of the
+   points a value in [[d, ratio *. d]]. Returns the grid. *)
+let check_grid ~ratio pts =
+  let grid = Guess.radius_grid ~ratio (Points.of_array pts) in
+  let len = Array.length grid in
+  Alcotest.(check bool) "starts with 0." true (len > 0 && grid.(0) = 0.0);
+  Array.iteri
+    (fun i g ->
+      Alcotest.(check bool) "finite" true (Float.is_finite g);
+      if i > 0 then
+        Alcotest.(check bool) "strictly increasing" true (grid.(i - 1) < g))
+    grid;
+  let coords = Points.of_array pts in
+  for i = 0 to Array.length pts - 1 do
+    for j = i + 1 to Array.length pts - 1 do
+      let d = Points.l2_idx coords i j in
+      if d > 0.0 && Float.is_finite d then
+        Alcotest.(check bool)
+          (Printf.sprintf "a value in [%h, ratio * %h]" d d)
+          true
+          (Array.exists (fun g -> d <= g && g <= ratio *. d) grid)
+    done
+  done;
+  grid
+
+let test_radius_grid_values () =
+  (* Gap 1, so lo = 0.5; the diagonal is 3. *)
+  let grid = check_grid ~ratio:2.0 [| [| 0.0 |]; [| 1.0 |]; [| 3.0 |] |] in
+  Alcotest.(check (array (float 0.0))) "grid" [| 0.0; 0.5; 1.0; 2.0; 4.0 |]
+    grid;
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) (fun () ->
+      let grid, deltas =
+        Obs.with_delta (fun () ->
+            Guess.radius_grid ~ratio:1.06
+              (Points.of_array [| [| 0.0; 2.0 |]; [| 3.0; 0.5 |] |]))
+      in
+      Alcotest.(check (list (pair string int))) "counts its length"
+        [ ("metric.radius_grid.values", Array.length grid) ]
+        deltas);
+  List.iter
+    (fun ratio ->
+      Alcotest.check_raises "ratio must exceed 1"
+        (Invalid_argument "Guess.radius_grid: ratio must exceed 1") (fun () ->
+          ignore (Guess.radius_grid ~ratio (Points.of_array [||]))))
+    [ 1.0; 0.5; nan ]
+
+(* No two points at a positive distance: the grid is [|0.|], as the
+   WSPD lattice is. *)
+let test_radius_grid_degenerate () =
+  List.iter
+    (fun (name, pts) ->
+      Alcotest.(check (array (float 0.0))) name [| 0.0 |]
+        (check_grid ~ratio:1.06 pts))
+    [
+      ("n = 0", [||]);
+      ("n = 1", [| [| 1.0; 2.0 |] |]);
+      ("duplicates", [| [| 1.0; 2.0 |]; [| 1.0; 2.0 |]; [| 1.0; 2.0 |] |]);
+      ("-0. against 0.", [| [| -0.0; 0.0 |]; [| 0.0; -0.0 |] |]);
+      ("only infinite gaps", [| [| 0.0 |]; [| infinity |] |]);
+    ]
+
+(* The smallest coordinate gap is the smallest subnormal: [x *. ratio]
+   rounds back to [x] there, and the grid must still climb to [hi]. *)
+let test_radius_grid_subnormal_gap () =
+  let grid =
+    check_grid ~ratio:1.06 [| [| 0.0 |]; [| Float.succ 0.0 |]; [| 1.0 |] |]
+  in
+  Alcotest.(check (float 0.0)) "lo" (Float.succ 0.0) grid.(1);
+  Alcotest.(check bool) "reaches hi" true (grid.(Array.length grid - 1) >= 1.0);
+  Alcotest.(check bool) "about log_ratio (hi / lo) values" true
+    (Array.length grid < 13_000)
+
+(* Where the squares underflow, a computed distance can fall well below
+   the coordinate gap: here the gap is 1.2 * 2^-537, its square rounds
+   to the smallest subnormal, and the distance reads 2^-537. Halving
+   the gap keeps [lo] below it. *)
+let test_radius_grid_underflow_margin () =
+  let gap = 0x1.3333333333333p-537 in
+  let coords = Points.of_array [| [| 0.0 |]; [| gap |] |] in
+  Alcotest.(check (float 0.0)) "distance" 0x1p-537 (Points.l2_idx coords 0 1);
+  ignore (check_grid ~ratio:1.06 [| [| 0.0 |]; [| gap |] |])
+
+(* Spans whose squares overflow, and infinite coordinates: [hi] is
+   [max_float], and the grid stays finite. *)
+let test_radius_grid_overflow () =
+  List.iter
+    (fun pts ->
+      let grid = check_grid ~ratio:1.06 pts in
+      Alcotest.(check (float 0.0)) "capped at max_float" Float.max_float
+        grid.(Array.length grid - 1))
+    [
+      [| [| 0.0; 0.0 |]; [| 1e154; 0.0 |]; [| 0.0; 1e154 |] |];
+      [| [| 0.0 |]; [| 1e155 |] |];
+      [| [| 0.0 |]; [| 1.0 |]; [| infinity |]; [| neg_infinity |] |];
+      [| [| infinity; 0.0 |]; [| infinity; 1.0 |] |];
+    ];
+  (* A ratio that overflows at once steps straight to the cap. *)
+  Alcotest.(check (array (float 0.0))) "infinite ratio"
+    [| 0.0; 0.5; Float.max_float |]
+    (check_grid ~ratio:infinity [| [| 0.0 |]; [| 1.0 |] |])
+
 let prop_euclidean_is_metric =
   QCheck.Test.make ~name:"random euclidean space satisfies metric axioms"
     ~count:30
@@ -210,6 +317,16 @@ let suite =
     Alcotest.test_case "float sort order regression" `Quick
       test_float_sort_order_regression;
     QCheck_alcotest.to_alcotest prop_guess_matches_loop;
+    Alcotest.test_case "radius grid values, counter and ratio" `Quick
+      test_radius_grid_values;
+    Alcotest.test_case "radius grid degenerate inputs" `Quick
+      test_radius_grid_degenerate;
+    Alcotest.test_case "radius grid subnormal gap" `Quick
+      test_radius_grid_subnormal_gap;
+    Alcotest.test_case "radius grid underflow margin" `Quick
+      test_radius_grid_underflow_margin;
+    Alcotest.test_case "radius grid overflow and infinities" `Quick
+      test_radius_grid_overflow;
     QCheck_alcotest.to_alcotest prop_euclidean_is_metric;
     QCheck_alcotest.to_alcotest prop_nearest_center;
   ]

@@ -138,10 +138,11 @@ let test_gcso_split_eps_calibration () =
    every candidate tracking opt *below* it (1.3906, 1.4142, 1.4499 —
    all LP-infeasible) and the next candidate up at 2.0180 = 1.38 opt,
    so the smallest feasible guess blew the theorem factor
-   (cost 4.0785 = 2.78 opt > 2.5 opt) at any round count. [solve] now
-   generates the lattice at eps_w = eps_c/(2+eps_c) and inflates each
-   candidate by 1/(1-eps_w), guaranteeing a feasible guess within
-   (1+eps/5) of opt. *)
+   (cost 4.0785 = 2.78 opt > 2.5 opt) at any round count. [solve] then
+   generated the lattice at eps_w = eps_c/(2+eps_c) and inflated each
+   candidate by 1/(1-eps_w). It now searches [Guess.radius_grid] at
+   ratio 1 + eps/5, which holds a value in [opt, (1+eps/5) opt]: either
+   way a feasible guess lies within (1+eps/5) of opt. *)
 let test_gcso_lattice_gap () =
   let points =
     [|
