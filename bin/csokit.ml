@@ -324,8 +324,8 @@ let run_trace in_file kind n k z seed jsonl_out chrome_out required =
 (* --- budgets command --- *)
 
 let all_budgets () =
-  Cso_geom.Bbd_tree.budgets @ Cso_geom.Range_tree.budgets
-  @ Cso_kcenter.Gonzalez.budgets @ Cso_lp.Mwu.budgets
+  Cso_geom.Bbd_tree.budgets @ Cso_kcenter.Gonzalez.budgets
+  @ Cso_lp.Mwu.budgets
 
 let run_budgets series_file =
  guard @@ fun () ->

@@ -95,8 +95,8 @@ type core = {
   radius : float;
 }
 
-(* Once per solve. The members come from the instance's membership, so
-   no range tree is built (DESIGN.md section 2). *)
+(* Once per solve. The members come from the instance's membership
+   (DESIGN.md section 2, substitution 7). *)
 let cores (g : Geo_instance.t) =
   let { Csr.offsets; ids } = Geo_instance.rect_members g in
   List.filter_map

@@ -1,7 +1,6 @@
 module Point = Cso_metric.Point
 module Guess = Cso_metric.Guess
 module Bbd = Cso_geom.Bbd_tree
-module Range_tree = Cso_geom.Range_tree
 module Csr = Cso_geom.Csr
 module Float_sort = Cso_metric.Float_sort
 module Mwu = Cso_lp.Mwu
@@ -23,47 +22,15 @@ let h_ball_nodes = Obs.Hist.hist "cso.gcso.ball_nodes_per_point"
 type prepared = {
   g : Geo_instance.t;
   bbd : Bbd.t;
-  rtree : Range_tree.t;
-  rect_nodes : int list array; (* canonical range-tree nodes per rectangle *)
-  (* CSR flattenings driving the batched oracle: fixed for the life of
-     the instance, so every MWU round sweeps contiguous int arrays
-     instead of chasing per-constraint lists. [rect_csr] keeps the
-     list order exactly — the float accumulation order of tau, and
-     hence bit-identity with the per-constraint reference, depends on
-     it. [rect_pts] only feeds integer hit counts. *)
-  rect_csr : Csr.t; (* [rect_nodes], flattened *)
-  rect_pts : Csr.t; (* points inside each rectangle, ascending *)
-  tau_by_subtree : bool;
-      (* weigh rectangles over their canonical subtrees, not the whole
-         range tree (see [prepare]) *)
+  (* [Geo_instance.rect_members]. The Oracle sums tau_j over row j in
+     ascending order, the float accumulation order the reference
+     repeats. *)
+  rect_pts : Csr.t;
 }
 
 let prepare (g : Geo_instance.t) =
-  (* Both trees share the instance's packed store. *)
-  let coords = g.Geo_instance.coords in
-  let bbd = Bbd.build_packed coords in
-  let rtree = Range_tree.build_packed coords in
-  let rect_nodes =
-    Array.map (fun rect -> Range_tree.query_nodes rtree rect) g.Geo_instance.rects
-  in
-  (* A rectangle's canonical nodes partition exactly the points
-     [membership] puts in it (no rect bound is nan), so its member list
-     is the set of points one chosen rectangle covers in Update. *)
-  let rect_pts = Geo_instance.rect_members g in
-  let rect_csr = Csr.of_lists rect_nodes in
-  (* Recomputing the subtree of each rectangle's canonical nodes costs
-     2 * (points under the node) - 1 node updates per round, about f * n
-     in all for frequency f; recomputing every node costs the tree's
-     size, about 2n (log2 n + 1) in two dimensions. Nested or heavily
-     overlapping rectangles take the whole-tree pass. Both leave the
-     canonical nodes' weights bit-identical. *)
-  let subtree_nodes =
-    Array.fold_left
-      (fun acc u -> acc + (2 * Range_tree.node_count rtree u) - 1)
-      0 rect_csr.Csr.ids
-  in
-  { g; bbd; rtree; rect_nodes; rect_csr; rect_pts;
-    tau_by_subtree = subtree_nodes <= Range_tree.n_nodes rtree }
+  { g; bbd = Bbd.build_packed g.Geo_instance.coords;
+    rect_pts = Geo_instance.rect_members g }
 
 (* Indices of the [k] largest weights, largest first: the first
    [min k n] ids after a descending [Array.sort]. The per-constraint
@@ -150,10 +117,11 @@ type oracle_sol = {
 
 (* Rounding (Appendix C), shared by the batched production path and the
    per-constraint reference: average the per-round rectangle choices,
-   keep rectangles with mass >= 1/(2f), greedily cover the surviving
-   points with balls of radius [removal_mult * r]. The greedy centers
-   are instance point indices, so the ball queries go through the
-   packed store by index — no boxed point on this path. *)
+   keep rectangles with mass >= 1/(2f), flag their member points, and
+   greedily cover the points left with balls of radius
+   [removal_mult * r]. The greedy centers are instance point indices,
+   so the ball queries go through the packed store by index — no boxed
+   point on this path. *)
 let round_solution p ~eps ~r ~removal_mult sols =
   let g = p.g in
   let n = Array.length g.Geo_instance.points in
@@ -171,15 +139,17 @@ let round_solution p ~eps ~r ~removal_mult sols =
   for j = m - 1 downto 0 do
     if y_hat.(j) >= threshold then outliers := j :: !outliers
   done;
-  Range_tree.reset_marks p.rtree;
+  let mo = p.rect_pts.Csr.offsets and mi = p.rect_pts.Csr.ids in
+  let removed = Array.make n false in
   List.iter
     (fun j ->
-      List.iter (fun u -> Range_tree.add_mark p.rtree u) p.rect_nodes.(j))
+      for e = mo.(j) to mo.(j + 1) - 1 do
+        removed.(mi.(e)) <- true
+      done)
     !outliers;
   Bbd.reset_active p.bbd;
   for i = 0 to n - 1 do
-    if Range_tree.marked_on_paths p.rtree i then
-      Bbd.deactivate p.bbd (Bbd.leaf_of_point p.bbd i)
+    if removed.(i) then Bbd.deactivate p.bbd (Bbd.leaf_of_point p.bbd i)
   done;
   let centers = ref [] in
   let removal = removal_mult *. r in
@@ -207,9 +177,7 @@ let round_solution p ~eps ~r ~removal_mult sols =
    - Oracle: one sequential scatter of sigma into the flat BBD node
      weights (the float accumulation whose order is the bit-identity
      contract), one pooled gather of each point's root-path sum, and
-     tau_j summed over rectangle j's canonical nodes, each node's
-     subtree recomputed exactly as the whole-tree aggregation would
-     (one whole-tree pass instead when those subtrees outweigh it).
+     tau_j summed over rectangle j's member points in ascending order.
    - Update: R1_i and R2_i are sums of 1.0, hence exact small integers,
      so they are counted from the chosen side: each chosen point's root
      path bumps the constraints whose canonical set holds a path node,
@@ -240,7 +208,6 @@ let solve_at ?(eps = 0.3) ?rounds ?(cover_mult = 1.0) ?(removal_mult = 2.0)
     let canon_csr = Csr.of_lists canon in
     let holders = Csr.transpose canon_csr ~cols:(Bbd.n_nodes p.bbd) in
     let ho = holders.Csr.offsets and hi = holders.Csr.ids in
-    let ro = p.rect_csr.Csr.offsets and ri = p.rect_csr.Csr.ids in
     let mo = p.rect_pts.Csr.offsets and mi = p.rect_pts.Csr.ids in
     let width = float_of_int (k + z) in
     (* Per-guess buffers, overwritten in full every round. [viol] is
@@ -261,14 +228,10 @@ let solve_at ?(eps = 0.3) ?rounds ?(cover_mult = 1.0) ?(removal_mult = 2.0)
       Bbd.scatter_weights p.bbd canon_csr sigma;
       Bbd.path_weights p.bbd w;
       (* tau_j = sigma-weight of the points inside rectangle j. *)
-      if not p.tau_by_subtree then Range_tree.set_point_weights p.rtree sigma;
       for j = 0 to m - 1 do
         let acc = ref 0.0 in
-        for e = ro.(j) to ro.(j + 1) - 1 do
-          let u = Array.unsafe_get ri e in
-          if p.tau_by_subtree then
-            Range_tree.set_subtree_weights p.rtree sigma u;
-          acc := !acc +. Range_tree.node_weight p.rtree u
+        for e = mo.(j) to mo.(j + 1) - 1 do
+          acc := !acc +. Array.unsafe_get sigma (Array.unsafe_get mi e)
         done;
         tau.(j) <- !acc
       done;
@@ -324,12 +287,15 @@ let solve_at ?(eps = 0.3) ?rounds ?(cover_mult = 1.0) ?(removal_mult = 2.0)
    batched [solve_at] is pinned against. Test-only — nothing in the
    production call graph reaches it. Its node accumulators are arrays
    of its own: [bw] takes sigma in the order [Bbd.scatter_weights] adds
-   it, and [bw2] / [rw2] hold the Update's [v.w] on the BBD and
-   range-tree nodes. *)
+   it, and [bw2] holds the Update's [v.w] on the BBD nodes. Rectangles
+   are read from [membership] alone: walking it point by point adds
+   each rectangle's members to tau_j in ascending order, and R2_i walks
+   point i's rectangles. *)
 let solve_at_reference ?(eps = 0.3) ?rounds ?(cover_mult = 1.0)
     ?(removal_mult = 2.0) ?warm_weights ?on_round ?on_weights p ~r =
   let g = p.g in
   let n = Array.length g.Geo_instance.points in
+  let m = Array.length g.Geo_instance.rects in
   let k = g.Geo_instance.k and z = g.Geo_instance.z in
   if n = 0 then Some { Instance.centers = []; outliers = [] }
   else begin
@@ -352,15 +318,10 @@ let solve_at_reference ?(eps = 0.3) ?rounds ?(cover_mult = 1.0)
         canon;
       let pool = Pool.get_default () in
       let w = Pool.tabulate pool ~chunk:64 n (path_sum bw) in
-      Range_tree.set_point_weights p.rtree sigma;
-      let tau =
-        Array.map
-          (fun nodes ->
-            List.fold_left
-              (fun acc u -> acc +. Range_tree.node_weight p.rtree u)
-              0.0 nodes)
-          p.rect_nodes
-      in
+      let tau = Array.make m 0.0 in
+      Array.iteri
+        (fun i js -> List.iter (fun j -> tau.(j) <- tau.(j) +. sigma.(i)) js)
+        g.Geo_instance.membership;
       let chosen_pts = top_k_reference w k in
       let chosen_rects = top_k_reference tau z in
       let value =
@@ -378,16 +339,15 @@ let solve_at_reference ?(eps = 0.3) ?rounds ?(cover_mult = 1.0)
           Bbd.fold_path_to_root p.bbd (Bbd.leaf_of_point p.bbd l) ~init:()
             ~f:(fun () u -> bw2.(u) <- bw2.(u) +. 1.0))
         sol.chosen_pts;
-      let rw2 = Array.make (Range_tree.n_nodes p.rtree) 0.0 in
-      List.iter
-        (fun j -> List.iter (fun u -> rw2.(u) <- rw2.(u) +. 1.0) p.rect_nodes.(j))
-        sol.chosen_rects;
+      let rw2 = Array.make m 0.0 in
+      List.iter (fun j -> rw2.(j) <- rw2.(j) +. 1.0) sol.chosen_rects;
       let pool = Pool.get_default () in
       Pool.tabulate pool ~chunk:64 n (fun i ->
           let r1 = List.fold_left (fun acc u -> acc +. bw2.(u)) 0.0 canon.(i) in
           let r2 =
-            Range_tree.fold_point_paths p.rtree i ~init:0.0 ~f:(fun acc u ->
-                acc +. rw2.(u))
+            List.fold_left
+              (fun acc j -> acc +. rw2.(j))
+              0.0 g.Geo_instance.membership.(i)
           in
           r1 +. r2 -. 1.0)
     in
@@ -426,6 +386,8 @@ let solve ?(eps = 0.3) ?rounds ?candidates ?warm_weights ?on_weights g =
   Obs.with_span "gcso.solve" @@ fun () ->
   if not (eps > 0.0 && eps <= 2.5) then
     invalid_arg "Gcso_general.solve: eps must be in (0, 2.5]";
+  if Option.fold ~none:false ~some:(fun r -> r < 1) rounds then
+    invalid_arg "Gcso_general.solve: rounds < 1";
   let eps_c = split_eps eps in
   let p = Obs.with_span "gcso.prepare" (fun () -> prepare g) in
   let n = Array.length g.Geo_instance.points in
@@ -561,6 +523,8 @@ module Incremental = struct
       invalid_arg "Gcso_general.Incremental.create: eps must be in (0, 2.5]";
     if not (drift >= 1.0) then
       invalid_arg "Gcso_general.Incremental.create: drift < 1";
+    if Option.fold ~none:false ~some:(fun r -> r < 1) rounds then
+      invalid_arg "Gcso_general.Incremental.create: rounds < 1";
     if k < 1 then invalid_arg "Gcso_general.Incremental.create: k < 1";
     if z < 0 then invalid_arg "Gcso_general.Incremental.create: z < 0";
     let dim = Rect.dim rects.(0) in

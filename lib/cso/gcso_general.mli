@@ -3,12 +3,13 @@
 
     Solves the feasibility LP (LP3) with the multiplicative-weight-update
     method; the Oracle and Update procedures run on a BBD tree (ball
-    canonical nodes, Section 3.1) and a range tree (rectangle canonical
-    nodes) instead of touching the constraint matrix, and the binary
+    canonical nodes, Section 3.1) instead of touching the constraint
+    matrix, and read each rectangle's points from
+    {!Geo_instance.rect_members} instead of the paper's range-tree
+    canonical nodes (DESIGN.md section 2, substitution 7). The binary
     search runs over a geometric radius grid
     ({!Cso_metric.Guess.radius_grid}) instead of all pairwise distances
-    or the paper's WSPD candidate distances (DESIGN.md section 2,
-    substitution 9).
+    or the paper's WSPD candidate distances (substitution 9).
 
     Guarantee (Theorem 3.2): at most [(2+eps)k] centers, [2fz] outlier
     rectangles, cost at most [(2+eps) rho*_{k,z}].
@@ -33,8 +34,8 @@
     [rounds] explicitly. *)
 
 type prepared
-(** Instance with its BBD tree, range tree and cached canonical node
-    sets; build once, then try many radius guesses. *)
+(** Instance with its BBD tree and the points of each rectangle; build
+    once, then try many radius guesses. *)
 
 val prepare : Geo_instance.t -> prepared
 
@@ -45,19 +46,19 @@ val solve_at : ?eps:float -> ?rounds:int -> ?cover_mult:float ->
   prepared -> r:float -> Instance.solution option
 (** One radius guess: [None] when the MWU certifies (LP3) infeasible at
     radius [cover_mult *. r] (default [1.]). [rounds] overrides the
-    theoretical [O((k+z) log n / eps^2)] iteration count. [removal_mult]
-    (default [2.]) is the rounding removal radius multiplier; Section 3.3
-    passes [10.] / [20.]. [warm_weights] / [on_weights] pass through to
+    theoretical [O((k+z) log n / eps^2)] iteration count and must be at
+    least [1]; {!Cso_lp.Mwu.run} raises [Invalid_argument] otherwise.
+    [removal_mult] (default [2.]) is the rounding removal radius
+    multiplier; Section 3.3 passes [10.] / [20.]. [warm_weights] /
+    [on_weights] pass through to
     {!Cso_lp.Mwu.run}: seed the constraint weights from a prior run and
     observe them per round.
 
-    The MWU oracle is {e batched}: the canonical-node sets are flattened
-    to CSR once per guess, and a round allocates nothing per node. The
-    Oracle runs one sequential scatter and one pooled gather over the
-    BBD tree, weighs each rectangle over the subtrees of its own
-    canonical nodes (or, when those subtrees hold more nodes than the
-    whole range tree, as under nested rectangles, over one whole-tree
-    pass) and selects with {!top_k}; the Update counts each
+    The MWU oracle is {e batched}: the canonical ball nodes are
+    flattened to CSR once per guess, and a round allocates nothing per
+    node. The Oracle runs one sequential scatter and one pooled gather
+    over the BBD tree, weighs each rectangle in one pass over its member
+    points, ascending, and selects with {!top_k}; the Update counts each
     constraint's hits from the chosen points and rectangles only.
     Bit-identical — weights, round counts, solutions, and every counter
     and histogram event — to {!solve_at_reference}. *)
@@ -113,7 +114,8 @@ val solve : ?eps:float -> ?rounds:int -> ?candidates:float array ->
     in [[opt, (1+eps/5) opt]]). [eps] (default [0.3], must lie in
     [(0, 2.5]]) is the end-to-end accuracy: it is split
     [eps/5]-per-consumer internally (see the calibration note above),
-    including the default MWU round count.
+    including the default MWU round count. [rounds], when given, must be
+    at least [1]: raises [Invalid_argument] otherwise.
 
     [warm_weights] seeds every guess's MWU at the given per-point
     weights (length [n], indexed like the instance's points).
@@ -157,9 +159,12 @@ module Incremental : sig
     rects:Cso_geom.Rect.t array -> k:int -> z:int -> unit -> t
   (** Initial rectangle set (non-empty; rect [i] of the array gets
       external rect id [i]), [k], [z]; the point population starts
-      empty. [eps] (default [0.3]) and [rounds] are handed to {!solve}
-      at every re-solve; [drift] (default [2.], must be [>= 1.]) is the
-      sketch-radius growth factor that triggers one. *)
+      empty. [eps] (default [0.3]) and [rounds] (when given, at least
+      [1]) are handed to {!solve} at every re-solve; [drift] (default
+      [2.], must be [>= 1.]) is the sketch-radius growth factor that
+      triggers one. Raises [Invalid_argument] on a value out of range,
+      so a bad [rounds] is refused here rather than at the first
+      re-solve. *)
 
   val insert : t -> Cso_metric.Point.t -> int
   (** O(log n) amortized (plus the sketch's O(k+z) scan). Returns the

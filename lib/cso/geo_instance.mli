@@ -30,8 +30,9 @@ val rect_members : t -> Cso_geom.Csr.t
 (** The points inside each rectangle: row [j] lists, ascending, the
     points whose [membership] holds [j] — the CSR transpose of
     [membership], built in O(f n + m) for frequency [f]. [make] decides
-    membership with {!Cso_geom.Rect.contains}, so this is the set a
-    range-tree [report] of rectangle [j] returns. *)
+    membership with {!Cso_geom.Rect.contains}, and every solver reads a
+    rectangle's points from here or from [membership], so this module
+    alone decides which points a rectangle holds. *)
 
 val to_cso : t -> Instance.t
 

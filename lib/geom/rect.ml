@@ -10,9 +10,9 @@ let make ~lo ~hi =
     invalid_arg "Rect.make: dimension mismatch";
   Array.iteri
     (fun i l ->
-      (* A nan bound would make [contains] reject every point while the
-         range tree's binary searches read a nan [lo] as -infinity, so
-         the two notions of membership would disagree. *)
+      (* A nan bound would make [contains] reject every point, so the
+         rectangle would silently hold nothing, whatever its other
+         bounds say. *)
       if Float.is_nan l || Float.is_nan hi.(i) then
         invalid_arg (Printf.sprintf "Rect.make: nan bound in dimension %d" i);
       if l > hi.(i) then

@@ -48,6 +48,8 @@ let run ~m ~width ~eps ?rounds ?warm_weights ?on_round ?on_weights ~oracle
   if m < 0 then invalid_arg "Mwu.run: m < 0";
   if not (eps > 0.0 && eps <= 1.0) then
     invalid_arg "Mwu.run: eps must be in (0, 1]";
+  if Option.fold ~none:false ~some:(fun r -> r < 1) rounds then
+    invalid_arg "Mwu.run: rounds < 1";
   (match warm_weights with
   | None -> ()
   | Some w ->

@@ -63,8 +63,9 @@ val run :
     returned as [Feasible [sol]] ([None] still certifies infeasibility).
     [on_round], if any, observes [max_violation = 0.].
 
-    Robustness guarantees: raises [Invalid_argument] unless [m >= 0] and
-    [eps] lies in [(0, 1]]; [delta_i] is clamped to [[-1, 1]] so a
+    Robustness guarantees: raises [Invalid_argument] unless [m >= 0],
+    [eps] lies in [(0, 1]] and [rounds], when given, is at least [1] (a
+    run of no rounds has no solution to average); [delta_i] is clamped to [[-1, 1]] so a
     caller-underestimated [width] degrades convergence speed instead of
     voiding the guarantee; weights are floored at a tiny positive value
     so no constraint can be silently zeroed out of later rounds.

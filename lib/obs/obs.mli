@@ -4,7 +4,7 @@
     single-core container reports ~1x "speedups" for every parallel
     kernel), so the bench harness checks the paper's complexity claims
     through {e machine-independent operation counts} instead: distance
-    evaluations, BBD/range-tree node visits, MWU rounds, simplex pivots,
+    evaluations, BBD node visits, MWU rounds, simplex pivots,
     oracle calls. This module is the registry those counts live in,
     together with three structured views over them:
 
@@ -449,10 +449,10 @@ end
     or O(log^d n) per-query work is slope ~0 (polylog grows slower than
     any power), a round budget independent of n is slope 0 exactly.
     Fitting the slope of [log y] against [log x] by least squares turns
-    "the range tree regressed to O(n) canonical nodes" into a hard test
+    "the BBD tree regressed to O(n) nodes per query" into a hard test
     failure instead of a silent slowdown. Budget tables live next to the
-    kernels they describe ([Bbd_tree.budgets], [Range_tree.budgets],
-    [Gonzalez.budgets], [Mwu.budgets]) and are checked by
+    kernels they describe ([Bbd_tree.budgets], [Gonzalez.budgets],
+    [Mwu.budgets]) and are checked by
     [bench/fig_budgets], the [bench-smoke] gate, and [csokit budgets]. *)
 
 module Budget : sig

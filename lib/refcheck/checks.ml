@@ -16,7 +16,6 @@ module Points = Cso_metric.Points
 module Space = Cso_metric.Space
 module Rect = Cso_geom.Rect
 module Bbd = Cso_geom.Bbd_tree
-module Rtree = Cso_geom.Range_tree
 module Gonzalez = Cso_kcenter.Gonzalez
 module Charikar = Cso_kcenter.Charikar_outliers
 module Simplex = Cso_lp.Simplex
@@ -475,38 +474,49 @@ let gen_rect rng d =
            let a = coord rng and b = coord rng in
            (Float.min a b, Float.max a b)))
 
-let geom_rtree_report =
-  Fuzz.make ~name:"geom.rtree_report_vs_scan"
+(* Row j of [Geo_instance.rect_members], which is all the geometric
+   rows read of rectangle j, against the [Rect.contains] scan
+   [Reference.range_report], ascending; and [frequency] against the
+   largest number of rectangles one point lies in, counted by the same
+   scan. The points come with duplicates and -0. coordinates, and one
+   instance in twenty has none. The rectangles have infinite and
+   degenerate (lo = hi) bounds; a closing [Rect.unbounded d] covers
+   every point, as [Geo_instance.make] requires. *)
+let gcso_rect_members =
+  Fuzz.make ~name:"gcso.rect_members_vs_scan"
     ~gen:(fun rng ->
-      let pts = gen_points rng ~n_min:1 ~n_max:16 ~d_max:3 in
+      let neg0 x = if x = 0.0 && Random.State.bool rng then -0.0 else x in
+      let pts =
+        Array.map (Array.map neg0) (gen_points rng ~n_min:1 ~n_max:16 ~d_max:3)
+      in
       let pts = if Random.State.int rng 20 = 0 then [||] else pts in
       let d = if Array.length pts = 0 then 2 else Array.length pts.(0) in
-      (pts, gen_rect rng d))
-    ~shrink:(fun (pts, rect) ->
-      List.map (fun p -> (p, rect)) (drop_each pts @ round_pts pts))
-    ~show:(fun (pts, rect) ->
-      Format.asprintf "rect=%a %s" Rect.pp rect (pts_str pts))
-    ~prop:(fun (pts, rect) ->
-      let t = Rtree.build_packed (Points.of_array pts) in
-      let report = List.sort compare (Rtree.report t rect) in
-      let naive = Reference.range_report pts rect in
-      let* () =
-        requiref (report = naive) "report %s <> reference %s"
-          (ints_str report) (ints_str naive)
+      (d, pts, Array.init (int_in rng 0 4) (fun _ -> gen_rect rng d)))
+    ~shrink:(fun (d, pts, rects) ->
+      List.map (fun p -> (d, p, rects)) (drop_each pts @ round_pts pts)
+      @ List.map (fun r -> (d, pts, r)) (drop_each rects))
+    ~show:(fun (_, pts, rects) ->
+      Format.asprintf "rects=%a %s"
+        (Format.pp_print_list Rect.pp)
+        (Array.to_list rects) (pts_str pts))
+    ~prop:(fun (d, pts, rects) ->
+      let rects = Array.append rects [| Rect.unbounded d |] in
+      let g = Geo_instance.make ~points:pts ~rects ~k:1 ~z:0 in
+      let { Cso_geom.Csr.offsets = off; ids } = Geo_instance.rect_members g in
+      let got =
+        List.init (Array.length rects) (fun j ->
+            Array.to_list (Array.sub ids off.(j) (off.(j + 1) - off.(j))))
       in
+      let want = Array.to_list (Array.map (Reference.range_report pts) rects) in
+      let rows l = String.concat " " (List.map ints_str l) in
       let* () =
-        requiref
-          (Rtree.count t rect = List.length naive)
-          "count %d <> %d" (Rtree.count t rect) (List.length naive)
+        requiref (got = want) "members %s <> scan %s" (rows got) (rows want)
       in
-      let nodes = Rtree.query_nodes t rect in
-      let union = List.concat_map (Rtree.node_points t) nodes in
-      let* () =
-        require
-          (List.length union = List.length (sorted_ints union))
-          "canonical nodes are not disjoint"
-      in
-      require (List.sort compare union = naive) "canonical union <> report")
+      let count = Array.make (Array.length pts) 0 in
+      List.iter (List.iter (fun i -> count.(i) <- count.(i) + 1)) want;
+      let f = Array.fold_left max 0 count in
+      requiref (Geo_instance.frequency g = f) "frequency %d <> scan %d"
+        (Geo_instance.frequency g) f)
 
 (* The flat WSPD lattice against the boxed tree it replaced
    ([Reference.wspd_candidate_distances]): every candidate bit for bit,
@@ -3343,7 +3353,6 @@ let all =
     geom_bbd_sandwich;
     geom_bbd_balls_all;
     geom_bbd_scale;
-    geom_rtree_report;
     geom_wspd_lattice;
     geom_box_complement;
     kcenter_gonzalez;
@@ -3365,6 +3374,7 @@ let all =
     gcso_mwu_tricriteria;
     gcso_disjoint_tricriteria;
     gcso_batched_oracle;
+    gcso_rect_members;
     dynamic_bbd;
     dynamic_gcso_incremental;
     dynamic_partial_rebuild;

@@ -7,8 +7,8 @@
       [Float_sort.sort_uniq] vs the heap sort plus a dedupe, and the
       radius grid's bracket of every pairwise distance;
     - [geom.*] — BBD sandwich guarantee, batched queries, power-of-two
-      scale invariance, range-tree reporting vs scans, the flat WSPD
-      lattice and the box-complement grid vs the versions they replaced;
+      scale invariance, the flat WSPD lattice and the box-complement grid
+      vs the versions they replaced;
     - [kcenter.*] — Gonzalez 2-approximation and scale invariance,
       Charikar 3-approximation with outliers, vs exhaustive optima;
     - [lp.*] — flat simplex vs reference tableau (duals included),
@@ -19,7 +19,8 @@
     - [cso.*] / [gcso.*] — exact solver, LP tri-criteria, MWU
       tri-criteria and both coreset rows' tri-criteria guarantees vs the
       exhaustive [rho*], each through its row's {!Table1.verdict}; the
-      CSO-LP's packing dual vs the bounded (LP1) it replaced;
+      CSO-LP's packing dual vs the bounded (LP1) it replaced; each
+      rectangle's members vs a containment scan;
       outlier-budget monotonicity; k-median LP bound <= exact <= local
       search;
     - [relational.*] — Yannakakis count / enumerate / any / sample,

@@ -3,7 +3,7 @@
     Every function is an exhaustive, pruning-free transcription of a
     definition from the paper — quadratic to exponential, usable only on
     the tiny instances the fuzzer generates, and obviously correct by
-    inspection. The optimized substrates ([Bbd_tree], [Range_tree],
+    inspection. The optimized substrates ([Bbd_tree], [Geo_instance],
     [Gonzalez], [Charikar_outliers], [Simplex], [Yannakakis],
     [Cso_general], ...) are differentially checked against these.
     {!wspd_candidate_distances}, {!box_complement}, {!simplex_solve},

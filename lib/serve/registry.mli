@@ -1,7 +1,7 @@
 (** Resident prepared instances behind the [csokitd] request surface.
 
     Each named entry owns an incremental GCSO driver
-    ({!Cso_core.Gcso_general.Incremental}: dynamic BBD + range trees, a
+    ({!Cso_core.Gcso_general.Incremental}: a dynamic BBD tree, a
     streaming drift sketch and the cached tri-criteria report), an
     optional {e static} packed BBD tree built over the live points by
     [Prepare] (serving the pooled {!Cso_geom.Bbd_tree.balls_all} batch

@@ -5,7 +5,6 @@ module Space = Cso_metric.Space
 module Points = Cso_metric.Points
 module Rect = Cso_geom.Rect
 module Bbd = Cso_geom.Bbd_tree
-module Range_tree = Cso_geom.Range_tree
 module Simplex = Cso_lp.Simplex
 module Rel = Cso_relational
 
@@ -66,14 +65,6 @@ let test_bbd_duplicates_sandwich () =
   let nodes = Bbd.ball_query tree ~center:[| 1.0; 1.0 |] ~radius:2.0 ~eps:0.1 in
   let got = List.concat_map (Bbd.points_of_node tree) nodes in
   Alcotest.(check int) "exactly the duplicate group" 7 (List.length got)
-
-let test_range_tree_1d () =
-  let pts = [| [| 5.0 |]; [| 1.0 |]; [| 3.0 |]; [| 3.0 |] |] in
-  let t = Range_tree.build_packed (Points.of_array pts) in
-  let rect = Rect.of_intervals [ (2.0, 4.0) ] in
-  Alcotest.(check int) "1d count with duplicates" 2 (Range_tree.count t rect);
-  Alcotest.(check (list int)) "1d report" [ 2; 3 ]
-    (List.sort compare (Range_tree.report t rect))
 
 let test_simplex_fixed_variable () =
   (* x fixed to 0.5 by bounds; maximize x + y with y <= x. *)
@@ -151,7 +142,6 @@ let suite =
     Alcotest.test_case "gcso single point" `Quick test_gcso_empty_and_single;
     Alcotest.test_case "gcso duplicates" `Quick test_gcso_duplicate_points;
     Alcotest.test_case "bbd duplicates" `Quick test_bbd_duplicates_sandwich;
-    Alcotest.test_case "range tree 1d" `Quick test_range_tree_1d;
     Alcotest.test_case "simplex fixed variable" `Quick test_simplex_fixed_variable;
     Alcotest.test_case "space single element" `Quick test_space_single_element;
     Alcotest.test_case "rcto1 dirty second relation" `Quick

@@ -227,93 +227,6 @@ let prop_bbd_batched_weights =
         (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
         per_node batched)
 
-(* --- Range tree --- *)
-
-let random_rect d =
-  Rect.of_intervals
-    (List.init d (fun _ ->
-         let a = Random.State.float rng 100.0 in
-         let b = Random.State.float rng 100.0 in
-         (min a b, max a b)))
-
-let prop_range_tree_report =
-  QCheck.Test.make ~name:"range tree report equals brute force" ~count:60
-    QCheck.(pair (int_range 1 100) (int_range 1 3))
-    (fun (n, d) ->
-      let pts = random_points n d in
-      let t = Range_tree.build_packed (Points.of_array pts) in
-      let rect = random_rect d in
-      let got = List.sort compare (Range_tree.report t rect) in
-      let want = List.sort compare (Rect.points_inside rect pts) in
-      got = want && Range_tree.count t rect = List.length want)
-
-let prop_range_tree_nodes_partition =
-  QCheck.Test.make ~name:"range tree canonical nodes partition the answer"
-    ~count:40
-    QCheck.(int_range 1 80)
-    (fun n ->
-      let pts = random_points n 2 in
-      let t = Range_tree.build_packed (Points.of_array pts) in
-      let rect = random_rect 2 in
-      let nodes = Range_tree.query_nodes t rect in
-      let all = List.concat_map (Range_tree.node_points t) nodes in
-      List.length all = List.length (List.sort_uniq compare all)
-      && List.fold_left (fun acc u -> acc + Range_tree.node_count t u) 0 nodes
-         = List.length all)
-
-let prop_range_tree_weights =
-  QCheck.Test.make ~name:"range tree aggregated weights" ~count:40
-    QCheck.(int_range 1 60)
-    (fun n ->
-      let pts = random_points n 2 in
-      let t = Range_tree.build_packed (Points.of_array pts) in
-      let w = Array.init n (fun i -> float_of_int i +. 0.5) in
-      Range_tree.set_point_weights t w;
-      let rect = random_rect 2 in
-      let got =
-        List.fold_left
-          (fun acc u -> acc +. Range_tree.node_weight t u)
-          0.0
-          (Range_tree.query_nodes t rect)
-      in
-      let want =
-        List.fold_left
-          (fun acc i -> acc +. w.(i))
-          0.0
-          (Rect.points_inside rect pts)
-      in
-      abs_float (got -. want) < 1e-6)
-
-(* Recomputing only a canonical node's subtree must give the node the
-   weight the whole-tree aggregation gives it, bit for bit. Every other
-   node is first poisoned with nan, so a subtree range that missed a
-   descendant would read the poison. Weights span many magnitudes, so a
-   changed association order would show in the low bits. *)
-let prop_range_tree_subtree_weights =
-  QCheck.Test.make ~name:"range tree subtree weights = set_point_weights bits"
-    ~count:60
-    QCheck.(pair (int_range 1 80) (int_range 1 3))
-    (fun (n, d) ->
-      let pts = random_points n d in
-      let t = Range_tree.build_packed (Points.of_array pts) in
-      let w =
-        Array.init n (fun _ ->
-            Random.State.float rng 1.0 *. (10.0 ** float_of_int (Random.State.int rng 17 - 8)))
-      in
-      let poison = Array.make n nan in
-      List.for_all
-        (fun rect ->
-          List.for_all
-            (fun u ->
-              Range_tree.set_point_weights t poison;
-              Range_tree.set_subtree_weights t w u;
-              let got = Range_tree.node_weight t u in
-              Range_tree.set_point_weights t w;
-              Int64.equal (Int64.bits_of_float got)
-                (Int64.bits_of_float (Range_tree.node_weight t u)))
-            (Range_tree.query_nodes t rect))
-        (List.init 4 (fun _ -> random_rect d)))
-
 let test_csr_transpose () =
   let t = Csr.of_lists [| [ 2; 0 ]; []; [ 0; 0 ]; [ 1 ] |] in
   let tt = Csr.transpose t ~cols:4 in
@@ -323,52 +236,6 @@ let test_csr_transpose () =
          Array.to_list
            (Array.sub tt.Csr.ids tt.Csr.offsets.(c)
               (tt.Csr.offsets.(c + 1) - tt.Csr.offsets.(c)))))
-
-let prop_range_tree_marks =
-  QCheck.Test.make ~name:"marks on canonical nodes flag exactly the covered points"
-    ~count:40
-    QCheck.(int_range 1 60)
-    (fun n ->
-      let pts = random_points n 2 in
-      let t = Range_tree.build_packed (Points.of_array pts) in
-      let rects = [ random_rect 2; random_rect 2; random_rect 2 ] in
-      Range_tree.reset_marks t;
-      List.iter
-        (fun r ->
-          List.iter (fun u -> Range_tree.add_mark t u) (Range_tree.query_nodes t r))
-        rects;
-      List.for_all
-        (fun i ->
-          Range_tree.marked_on_paths t i
-          = List.exists (fun r -> Rect.contains r pts.(i)) rects)
-        (List.init n Fun.id))
-
-let prop_range_tree_weight2_paths =
-  QCheck.Test.make
-    ~name:"weight2 via point paths counts covering rectangles" ~count:40
-    QCheck.(int_range 1 60)
-    (fun n ->
-      let pts = random_points n 2 in
-      let t = Range_tree.build_packed (Points.of_array pts) in
-      let rects = [ random_rect 2; random_rect 2 ] in
-      let weight2 = Array.make (Range_tree.n_nodes t) 0.0 in
-      List.iter
-        (fun r ->
-          List.iter
-            (fun u -> weight2.(u) <- weight2.(u) +. 1.0)
-            (Range_tree.query_nodes t r))
-        rects;
-      List.for_all
-        (fun i ->
-          let got =
-            Range_tree.fold_point_paths t i ~init:0.0 ~f:(fun acc u ->
-                acc +. weight2.(u))
-          in
-          let want =
-            List.length (List.filter (fun r -> Rect.contains r pts.(i)) rects)
-          in
-          abs_float (got -. float_of_int want) < 1e-9)
-        (List.init n Fun.id))
 
 (* --- WSPD --- *)
 
@@ -460,6 +327,13 @@ let test_dense_regions_max_balls () =
   | None -> Alcotest.fail "budget of 5 should suffice"
 
 (* --- Box complement --- *)
+
+let random_rect d =
+  Rect.of_intervals
+    (List.init d (fun _ ->
+         let a = Random.State.float rng 100.0 in
+         let b = Random.State.float rng 100.0 in
+         (min a b, max a b)))
 
 let prop_box_complement =
   QCheck.Test.make ~name:"complement decomposition covers exactly the outside"
@@ -576,13 +450,7 @@ let suite =
     Alcotest.test_case "bbd deactivate" `Quick test_bbd_deactivate;
     Alcotest.test_case "bbd oracle weight transport" `Quick test_bbd_weights_paths;
     QCheck_alcotest.to_alcotest prop_bbd_batched_weights;
-    QCheck_alcotest.to_alcotest prop_range_tree_report;
-    QCheck_alcotest.to_alcotest prop_range_tree_nodes_partition;
-    QCheck_alcotest.to_alcotest prop_range_tree_weights;
-    QCheck_alcotest.to_alcotest prop_range_tree_subtree_weights;
     Alcotest.test_case "csr transpose" `Quick test_csr_transpose;
-    QCheck_alcotest.to_alcotest prop_range_tree_marks;
-    QCheck_alcotest.to_alcotest prop_range_tree_weight2_paths;
     QCheck_alcotest.to_alcotest prop_wspd_candidates;
     QCheck_alcotest.to_alcotest prop_float_sort_is_array_sort;
     QCheck_alcotest.to_alcotest prop_dense_regions_invariant;

@@ -352,6 +352,21 @@ let test_mwu_eps_validation () =
           ignore (Mwu.run ~m:1 ~width:1.0 ~eps ~oracle ~violation ())))
     [ 0.0; -0.5; 1.5; nan ]
 
+(* A run of no rounds has no solution to average: [Mwu.run] used to
+   return [Feasible []], which GCSO's rounding read as "every guess is
+   feasible, keep no rectangle". *)
+let test_mwu_rounds_validation () =
+  let oracle _ = Some () in
+  let violation () = [| 0.0 |] in
+  List.iter
+    (fun rounds ->
+      Alcotest.check_raises
+        (Printf.sprintf "rounds = %d rejected" rounds)
+        (Invalid_argument "Mwu.run: rounds < 1") (fun () ->
+          ignore
+            (Mwu.run ~m:1 ~width:1.0 ~eps:0.5 ~rounds ~oracle ~violation ())))
+    [ 0; -1 ]
+
 (* Regression (delta clamp): with an underestimated width, one over-width
    "very satisfied" round used to drive a weight negative, clamp it to 0,
    and thereby delete the constraint from every later round — the oracle
@@ -545,6 +560,8 @@ let suite =
     Alcotest.test_case "mwu default rounds" `Quick test_mwu_default_rounds;
     Alcotest.test_case "mwu zero constraints" `Quick test_mwu_zero_constraints;
     Alcotest.test_case "mwu eps validation" `Quick test_mwu_eps_validation;
+    Alcotest.test_case "mwu rounds validation" `Quick
+      test_mwu_rounds_validation;
     Alcotest.test_case "mwu over-width recovery (delta clamp)" `Quick
       test_mwu_overwidth_recovery;
     Alcotest.test_case "mwu weight floor" `Quick test_mwu_weight_floor;

@@ -306,15 +306,13 @@ module Obs = Cso_obs.Obs
 
 (* A workload touching several instrumented substrates at once —
    including every histogram site: BBD ball queries (nodes/query),
-   range-tree rect queries (canonical/query), WSPD pair emission
+   WSPD pair emission
    (separation ratios), MWU rounds (violations/round) and a GCSO solve,
    whose per-point ball queries run inside [Pool.tabulate] bodies. The
    inputs are built once, outside the per-domain closures: a shared rng
    inside them would feed different data to each pool size and void the
    comparison. *)
 module Bbd = Cso_geom.Bbd_tree
-module Rtree = Cso_geom.Range_tree
-module Rect = Cso_geom.Rect
 module Wspd = Cso_geom.Wspd
 module Planted = Cso_workload.Planted
 
@@ -339,15 +337,6 @@ let run_obs_workload (pts, m, gcso) =
           (Bbd.ball_query bbd ~center:pts.(i) ~radius:15.0 ~eps:0.2))
       [ 0; 7; 41; 99 ]
   in
-  let rt = Rtree.build_packed (Points.of_array pts) in
-  let rt_hits =
-    List.map
-      (fun i ->
-        let lo = pts.(i) in
-        let r = Rect.of_intervals [ (lo.(0), lo.(0) +. 25.0); (lo.(1), lo.(1) +. 25.0) ] in
-        List.length (Rtree.query_nodes rt r))
-      [ 3; 17; 55 ]
-  in
   let wspd = List.length (Wspd.pairs_info ~eps:0.5 (Array.sub pts 0 40)) in
   (* Explicit rounds: the honest default (eps split to eps/5 per
      consumer) is ~25x this and only costs time here — the determinism
@@ -365,7 +354,7 @@ let run_obs_workload (pts, m, gcso) =
         else -1.0 +. (float_of_int ((i * 31) mod 13) /. 13.0))
   in
   let mwu = Mwu.run ~m ~width:1.0 ~eps:0.3 ~rounds:12 ~oracle ~violation () in
-  (g, d01, bbd_hits, rt_hits, wspd, gr.Cso_core.Gcso_general.radius, mwu)
+  (g, d01, bbd_hits, wspd, gr.Cso_core.Gcso_general.radius, mwu)
 
 let test_obs_identical_across_domains () =
   let inputs = obs_workload_inputs () in
@@ -417,7 +406,6 @@ let test_hist_identical_across_domains () =
             (List.mem_assoc name hist_deltas))
         [
           "geom.bbd.nodes_per_query";
-          "geom.rtree.canonical_per_query";
           "geom.wspd.pair_sep_ratio";
           "lp.mwu.violated_per_round";
           "cso.gcso.ball_nodes_per_point";

@@ -64,46 +64,6 @@ let prop_bbd_sandwich_general =
       && delta_of deltas "geom.bbd.nodes_visited"
          >= delta_of deltas "geom.bbd.canonical_nodes")
 
-(* --- Range tree: canonical union = brute force, O(log^d n) count --- *)
-
-let random_rect d =
-  Rect.of_intervals
-    (List.init d (fun _ ->
-         let a = Random.State.float rng 100.0 in
-         let b = Random.State.float rng 100.0 in
-         (min a b, max a b)))
-
-let canonical_bound n d =
-  (* Each of the d levels contributes at most 2*(log2 n + 2) canonical
-     or descent nodes; the product bounds the canonical set size. Safe
-     (not tight) for the fair median splits used by the builder. *)
-  let log2n = int_of_float (ceil (log (float_of_int (max 2 n)) /. log 2.0)) in
-  let per_level = 2 * (log2n + 2) in
-  int_of_float (float_of_int per_level ** float_of_int d)
-
-let prop_rtree_canonical =
-  QCheck.Test.make
-    ~name:"range tree canonical: union = brute force, count = O(log^d n)"
-    ~count:120 ~long_factor:3
-    QCheck.(pair (int_range 1 150) (int_range 1 3))
-    (fun (n, d) ->
-      let pts = random_points n d in
-      let t = Range_tree.build_packed (Points.of_array pts) in
-      let rect = random_rect d in
-      let (nodes, deltas) =
-        Obs.with_delta (fun () -> Range_tree.query_nodes t rect)
-      in
-      let union =
-        List.sort compare (List.concat_map (Range_tree.node_points t) nodes)
-      in
-      let want = List.sort compare (Rect.points_inside rect pts) in
-      (* Union of canonical nodes is exactly the brute-force answer,
-         with no point double-counted. *)
-      union = want
-      && List.length nodes <= canonical_bound n d
-      && delta_of deltas "geom.rtree.canonical_nodes" = List.length nodes
-      && delta_of deltas "geom.rtree.canonical_points" = List.length union)
-
 (* --- WSPD: well-separatedness and exact pair coverage --- *)
 
 let prop_wspd_separation_and_coverage =
@@ -855,7 +815,6 @@ let test_with_delta_concurrent_registration () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_bbd_sandwich_general;
-    QCheck_alcotest.to_alcotest prop_rtree_canonical;
     QCheck_alcotest.to_alcotest prop_wspd_separation_and_coverage;
     QCheck_alcotest.to_alcotest prop_packed_kernels_bit_identical;
     QCheck_alcotest.to_alcotest prop_row_kernel_bit_identical;

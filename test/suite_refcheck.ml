@@ -7,8 +7,6 @@ module Fuzz = Cso_refcheck.Fuzz
 module Checks = Cso_refcheck.Checks
 module Reference = Cso_refcheck.Reference
 module Rect = Cso_geom.Rect
-module Points = Cso_metric.Points
-module Range_tree = Cso_geom.Range_tree
 module Geo_instance = Cso_core.Geo_instance
 module Gcso_general = Cso_core.Gcso_general
 module Table1 = Cso_refcheck.Table1
@@ -90,20 +88,6 @@ let test_registry_clean () =
     reports
 
 (* --- pinned divergences found by the fuzzer --- *)
-
-(* csokit fuzz --seed 20250807 --check geom.rtree_report_vs_scan
-   (pre-fix): querying an empty range tree raised
-   Invalid_argument "Range_tree.query_nodes: dim" because the empty
-   tree defaulted to dimension 1 and rejected every other rectangle.
-   An empty tree must answer any query with the empty result. *)
-let test_rtree_empty_tree_any_dim () =
-  let t = Range_tree.build_packed (Points.of_array [||]) in
-  let rect = Rect.of_intervals [ (neg_infinity, infinity); (0.0, 4.0) ] in
-  Alcotest.(check (list int)) "query_nodes" [] (Range_tree.query_nodes t rect);
-  Alcotest.(check (list int)) "report" [] (Range_tree.report t rect);
-  Alcotest.(check int) "count" 0 (Range_tree.count t rect);
-  let r3 = Rect.of_intervals [ (0.0, 1.0); (0.0, 1.0); (0.0, 1.0) ] in
-  Alcotest.(check (list int)) "3d query" [] (Range_tree.report t r3)
 
 (* csokit fuzz --seed 20250807 --check gcso.mwu_tricriteria_vs_opt
    (minimized): 3 points, one covering rectangle, k=2, z=0, eps=0.5.
@@ -223,8 +207,6 @@ let suite =
       test_driver_deterministic_and_filtered;
     Alcotest.test_case "registry clean under fixed seed" `Quick
       test_registry_clean;
-    Alcotest.test_case "regression: empty range tree accepts any rect" `Quick
-      test_rtree_empty_tree_any_dim;
     Alcotest.test_case "regression: gcso eps calibration instance" `Quick
       test_gcso_split_eps_calibration;
     Alcotest.test_case "regression: gcso lattice gap instance" `Quick

@@ -1028,6 +1028,36 @@ let test_oversized_reply_refused () =
       | P.Stats_reply _ -> ()
       | _ -> Alcotest.fail "the connection must stay usable")
 
+(* A Load that names zero MWU rounds is refused with a typed
+   [Bad_request] and registers nothing; a run of no rounds would accept
+   every radius guess and answer each Solve with one center per point.
+   The connection keeps answering. *)
+let test_load_zero_rounds_refused () =
+  with_server ~n:1 (fun srv cs ->
+      let c = List.hd cs in
+      h_send P.Binary c
+        (P.Load
+           {
+             name;
+             points = [| [| 0.0; 0.0 |]; [| 1.0; 1.0 |] |];
+             rects = [| Rect.unbounded 2 |];
+             k = 1;
+             z = 0;
+             eps = 0.3;
+             rounds = Some 0;
+             drift = 2.0;
+           });
+      h_send P.Binary c (P.Solve name);
+      pump srv cs ~want:[ 2 ];
+      (match List.map (dec P.Binary) (frames c) with
+      | [ P.Error (P.Bad_request, _); P.Error (P.Unknown_instance, _) ] -> ()
+      | _ -> Alcotest.fail "expected bad_request, then unknown_instance");
+      h_send P.Binary c P.Stats;
+      pump srv cs ~want:[ 3 ];
+      match dec P.Binary (newest c) with
+      | P.Stats_reply _ -> ()
+      | _ -> Alcotest.fail "the connection must stay usable")
+
 let test_stats_and_shutdown () =
   with_server ~n:1 (fun srv cs ->
       let c = List.hd cs in
@@ -1300,6 +1330,8 @@ let suite =
       test_oversize_closes_connection;
     Alcotest.test_case "peer gone mid-reply costs only its connection"
       `Quick test_peer_gone_mid_reply;
+    Alcotest.test_case "load with zero rounds refused" `Quick
+      test_load_zero_rounds_refused;
     Alcotest.test_case "oversized reply refused, connection kept" `Quick
       test_oversized_reply_refused;
     Alcotest.test_case "stats and shutdown" `Quick test_stats_and_shutdown;
